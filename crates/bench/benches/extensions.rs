@@ -1,22 +1,15 @@
 //! Criterion benches for the reproduction's extensions: storage codec,
-//! node-granularity PTQ, and per-match semantics.
-
-// The one-shot rows measure the deprecated legacy paths on purpose (the
-// comparison against the warm engine session is the experiment).
-#![allow(deprecated)]
+//! the path index behind node-granularity PTQ, and per-match semantics.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use uxm_bench::workload::{d7_workload, default_config};
-use uxm_core::path_ptq::{ptq_basic_nodes, ptq_with_tree_nodes};
-use uxm_core::ptq_tree::ptq_with_tree;
-use uxm_core::semantics::match_probabilities;
+use uxm_core::api::{EvaluatorHint, Query};
 use uxm_core::storage::{decode_compressed, encode_compressed, encode_plain};
 use uxm_datagen::queries::paper_queries;
 use uxm_xml::PathIndex;
 
 fn bench_extensions(c: &mut Criterion) {
     let w = d7_workload(100, &default_config());
-    let index = PathIndex::new(&w.doc);
     let q7 = &paper_queries()[6];
 
     let mut g = c.benchmark_group("extensions");
@@ -44,20 +37,12 @@ fn bench_extensions(c: &mut Criterion) {
     g.bench_function("path_index_build", |b| {
         b.iter(|| std::hint::black_box(PathIndex::new(&w.doc).len()));
     });
-    g.bench_function("ptq_nodes_basic_Q7", |b| {
-        b.iter(|| std::hint::black_box(ptq_basic_nodes(q7, &w.mappings, &w.doc, &index).len()));
-    });
-    g.bench_function("ptq_nodes_tree_Q7", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                ptq_with_tree_nodes(q7, &w.mappings, &w.doc, &index, &w.tree).len(),
-            )
-        });
-    });
-
-    let full = ptq_with_tree(q7, &w.mappings, &w.doc, &w.tree);
+    let full = w
+        .engine()
+        .run(&Query::ptq(q7.clone()).with_evaluator(EvaluatorHint::BlockTree))
+        .expect("valid query");
     g.bench_function("match_probabilities_Q7", |b| {
-        b.iter(|| std::hint::black_box(match_probabilities(&full).len()));
+        b.iter(|| std::hint::black_box(full.match_probabilities().len()));
     });
 
     g.finish();

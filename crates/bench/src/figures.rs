@@ -5,7 +5,7 @@
 //! *shapes* — who wins, trends over τ / |M| / k / h — are the target.
 
 use crate::time_avg;
-use crate::workload::{d7_workload, default_config, workload_for, DEFAULT_M};
+use crate::workload::{d7_workload, default_config, workload_for, QueryWorkload, DEFAULT_M};
 use std::fmt::Write as _;
 use uxm_assignment::murty::RankVariant;
 use uxm_assignment::partition::{murty_top_h_mappings, partition, partition_top_h_with};
@@ -13,6 +13,7 @@ use uxm_core::aggregate::AggFunc;
 use uxm_core::api::{EvaluatorHint, Query};
 use uxm_core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm_core::compress::compression_ratio;
+use uxm_core::engine::QueryEngine;
 use uxm_core::json::Json;
 use uxm_core::mapping::PossibleMappings;
 use uxm_core::planner::Evaluator;
@@ -20,17 +21,6 @@ use uxm_core::stats::{avg_block_size, block_size_histogram, max_block_coverage, 
 use uxm_datagen::datasets::{Dataset, DatasetId};
 use uxm_datagen::queries::paper_queries;
 use uxm_twig::TwigPattern;
-// The one-shot timing experiments measure the paper's *legacy* per-call
-// paths (throwaway session per query) on purpose — that is exactly what
-// Fig 9(f)/10 plot. They are the only remaining consumers of the
-// deprecated shims outside the shim-coverage tests.
-#[allow(deprecated)]
-use uxm_core::ptq::ptq_basic;
-#[allow(deprecated)]
-use uxm_core::ptq_tree::ptq_with_tree;
-#[allow(deprecated)]
-use uxm_core::topk::topk_ptq;
-
 /// Shared knobs for the repro run.
 #[derive(Clone, Debug)]
 pub struct ReproConfig {
@@ -205,18 +195,31 @@ pub fn fig9e(cfg: &ReproConfig) -> String {
     out
 }
 
+/// Mean seconds per cache-cold evaluation of `query` over `w`'s data
+/// with `tree` — Algorithm 3 or 4, whichever the query pins. Every run
+/// gets a fresh engine, built outside the timed region, and must look
+/// up no rewrite the session had cached.
+fn time_cold(runs: usize, w: &QueryWorkload, tree: &BlockTree, query: &Query) -> f64 {
+    assert!(runs > 0);
+    let mut total = 0.0;
+    for _ in 0..runs {
+        let engine = QueryEngine::new(w.mappings.clone(), w.doc.clone(), tree.clone());
+        let start = std::time::Instant::now();
+        let response = engine.run(query).expect("valid query");
+        total += start.elapsed().as_secs_f64();
+        assert_eq!(response.stats.rewrite_hits, 0, "cold run of {query}");
+        std::hint::black_box(response.len());
+    }
+    total / runs as f64
+}
+
 /// Fig 9(f) / Fig 10(a): per-query time, basic vs block-tree, plus the
 /// warm `QueryEngine` session (one session serving the repeated queries —
 /// the reproduction's service-layer extension).
-#[allow(deprecated)] // measures the legacy one-shot paths on purpose
 pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
     let w = d7_workload(m, &default_config());
     let engine = w.engine();
     let queries = paper_queries();
-    let engine_queries: Vec<Query> = queries
-        .iter()
-        .map(|q| Query::ptq(q.clone()).with_evaluator(EvaluatorHint::BlockTree))
-        .collect();
     let mut out = format!(
         "Fig {} — query time Tq (s), |M| = {m}\n  Q     basic  block-tree   speedup  engine(warm)\n",
         if m <= DEFAULT_M { "9(f)" } else { "10(a)" }
@@ -225,17 +228,14 @@ pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
     let mut total_tree = 0.0;
     let mut total_engine = 0.0;
     for (i, q) in queries.iter().enumerate() {
-        let tb = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_basic(q, &w.mappings, &w.doc).len());
-        });
-        let tt = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_with_tree(q, &w.mappings, &w.doc, &w.tree).len());
-        });
-        // Warm the session caches, then time cache-served evaluation
-        // through the unified entry point.
-        std::hint::black_box(engine.run(&engine_queries[i]).expect("valid query").len());
+        let basic_query = Query::ptq(q.clone()).with_evaluator(EvaluatorHint::Naive);
+        let tree_query = Query::ptq(q.clone()).with_evaluator(EvaluatorHint::BlockTree);
+        let tb = time_cold(cfg.runs, &w, &w.tree, &basic_query);
+        let tt = time_cold(cfg.runs, &w, &w.tree, &tree_query);
+        // Warm the session caches, then time cache-served evaluation.
+        std::hint::black_box(engine.run(&tree_query).expect("valid query").len());
         let te = time_avg(cfg.runs, || {
-            std::hint::black_box(engine.run(&engine_queries[i]).expect("valid query").len());
+            std::hint::black_box(engine.run(&tree_query).expect("valid query").len());
         });
         total_basic += tb;
         total_tree += tt;
@@ -262,10 +262,9 @@ pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
 }
 
 /// Fig 10(b): Q10 time vs τ (block-tree algorithm).
-#[allow(deprecated)] // measures the legacy one-shot path on purpose
 pub fn fig10b(cfg: &ReproConfig) -> String {
     let w = d7_workload(cfg.m, &default_config());
-    let q10 = &paper_queries()[9];
+    let q10 = Query::ptq(paper_queries()[9].clone()).with_evaluator(EvaluatorHint::BlockTree);
     let mut out = String::from("Fig 10(b) — Tq vs tau (D7, Q10, block-tree)\n  tau      Tq(s)\n");
     for tau in [0.02, 0.12, 0.22, 0.32, 0.42, 0.52, 0.65] {
         let tree = BlockTree::build(
@@ -276,45 +275,37 @@ pub fn fig10b(cfg: &ReproConfig) -> String {
                 ..default_config()
             },
         );
-        let tq = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_with_tree(q10, &w.mappings, &w.doc, &tree).len());
-        });
+        let tq = time_cold(cfg.runs, &w, &tree, &q10);
         let _ = writeln!(out, "{:>5.2} {:>10.4}", tau, tq);
     }
     out
 }
 
 /// Fig 10(c): Q10 time vs |M|, basic vs block-tree.
-#[allow(deprecated)] // measures the legacy one-shot paths on purpose
 pub fn fig10c(cfg: &ReproConfig) -> String {
     let q10 = &paper_queries()[9];
+    let basic = Query::ptq(q10.clone()).with_evaluator(EvaluatorHint::Naive);
+    let block_tree = Query::ptq(q10.clone()).with_evaluator(EvaluatorHint::BlockTree);
     let mut out = String::from("Fig 10(c) — Tq vs |M| (D7, Q10)\n   |M|    basic  block-tree\n");
     for m in [30, 50, 70, 100, 140, 200] {
         let w = d7_workload(m, &default_config());
-        let tb = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_basic(q10, &w.mappings, &w.doc).len());
-        });
-        let tt = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_with_tree(q10, &w.mappings, &w.doc, &w.tree).len());
-        });
+        let tb = time_cold(cfg.runs, &w, &w.tree, &basic);
+        let tt = time_cold(cfg.runs, &w, &w.tree, &block_tree);
         let _ = writeln!(out, "{:>6} {:>8.4} {:>10.4}", m, tb, tt);
     }
     out
 }
 
-/// Fig 10(d): top-k PTQ time vs k (D7, Q10).
-#[allow(deprecated)] // measures the legacy one-shot paths on purpose
+/// Fig 10(d): top-k PTQ time vs k (D7, Q10), both with the block tree.
 pub fn fig10d(cfg: &ReproConfig) -> String {
     let w = d7_workload(cfg.m, &default_config());
     let q10 = &paper_queries()[9];
-    let normal = time_avg(cfg.runs, || {
-        std::hint::black_box(ptq_with_tree(q10, &w.mappings, &w.doc, &w.tree).len());
-    });
+    let block_tree = Query::ptq(q10.clone()).with_evaluator(EvaluatorHint::BlockTree);
+    let normal = time_cold(cfg.runs, &w, &w.tree, &block_tree);
     let mut out = String::from("Fig 10(d) — top-k PTQ vs k (D7, Q10)\n    k     top-k    normal\n");
     for k in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-        let tk = time_avg(cfg.runs, || {
-            std::hint::black_box(topk_ptq(q10, &w.mappings, &w.doc, &w.tree, k).len());
-        });
+        let topk = Query::topk(q10.clone(), k).with_evaluator(EvaluatorHint::BlockTree);
+        let tk = time_cold(cfg.runs, &w, &w.tree, &topk);
         let _ = writeln!(out, "{:>5} {:>9.4} {:>9.4}", k, tk, normal);
     }
     out
@@ -444,8 +435,7 @@ pub fn serve(cfg: &ReproConfig) -> String {
         );
     }
 
-    // The registry batch path over the same request mix (its internal
-    // fan-out uses the `parallel` feature when enabled).
+    // The registry batch path over the same request mix.
     let registry = EngineRegistry::new();
     registry.insert("d7", w.engine());
     let batch: Vec<BatchQuery> = (0..total)

@@ -1,12 +1,5 @@
 //! The unified query API: one typed request/response surface from the
-//! CLI down to the engine.
-//!
-//! Historically this crate grew three parallel query surfaces — the
-//! legacy free functions (`ptq_basic`, `ptq_with_tree`, `topk_ptq`,
-//! `keyword_query`, the `path_ptq` node variants), six overlapping
-//! [`QueryEngine`](crate::engine::QueryEngine) methods, and the
-//! registry's request enum — each with its own options handling and its
-//! own error type. This module replaces all of them with:
+//! CLI down to the engine. It consists of:
 //!
 //! * a typed [`Query`] AST ([`Query::Ptq`], [`Query::PtqNodes`],
 //!   [`Query::TopK`], [`Query::Keyword`], [`Query::Aggregate`]), each
@@ -608,12 +601,10 @@ pub struct Answer {
 
 /// How a query was executed — returned with every response.
 ///
-/// The cache counters are deltas of the session-wide counters taken
-/// around this query's evaluation. On an engine serving **concurrent**
-/// queries they may therefore include traffic from queries in flight at
-/// the same time — they are diagnostics about the session, not an exact
-/// per-query accounting. The `plan` and `relevant` fields are always
-/// exact.
+/// Every field is exact per-query accounting, also on an engine serving
+/// concurrent queries: a query's evaluation runs on its calling thread,
+/// and the rewrite counters count that thread's lookups only. Session
+/// totals live in [`CacheStats`](crate::engine::CacheStats).
 #[derive(Clone, Copy, Debug)]
 pub struct ExecStats {
     /// The plan the [`crate::planner`] chose (and why).
@@ -627,17 +618,15 @@ pub struct ExecStats {
     /// and for top-k after pruning).
     pub relevant: usize,
     /// Program-cache hits for this query: `1` when a compiled program
-    /// was replayed from the engine's cache, `0` otherwise. Unlike the
-    /// rewrite counters this is exact per-query accounting.
+    /// was replayed from the engine's cache, `0` otherwise.
     pub program_cache_hits: u64,
     /// Program-cache misses for this query: `1` when the compiled
     /// backend ran and had to compile, `0` otherwise.
     pub program_cache_misses: u64,
-    /// Session rewrite-cache hits observed while this query ran (see
-    /// the type docs for the concurrency caveat).
+    /// `(query, mapping)` rewrite-cache hits of this query.
     pub rewrite_hits: u64,
-    /// Session rewrite-cache misses (computed entries) observed while
-    /// this query ran (see the type docs for the concurrency caveat).
+    /// `(query, mapping)` rewrite-cache misses (computed entries) of this
+    /// query.
     pub rewrite_misses: u64,
     /// Wall-clock evaluation time, in microseconds.
     pub elapsed_us: u64,

@@ -1,8 +1,9 @@
 //! The query-session layer: [`QueryEngine`].
 //!
-//! Every query entry point in this crate ([`crate::ptq`],
-//! [`crate::ptq_tree`], [`crate::topk`], [`crate::path_ptq`],
-//! [`crate::keyword`]) evaluates through this module. A [`QueryEngine`]
+//! Every query evaluates through this module's one entry point,
+//! [`QueryEngine::run`]: Algorithm 3 (naive PTQ), Algorithm 4
+//! (block-tree PTQ), top-k, node granularity ([`crate::path_ptq`]) and
+//! keyword queries ([`crate::keyword`]) all live here. A [`QueryEngine`]
 //! owns one session's data — `(source schema, target schema,
 //! PossibleMappings, BlockTree, Document)` — plus derived state built once
 //! per session instead of once per query:
@@ -17,14 +18,11 @@
 //!   mapping cache keyed by query, which make repeated-query workloads
 //!   (the service scenario) skip rewriting entirely.
 //!
-//! The legacy free functions remain as thin wrappers that build a
-//! throwaway session state, so their results — and the engine's — are
-//! identical by construction; the equivalence is additionally pinned by
+//! A query's evaluation runs start to finish on its calling thread, so
+//! concurrent queries on one shared engine only meet in the sharded
+//! caches, and each query's [`ExecStats`] rewrite counters are exact.
+//! Warm-cache answers are pinned to cold-session answers by
 //! `tests/engine_equivalence.rs`.
-//!
-//! With the `parallel` feature, independent per-mapping / per-c-block /
-//! per-rewrite-group evaluations run on scoped threads (see the
-//! crate-internal `par_run`).
 
 use crate::aggregate::{self, AggFunc, AggRow, AggregateResult};
 use crate::api::{ExecStats, Query, QueryResponse};
@@ -35,6 +33,7 @@ use crate::keyword::{KeywordAnswer, KeywordError};
 use crate::mapping::{MappingId, MappingRef, PossibleMappings};
 use crate::planner::{self, Evaluator, Plan, PlannerStats};
 use crate::ptq::{PtqAnswer, PtqResult};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,56 +41,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 use uxm_twig::structural_join::structural_join;
 use uxm_twig::{match_twig, Axis, PatternNodeId, ResolvedPattern, TwigMatch, TwigPattern};
 use uxm_xml::{DocNodeId, Document, LabelId, PathIndex, Schema, SchemaNodeId, Symbol, SymbolTable};
-
-// ---------------------------------------------------------------------
-// parallel scaffolding
-
-/// Runs `f(0..n)` and collects results in index order.
-///
-/// With the `parallel` feature, work items are pulled off a shared atomic
-/// counter by `min(n, available_parallelism)` scoped threads; without it,
-/// this is a plain sequential map. Either way the output order (and hence
-/// every result in this crate) is deterministic.
-pub(crate) fn par_run<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-            .min(n);
-        if threads > 1 {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                local.push((i, f(i)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, r) in h.join().expect("engine worker panicked") {
-                        out[i] = Some(r);
-                    }
-                }
-            });
-            return out
-                .into_iter()
-                .map(|r| r.expect("all indices run"))
-                .collect();
-        }
-    }
-    (0..n).map(f).collect()
-}
 
 // ---------------------------------------------------------------------
 // relevance bitsets
@@ -157,8 +106,7 @@ impl MappingBits {
 }
 
 /// Per-symbol relevance bitsets over the mapping set, stored flat — one
-/// allocation for all symbols, which keeps throwaway session construction
-/// (the legacy free-function path) cheap.
+/// allocation for all symbols, which keeps session construction cheap.
 struct RelevanceIndex {
     words_per_sym: usize,
     words: Vec<u64>,
@@ -253,6 +201,19 @@ pub struct CacheStats {
     pub relevant_misses: u64,
 }
 
+thread_local! {
+    /// Rewrite-cache `(hits, misses)` looked up on this thread. A query's
+    /// evaluation never leaves its calling thread, so the change across
+    /// one [`QueryEngine::run`] is exactly that query's rewrite traffic,
+    /// however many other queries share the engine.
+    static REWRITE_TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// This thread's running [`REWRITE_TALLY`].
+fn rewrite_tally() -> (u64, u64) {
+    REWRITE_TALLY.with(Cell::get)
+}
+
 /// One query node as the session sees it: its interned label symbol
 /// (`None` when the label occurs in neither schema nor the document),
 /// and whether it is the wildcard `*` — which constrains nothing: it
@@ -285,8 +246,7 @@ type SymbolSets = Arc<Vec<Vec<Symbol>>>;
 type NodeSets = Arc<Vec<Vec<SchemaNodeId>>>;
 
 /// Everything derivable from `(PossibleMappings, Document)` that query
-/// evaluation wants precomputed. Built once per [`QueryEngine`]; the
-/// legacy free functions build a throwaway one per call.
+/// evaluation wants precomputed. Built once per [`QueryEngine`].
 pub(crate) struct SessionState {
     symbols: SymbolTable,
     /// Per source schema node: its label's symbol.
@@ -482,7 +442,7 @@ impl SessionState {
     const QUERIES_PER_SHARD: usize = 64;
 
     /// The paper's `filter_mappings` via bitset intersection, memoized per
-    /// query. Ids come out in ascending order, matching the legacy path.
+    /// query. Ids come out in ascending order, matching `filter_mappings`.
     pub(crate) fn relevant(&self, q: &TwigPattern, qstr: &str) -> Arc<Vec<MappingId>> {
         if let Some(hit) = self.relevant_cache.read(qstr, Arc::clone) {
             self.relevant_hits.fetch_add(1, Ordering::Relaxed);
@@ -578,9 +538,11 @@ impl SessionState {
     ) -> Option<V> {
         if let Some(Some(hit)) = cache.read(qstr, |per_mapping| per_mapping.get(&id).cloned()) {
             self.rewrite_hits.fetch_add(1, Ordering::Relaxed);
+            REWRITE_TALLY.with(|t| t.set((t.get().0 + 1, t.get().1)));
             return hit;
         }
         self.rewrite_misses.fetch_add(1, Ordering::Relaxed);
+        REWRITE_TALLY.with(|t| t.set((t.get().0, t.get().1 + 1)));
         let computed = compute();
         cache.update(qstr, Self::QUERIES_PER_SHARD, |per_mapping| {
             per_mapping.insert(id, computed.clone());
@@ -661,7 +623,7 @@ impl SessionState {
 // label-granularity evaluation (Algorithms 3 and 4)
 
 /// Algorithm 3 over a pre-filtered mapping subset.
-pub(crate) fn eval_basic_over(
+fn eval_basic_over(
     q: &TwigPattern,
     pm: &PossibleMappings,
     doc: &Document,
@@ -670,32 +632,26 @@ pub(crate) fn eval_basic_over(
 ) -> PtqResult {
     let qstr = q.to_string();
     let qsyms = state.query_syms(q);
-    // Resolve rewrites up front (cache-served when warm) so the parallel
-    // workers below never touch the cache locks.
-    let rewrites: Vec<Option<SymbolSets>> = ids
+    let answers = ids
         .iter()
-        .map(|&id| state.rewrite(&qstr, &qsyms, pm.mapping(id), id))
-        .collect();
-    let answers = par_run(ids.len(), |k| {
-        let sets = rewrites[k].as_ref()?;
-        let matches = match state.resolve(q, sets) {
-            Some(resolved) => match_twig(doc, &resolved),
-            None => Vec::new(), // rewritten labels absent from the document
-        };
-        Some(PtqAnswer {
-            mapping: ids[k],
-            probability: pm.mapping(ids[k]).prob,
-            matches,
+        .filter_map(|&id| {
+            let sets = state.rewrite(&qstr, &qsyms, pm.mapping(id), id)?;
+            let matches = match state.resolve(q, &sets) {
+                Some(resolved) => match_twig(doc, &resolved),
+                None => Vec::new(), // rewritten labels absent from the document
+            };
+            Some(PtqAnswer {
+                mapping: id,
+                probability: pm.mapping(id).prob,
+                matches,
+            })
         })
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+        .collect();
     PtqResult { answers }
 }
 
 /// Algorithm 4 over a pre-filtered mapping subset.
-pub(crate) fn eval_tree_over(
+fn eval_tree_over(
     q: &TwigPattern,
     pm: &PossibleMappings,
     doc: &Document,
@@ -756,11 +712,13 @@ fn eval_tree_rec(
 
     // Per mapping: stack-join the root candidates with each child's
     // sub-matches, then stitch combined matches.
-    par_run(ids.len(), |k| {
-        let child_matches: Vec<&[TwigMatch]> =
-            child_results.iter().map(|cr| cr[k].as_slice()).collect();
-        join_at_root(q, doc, &r0[k], &child_matches, &child_maps, &child_axes)
-    })
+    (0..ids.len())
+        .map(|k| {
+            let child_matches: Vec<&[TwigMatch]> =
+                child_results.iter().map(|cr| cr[k].as_slice()).collect();
+            join_at_root(q, doc, &r0[k], &child_matches, &child_maps, &child_axes)
+        })
+        .collect()
 }
 
 /// Finds a block-tree anchor usable for the whole (sub)query: the query
@@ -830,21 +788,18 @@ fn query_subtree(
     let pos: HashMap<MappingId, usize> = ids.iter().enumerate().map(|(k, &id)| (id, k)).collect();
     let mut out: Vec<Option<Vec<TwigMatch>>> = vec![None; ids.len()];
 
-    // Evaluate q once per block (independently), then replicate in block
-    // order (later blocks overwrite, matching the legacy evaluator).
-    let block_ids = tree.blocks_at(t);
-    let block_matches = par_run(block_ids.len(), |bi| {
-        let b = tree.block(block_ids[bi]);
-        match state.rewrite_pairs(qsyms, &b.corrs) {
+    // Evaluate q once per block, then replicate in block order (later
+    // blocks overwrite earlier ones).
+    for &bid in tree.blocks_at(t) {
+        let b = tree.block(bid);
+        let y = match state.rewrite_pairs(qsyms, &b.corrs) {
             Some(sets) => match state.resolve(q, &sets) {
                 Some(resolved) => match_twig(doc, &resolved),
                 None => Vec::new(),
             },
             None => Vec::new(),
-        }
-    });
-    for (&bid, y) in block_ids.iter().zip(block_matches) {
-        for mid in &tree.block(bid).mappings {
+        };
+        for mid in &b.mappings {
             if let Some(&k) = pos.get(mid) {
                 out[k] = Some(y.clone());
             }
@@ -886,13 +841,12 @@ fn direct(
             groups.entry(sets).or_default().push(k);
         }
     }
-    let groups: Vec<(SymbolSets, Vec<usize>)> = groups.into_iter().collect();
-    let per_group = par_run(groups.len(), |gi| match state.resolve(q, &groups[gi].0) {
-        Some(resolved) => match_twig(doc, &resolved),
-        None => Vec::new(),
-    });
     let mut out: Vec<Vec<TwigMatch>> = vec![Vec::new(); ids.len()];
-    for ((_, members), matches) in groups.into_iter().zip(per_group) {
+    for (sets, members) in groups {
+        let matches = match state.resolve(q, &sets) {
+            Some(resolved) => match_twig(doc, &resolved),
+            None => Vec::new(),
+        };
         let (last, rest) = members.split_last().expect("non-empty group");
         for &k in rest {
             out[k] = matches.clone();
@@ -1024,7 +978,7 @@ pub(crate) fn node_sets_to_matches(
 }
 
 /// Node-granularity `query_basic`.
-pub(crate) fn eval_basic_nodes(
+fn eval_basic_nodes(
     q: &TwigPattern,
     pm: &PossibleMappings,
     doc: &Document,
@@ -1033,29 +987,31 @@ pub(crate) fn eval_basic_nodes(
 ) -> PtqResult {
     let qstr = q.to_string();
     let qsyms = state.query_syms(q);
-    let ids = state.relevant(q, &qstr);
-    // Resolve rewrites up front so the parallel workers below never touch
-    // the cache locks.
-    let rewrites: Vec<NodeSets> = ids
+    let answers = state
+        .relevant(q, &qstr)
         .iter()
         .map(|&id| {
-            state
+            let sets = state
                 .rewrite_nodes(&qstr, &qsyms, pm.mapping(id), id)
-                .expect("filtered")
+                .expect("filtered");
+            PtqAnswer {
+                mapping: id,
+                probability: pm.mapping(id).prob,
+                matches: node_sets_to_matches(q, &sets, pm, doc, index),
+            }
         })
         .collect();
-    let answers = par_run(ids.len(), |k| PtqAnswer {
-        mapping: ids[k],
-        probability: pm.mapping(ids[k]).prob,
-        matches: node_sets_to_matches(q, &rewrites[k], pm, doc, index),
-    });
     PtqResult { answers }
 }
 
 /// Node-granularity PTQ with the block tree: blocks anchored at target
 /// nodes answer once per block; everything else shares work across
 /// mappings whose node-rewrites agree.
-pub(crate) fn eval_tree_nodes(
+///
+/// Node candidates pin query nodes to exact source elements, so a block's
+/// answer is valid for precisely `b.M` — no label-uniqueness side
+/// condition is needed (unlike the label-mode evaluator).
+fn eval_tree_nodes(
     q: &TwigPattern,
     pm: &PossibleMappings,
     doc: &Document,
@@ -1071,16 +1027,13 @@ pub(crate) fn eval_tree_nodes(
     if let Some(t) = anchor_for(q, &qsyms, pm, state, tree) {
         let pos: HashMap<MappingId, usize> =
             ids.iter().enumerate().map(|(k, &id)| (id, k)).collect();
-        let block_ids = tree.blocks_at(t);
-        let block_matches = par_run(block_ids.len(), |bi| {
-            let b = tree.block(block_ids[bi]);
-            match state.rewrite_nodes_pairs(&qsyms, &b.corrs) {
+        for &bid in tree.blocks_at(t) {
+            let b = tree.block(bid);
+            let matches = match state.rewrite_nodes_pairs(&qsyms, &b.corrs) {
                 Some(sets) => node_sets_to_matches(q, &sets, pm, doc, index),
                 None => Vec::new(),
-            }
-        });
-        for (&bid, matches) in block_ids.iter().zip(block_matches) {
-            for mid in &tree.block(bid).mappings {
+            };
+            for mid in &b.mappings {
                 if let Some(&k) = pos.get(mid) {
                     out[k] = Some(matches.clone());
                 }
@@ -1098,11 +1051,8 @@ pub(crate) fn eval_tree_nodes(
             groups.entry(sets).or_default().push(k);
         }
     }
-    let groups: Vec<(NodeSets, Vec<usize>)> = groups.into_iter().collect();
-    let per_group = par_run(groups.len(), |gi| {
-        node_sets_to_matches(q, &groups[gi].0, pm, doc, index)
-    });
-    for ((_, members), matches) in groups.into_iter().zip(per_group) {
+    for (sets, members) in groups {
+        let matches = node_sets_to_matches(q, &sets, pm, doc, index);
         for &k in &members {
             out[k] = Some(matches.clone());
         }
@@ -1125,7 +1075,7 @@ pub(crate) fn eval_tree_nodes(
 
 /// Keyword query over every possible mapping (SLCA semantics); mappings
 /// whose rewrites agree share one evaluation.
-pub(crate) fn eval_keyword(
+fn eval_keyword(
     keywords: &[&str],
     pm: &PossibleMappings,
     doc: &Document,
@@ -1162,12 +1112,9 @@ pub(crate) fn eval_keyword(
         groups.entry(key).or_default().push(id);
     }
 
-    let groups: Vec<(Vec<Vec<Symbol>>, Vec<MappingId>)> = groups.into_iter().collect();
-    let slca_sets = par_run(groups.len(), |gi| {
-        slca(keywords, &is_vocab, &groups[gi].0, doc, state)
-    });
     let mut answers = Vec::new();
-    for ((_, ids), slcas) in groups.into_iter().zip(slca_sets) {
+    for (rewrites, ids) in groups {
+        let slcas = slca(keywords, &is_vocab, &rewrites, doc, state);
         for id in ids {
             answers.push(KeywordAnswer {
                 mapping: id,
@@ -1617,7 +1564,7 @@ impl QueryEngine {
     pub fn run(&self, query: &Query) -> Result<QueryResponse, UxmError> {
         query.validate()?;
         let start = std::time::Instant::now();
-        let before = self.state.stats();
+        let (hits_before, misses_before) = rewrite_tally();
         let options = *query.options();
         let mut aggregate = None;
         // `program` is `Some(cache_hit)` when the compiled backend ran.
@@ -1777,7 +1724,7 @@ impl QueryEngine {
                 )
             }
         };
-        let after = self.state.stats();
+        let (hits_after, misses_after) = rewrite_tally();
         Ok(QueryResponse {
             answers,
             aggregate,
@@ -1787,105 +1734,20 @@ impl QueryEngine {
                 relevant,
                 program_cache_hits: u64::from(program == Some(true)),
                 program_cache_misses: u64::from(program == Some(false)),
-                rewrite_hits: after.rewrite_hits - before.rewrite_hits,
-                rewrite_misses: after.rewrite_misses - before.rewrite_misses,
+                rewrite_hits: hits_after - hits_before,
+                rewrite_misses: misses_after - misses_before,
                 elapsed_us: start.elapsed().as_micros() as u64,
             },
         })
     }
-
-    /// Algorithm 3 (`query_basic`) — identical to the legacy
-    /// `ptq_basic` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::ptq`](crate::api::Query::ptq) pinned to
-    /// [`EvaluatorHint::Naive`](crate::api::EvaluatorHint::Naive).
-    #[deprecated(note = "build an api::Query (evaluator hint Naive) and call QueryEngine::run")]
-    pub fn ptq(&self, q: &TwigPattern) -> PtqResult {
-        let ids = self.state.relevant(q, &q.to_string());
-        eval_basic_over(q, &self.pm, &self.doc, &self.state, &ids)
-    }
-
-    /// Algorithm 4 — identical to the legacy `ptq_with_tree` free
-    /// function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::ptq`](crate::api::Query::ptq) pinned to
-    /// [`EvaluatorHint::BlockTree`](crate::api::EvaluatorHint::BlockTree).
-    #[deprecated(note = "build an api::Query (evaluator hint BlockTree) and call QueryEngine::run")]
-    pub fn ptq_with_tree(&self, q: &TwigPattern) -> PtqResult {
-        let ids = self.state.relevant(q, &q.to_string());
-        eval_tree_over(q, &self.pm, &self.doc, &self.tree, &self.state, &ids)
-    }
-
-    /// Top-k PTQ — identical to the legacy `topk_ptq` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::topk`](crate::api::Query::topk).
-    #[deprecated(note = "build an api::Query::topk and call QueryEngine::run")]
-    pub fn topk(&self, q: &TwigPattern, k: usize) -> PtqResult {
-        let qstr = q.to_string();
-        let ids = self.topk_ids(q, &qstr, k);
-        let mut res = eval_tree_over(q, &self.pm, &self.doc, &self.tree, &self.state, &ids);
-        res.answers.sort_by(|a, b| {
-            b.probability
-                .total_cmp(&a.probability)
-                .then(a.mapping.cmp(&b.mapping))
-        });
-        res
-    }
-
-    /// Node-granularity `query_basic` — identical to the legacy
-    /// `ptq_basic_nodes` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::ptq_nodes`](crate::api::Query::ptq_nodes) pinned to
-    /// [`EvaluatorHint::Naive`](crate::api::EvaluatorHint::Naive).
-    #[deprecated(note = "build an api::Query::ptq_nodes (hint Naive) and call QueryEngine::run")]
-    pub fn ptq_nodes(&self, q: &TwigPattern) -> PtqResult {
-        eval_basic_nodes(q, &self.pm, &self.doc, self.path_index(), &self.state)
-    }
-
-    /// Node-granularity block-tree PTQ — identical to the legacy
-    /// `ptq_with_tree_nodes` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::ptq_nodes`](crate::api::Query::ptq_nodes) pinned to
-    /// [`EvaluatorHint::BlockTree`](crate::api::EvaluatorHint::BlockTree).
-    #[deprecated(
-        note = "build an api::Query::ptq_nodes (hint BlockTree) and call QueryEngine::run"
-    )]
-    pub fn ptq_with_tree_nodes(&self, q: &TwigPattern) -> PtqResult {
-        eval_tree_nodes(
-            q,
-            &self.pm,
-            &self.doc,
-            self.path_index(),
-            &self.tree,
-            &self.state,
-        )
-    }
-
-    /// Keyword query (SLCA semantics) — identical to the legacy
-    /// `keyword_query` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::keyword`](crate::api::Query::keyword).
-    #[deprecated(note = "build an api::Query::keyword and call QueryEngine::run")]
-    pub fn keyword(&self, keywords: &[&str]) -> Result<Vec<KeywordAnswer>, KeywordError> {
-        eval_keyword(keywords, &self.pm, &self.doc, &self.state)
-    }
 }
 
 #[cfg(test)]
-// The legacy methods stay under test until they are removed: this module
-// is part of the shim coverage the deprecation gate exempts.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::api::{EvaluatorHint, Granularity};
+    use crate::api::{Answer, EvaluatorHint, Granularity};
     use uxm_matching::Matcher;
-    use uxm_xml::DocGenConfig;
+    use uxm_xml::{parse_document, DocGenConfig};
 
     fn engine() -> QueryEngine {
         let source = Schema::parse_outline(
@@ -1904,8 +1766,15 @@ mod tests {
         QueryEngine::build(pm, doc, &BlockTreeConfig::default())
     }
 
+    /// `q`'s label-granularity answers with the evaluator pinned.
+    fn pinned(e: &QueryEngine, q: &TwigPattern, hint: EvaluatorHint) -> Vec<Answer> {
+        e.run(&Query::ptq(q.clone()).with_evaluator(hint))
+            .unwrap()
+            .answers
+    }
+
     #[test]
-    fn engine_matches_legacy_free_functions() {
+    fn warm_engine_matches_fresh_sessions() {
         let e = engine();
         for qs in [
             "PO/Line/Qty",
@@ -1915,19 +1784,21 @@ mod tests {
             "PO",
         ] {
             let q = TwigPattern::parse(qs).unwrap();
+            // Run twice on the shared engine so the second run is
+            // cache-served, then compare against a cold session.
+            for hint in [EvaluatorHint::Naive, EvaluatorHint::BlockTree] {
+                pinned(&e, &q, hint);
+                assert_eq!(
+                    pinned(&e, &q, hint),
+                    pinned(&engine(), &q, hint),
+                    "{qs} {hint:?}"
+                );
+            }
+            let topk = Query::topk(q.clone(), 5);
+            e.run(&topk).unwrap();
             assert_eq!(
-                e.ptq(&q),
-                crate::ptq::ptq_basic(&q, e.mappings(), e.document()),
-                "ptq {qs}"
-            );
-            assert_eq!(
-                e.ptq_with_tree(&q),
-                crate::ptq_tree::ptq_with_tree(&q, e.mappings(), e.document(), e.tree()),
-                "ptq_with_tree {qs}"
-            );
-            assert_eq!(
-                e.topk(&q, 5),
-                crate::topk::topk_ptq(&q, e.mappings(), e.document(), e.tree(), 5),
+                e.run(&topk).unwrap().answers,
+                engine().run(&topk).unwrap().answers,
                 "topk {qs}"
             );
         }
@@ -1956,9 +1827,9 @@ mod tests {
         );
         // Basic evaluation rewrites per mapping — every repeat must come
         // from the (query, mapping) cache.
-        let first = e.ptq(&q);
+        let first = pinned(&e, &q, EvaluatorHint::Naive);
         let cold = e.cache_stats();
-        let second = e.ptq(&q);
+        let second = pinned(&e, &q, EvaluatorHint::Naive);
         let warm = e.cache_stats();
         assert_eq!(first, second);
         assert!(warm.rewrite_hits > cold.rewrite_hits, "rewrite cache used");
@@ -1971,7 +1842,10 @@ mod tests {
             "no recomputation on the second run"
         );
         // The tree path returns identical results before and after caching.
-        assert_eq!(e.ptq_with_tree(&q), e.ptq_with_tree(&q));
+        assert_eq!(
+            pinned(&e, &q, EvaluatorHint::BlockTree),
+            pinned(&e, &q, EvaluatorHint::BlockTree)
+        );
     }
 
     #[test]
@@ -1979,12 +1853,12 @@ mod tests {
         let e = engine();
         let q = TwigPattern::parse("PO//DoesNotExist").unwrap();
         assert!(e.relevant_mappings(&q).is_empty());
-        assert!(e.ptq(&q).is_empty());
-        assert!(e.ptq_with_tree(&q).is_empty());
+        assert!(pinned(&e, &q, EvaluatorHint::Naive).is_empty());
+        assert!(pinned(&e, &q, EvaluatorHint::BlockTree).is_empty());
     }
 
     #[test]
-    fn run_matches_legacy_methods_under_every_hint() {
+    fn run_is_invariant_under_every_hint() {
         let e = engine();
         let hints = [
             EvaluatorHint::Auto,
@@ -1993,31 +1867,28 @@ mod tests {
         ];
         for qs in ["PO/Line/Qty", "//Line//No", "//UnitPrice", "PO"] {
             let q = TwigPattern::parse(qs).unwrap();
-            let legacy = e.ptq_with_tree(&q);
+            let reference = pinned(&e, &q, EvaluatorHint::BlockTree);
             for hint in hints {
-                let resp = e.run(&Query::ptq(q.clone()).with_evaluator(hint)).unwrap();
-                assert_eq!(resp.len(), legacy.len(), "{qs} {hint:?}");
-                for (a, l) in resp.answers.iter().zip(legacy.iter()) {
-                    assert_eq!(a.mappings, vec![l.mapping], "{qs} {hint:?}");
-                    assert_eq!(a.matches, l.matches, "{qs} {hint:?}");
-                    assert_eq!(a.probability, l.probability, "{qs} {hint:?}");
+                assert_eq!(pinned(&e, &q, hint), reference, "{qs} {hint:?}");
+            }
+            // Top-k keeps the k most-probable relevant mappings and their
+            // full answers, and node granularity answers one row per
+            // relevant mapping, under every hint.
+            let top_ids = crate::topk::topk_mappings(&q, e.mappings(), 3);
+            for hint in hints {
+                let top = e
+                    .run(&Query::topk(q.clone(), 3).with_evaluator(hint))
+                    .unwrap();
+                let ids: Vec<MappingId> = top.answers.iter().map(|a| a.mappings[0]).collect();
+                assert_eq!(ids, top_ids, "{qs} topk {hint:?}");
+                for a in &top.answers {
+                    assert!(reference.contains(a), "{qs} topk {hint:?}");
                 }
+                let nodes = e
+                    .run(&Query::ptq_nodes(q.clone()).with_evaluator(hint))
+                    .unwrap();
+                assert_eq!(nodes.len(), reference.len(), "{qs} nodes {hint:?}");
             }
-            // Top-k and node granularity agree with their legacy methods
-            // too.
-            let top = e.run(&Query::topk(q.clone(), 3)).unwrap();
-            let top_legacy = e.topk(&q, 3);
-            assert_eq!(top.len(), top_legacy.len(), "{qs} topk");
-            for (a, l) in top.answers.iter().zip(top_legacy.iter()) {
-                assert_eq!(
-                    (a.mappings.as_slice(), &a.matches),
-                    (&[l.mapping][..], &l.matches)
-                );
-            }
-            let nodes = e.run(&Query::ptq_nodes(q.clone())).unwrap();
-            let mut nodes_legacy = e.ptq_with_tree_nodes(&q);
-            nodes_legacy.normalize();
-            assert_eq!(nodes.len(), nodes_legacy.len(), "{qs} nodes");
         }
     }
 
@@ -2031,6 +1902,9 @@ mod tests {
         assert_eq!(pinned.stats.plan.evaluator, Evaluator::Naive);
         assert_eq!(pinned.stats.plan.reason, crate::planner::PlanReason::Pinned);
         assert_eq!(pinned.stats.relevant, e.relevant_mappings(&q).len());
+        // A cold naive run looks up one rewrite per relevant mapping.
+        assert_eq!(pinned.stats.rewrite_hits, 0);
+        assert_eq!(pinned.stats.rewrite_misses, pinned.stats.relevant as u64);
         // A repeat of the same query is served from the caches.
         let warm = e.run(&Query::ptq(q.clone())).unwrap();
         assert!(
@@ -2065,15 +1939,15 @@ mod tests {
     }
 
     #[test]
-    fn run_keyword_matches_legacy_and_validates() {
+    fn run_keyword_matches_evaluator_and_validates() {
         let e = engine();
         let resp = e.run(&Query::keyword(vec!["UnitPrice".into()])).unwrap();
-        let legacy = e.keyword(&["UnitPrice"]).unwrap();
-        assert_eq!(resp.len(), legacy.len());
-        for (a, l) in resp.answers.iter().zip(&legacy) {
-            assert_eq!(a.mappings, vec![l.mapping]);
+        let raw = eval_keyword(&["UnitPrice"], &e.pm, &e.doc, &e.state).unwrap();
+        assert_eq!(resp.len(), raw.len());
+        for (a, r) in resp.answers.iter().zip(&raw) {
+            assert_eq!(a.mappings, vec![r.mapping]);
             let slcas: Vec<_> = a.matches.iter().map(|m| m.nodes[0]).collect();
-            assert_eq!(slcas, l.slcas);
+            assert_eq!(slcas, r.slcas);
         }
         assert!(matches!(
             e.run(&Query::keyword(vec![])),
@@ -2084,6 +1958,177 @@ mod tests {
             e.run(&Query::ptq(q).with_min_probability(2.0)),
             Err(UxmError::InvalidQuery(_))
         ));
+    }
+
+    /// The paper's running example (Fig. 2 and 4) with c-blocks at τ =
+    /// 0.4: the Algorithm 4 fixture.
+    fn paper_engine() -> QueryEngine {
+        let source =
+            Schema::parse_outline("Order(BP(BOC(BCN) ROC(RCN) OOC(OCN)) SP(SCN_src))").unwrap();
+        let target = Schema::parse_outline("ORDER(IP(ICN) SP2(SCN))").unwrap();
+        let s = |l: &str| source.nodes_with_label(l)[0];
+        let t = |l: &str| target.nodes_with_label(l)[0];
+        let order = (s("Order"), t("ORDER"));
+        let pm = PossibleMappings::from_pairs(
+            source.clone(),
+            target.clone(),
+            vec![
+                (
+                    vec![
+                        order,
+                        (s("BP"), t("IP")),
+                        (s("BCN"), t("ICN")),
+                        (s("RCN"), t("SCN")),
+                    ],
+                    3.0,
+                ),
+                (
+                    vec![
+                        order,
+                        (s("BP"), t("IP")),
+                        (s("BCN"), t("ICN")),
+                        (s("OCN"), t("SCN")),
+                    ],
+                    2.5,
+                ),
+                (
+                    vec![
+                        order,
+                        (s("SP"), t("IP")),
+                        (s("RCN"), t("ICN")),
+                        (s("OCN"), t("SCN")),
+                    ],
+                    2.0,
+                ),
+                (
+                    vec![
+                        order,
+                        (s("BP"), t("IP")),
+                        (s("RCN"), t("ICN")),
+                        (s("BCN"), t("SCN")),
+                    ],
+                    1.5,
+                ),
+                (
+                    vec![
+                        order,
+                        (s("BP"), t("IP")),
+                        (s("OCN"), t("ICN")),
+                        (s("BCN"), t("SCN")),
+                    ],
+                    1.0,
+                ),
+            ],
+        );
+        let doc = parse_document(
+            "<Order><BP><BOC><BCN>Cathy</BCN></BOC><ROC><RCN>Bob</RCN></ROC>\
+             <OOC><OCN>Alice</OCN></OOC></BP><SP><SCN_src>Dave</SCN_src></SP></Order>",
+        )
+        .unwrap();
+        let cfg = BlockTreeConfig {
+            tau: 0.4,
+            ..BlockTreeConfig::default()
+        };
+        QueryEngine::build(pm, doc, &cfg)
+    }
+
+    /// The anchor Algorithm 4 would use for `q`.
+    fn anchor_of(e: &QueryEngine, q: &TwigPattern) -> Option<SchemaNodeId> {
+        anchor_for(q, &e.state.query_syms(q), &e.pm, &e.state, &e.tree)
+    }
+
+    fn assert_block_tree_agrees(e: &QueryEngine, queries: &[&str]) {
+        for qs in queries {
+            let q = TwigPattern::parse(qs).unwrap();
+            assert_eq!(
+                pinned(e, &q, EvaluatorHint::Naive),
+                pinned(e, &q, EvaluatorHint::BlockTree),
+                "query {qs}"
+            );
+        }
+    }
+
+    #[test]
+    fn block_tree_agrees_with_basic_on_paper_example() {
+        assert_block_tree_agrees(
+            &paper_engine(),
+            &[
+                "//IP//ICN",
+                "//ICN",
+                "ORDER//ICN",
+                "ORDER/IP/ICN",
+                "ORDER[./IP/ICN]//SCN",
+                "ORDER",
+                "//SCN",
+            ],
+        );
+    }
+
+    #[test]
+    fn block_path_is_taken_for_anchored_query() {
+        let e = paper_engine();
+        // //IP//ICN anchors at IP (unique label, has blocks, all labels in
+        // subtree).
+        let q = TwigPattern::parse("//IP//ICN").unwrap();
+        let t_ip = e.target().nodes_with_label("IP")[0];
+        assert_eq!(anchor_of(&e, &q), Some(t_ip));
+        assert_eq!(pinned(&e, &q, EvaluatorHint::BlockTree).len(), 5);
+    }
+
+    #[test]
+    fn anchor_rejected_when_label_leaks_outside_subtree() {
+        // A query whose label also occurs outside the anchored subtree.
+        let e = paper_engine();
+        let q = TwigPattern::parse("ORDER//ICN").unwrap();
+        // ORDER is the root; root has no blocks -> no anchor, fine.
+        assert_eq!(anchor_of(&e, &q), None);
+    }
+
+    #[test]
+    fn replication_uses_block_mappings() {
+        let e = paper_engine();
+        let q = TwigPattern::parse("//IP//ICN").unwrap();
+        let res = pinned(&e, &q, EvaluatorHint::BlockTree);
+        // m1, m2 share (BP~IP, BCN~ICN): identical "Cathy" answers.
+        assert_eq!(res[0].matches, res[1].matches);
+        assert_eq!(e.document().text(res[0].matches[0].nodes[1]), Some("Cathy"));
+    }
+
+    #[test]
+    fn block_tree_agrees_on_generated_documents_random_mappings() {
+        let source = Schema::parse_outline(
+            "Order(Buyer(Name Contact(EMail)) DeliverTo(Address(City Street) Contact(EMail)) \
+             POLine*(LineNo Quantity UP))",
+        )
+        .unwrap();
+        let target = Schema::parse_outline(
+            "PO(Purchaser(PName PContact(PEMail)) ShipTo(Addr(Town Road)) \
+             Line(No Qty UnitPrice))",
+        )
+        .unwrap();
+        let matching = Matcher::context().match_schemas(&source, &target);
+        let pm = PossibleMappings::top_h(&matching, 24);
+        let doc = Document::generate(
+            &source,
+            &DocGenConfig {
+                target_nodes: 200,
+                max_repeat: 3,
+                text_prob: 0.7,
+            },
+            5,
+        );
+        let e = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        assert_block_tree_agrees(
+            &e,
+            &[
+                "PO/Line/Qty",
+                "PO//PEMail",
+                "PO[./Purchaser/PContact]/Line[./No]/Qty",
+                "//Line[./UnitPrice]//No",
+                "PO/ShipTo/Addr[./Town]/Road",
+                "//Addr/Town",
+            ],
+        );
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! The crate-wide error type: [`UxmError`].
 //!
-//! Before the unified query API, each query surface failed with its own
-//! type — [`KeywordError`] from keyword evaluation, the registry's
-//! `RegistryError`, [`DecodeError`] from snapshot codecs, and
-//! [`TwigParseError`] from query parsing. [`UxmError`] absorbs all of
-//! them (via `From` impls, so `?` just works), giving every layer — CLI,
-//! registry batches, [`crate::engine::QueryEngine::run`] — one typed
-//! error surface.
+//! [`UxmError`] absorbs the error types of the layers below it —
+//! [`KeywordError`] from keyword evaluation, [`DecodeError`] from
+//! snapshot codecs, and [`TwigParseError`] from query parsing (via `From`
+//! impls, so `?` just works), giving every layer — CLI, registry batches,
+//! [`crate::engine::QueryEngine::run`] — one typed error surface.
 
 use crate::json::JsonError;
 use crate::keyword::KeywordError;
@@ -16,12 +14,9 @@ use uxm_twig::TwigParseError;
 
 /// Any failure the query stack can report.
 ///
-/// The variants fold the legacy error types into one enum:
 /// `KeywordError`, `DecodeError`, and `TwigParseError` are wrapped; the
-/// old `RegistryError` variants (`UnknownEngine`, `InvalidName`,
-/// `NoSnapshotDir`, `Io`) are carried directly, so
-/// `uxm_core::registry::RegistryError` is now just a deprecated alias of
-/// this type.
+/// registry's failures (`UnknownEngine`, `InvalidName`, `NoSnapshotDir`,
+/// `Io`) are variants of their own.
 #[derive(Clone, Debug, PartialEq)]
 pub enum UxmError {
     /// A twig pattern failed to parse.
@@ -187,7 +182,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_impls_absorb_legacy_errors() {
+    fn from_impls_absorb_layer_errors() {
         let k: UxmError = KeywordError::Empty.into();
         assert_eq!(k, UxmError::Keyword(KeywordError::Empty));
         let d: UxmError = DecodeError::BadMagic.into();

@@ -1,8 +1,8 @@
 //! Compiled query execution: flat bytecode programs over the columnar
 //! arenas.
 //!
-//! The recursive evaluators ([`crate::ptq`], [`crate::ptq_tree`],
-//! [`crate::path_ptq`], [`crate::topk`]) re-interpret the query shape on
+//! The recursive evaluators (Algorithms 3 and 4 in [`crate::engine`], at
+//! label and node granularity, plus top-k) re-interpret the query shape on
 //! every evaluation — per-node dispatch, per-mapping rewrite calls, and
 //! tree walks through branchy logic. This module lowers a
 //! planner-annotated query **once** into a flat [`Program`] — a

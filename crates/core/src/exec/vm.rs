@@ -19,7 +19,7 @@
 
 use super::program::{FoldMode, Op, Program, SetMode};
 use crate::aggregate::{self, AggRow};
-use crate::engine::{node_sets_to_matches, par_run, SessionState};
+use crate::engine::{node_sets_to_matches, SessionState};
 use crate::mapping::{MappingId, PossibleMappings};
 use crate::ptq::{PtqAnswer, PtqResult};
 use std::cmp::Ordering;
@@ -209,41 +209,48 @@ impl Program {
                 }
                 Op::MatchShapes { mode } => {
                     let n_slots = ids.len();
-                    group_matches = par_run(reps.len(), |g| {
-                        let slot = reps[g] as usize;
-                        let span = |j: usize| {
-                            let base = j * n_slots + slot;
-                            &arena[offsets[base] as usize..offsets[base + 1] as usize]
-                        };
-                        match mode {
-                            SetMode::Symbols => {
-                                let label_sets: Vec<Vec<LabelId>> = (0..n_nodes)
-                                    .map(|j| {
-                                        span(j)
-                                            .iter()
-                                            .filter_map(|&raw| ctx.state.doc_label_raw(raw))
-                                            .collect()
-                                    })
-                                    .collect();
-                                match ResolvedPattern::with_label_ids(&self.pattern, label_sets) {
-                                    Some(resolved) => match_twig(ctx.doc, &resolved),
-                                    None => Vec::new(),
+                    group_matches = reps
+                        .iter()
+                        .map(|&slot| {
+                            let slot = slot as usize;
+                            let span = |j: usize| {
+                                let base = j * n_slots + slot;
+                                &arena[offsets[base] as usize..offsets[base + 1] as usize]
+                            };
+                            match mode {
+                                SetMode::Symbols => {
+                                    let label_sets: Vec<Vec<LabelId>> = (0..n_nodes)
+                                        .map(|j| {
+                                            span(j)
+                                                .iter()
+                                                .filter_map(|&raw| ctx.state.doc_label_raw(raw))
+                                                .collect()
+                                        })
+                                        .collect();
+                                    match ResolvedPattern::with_label_ids(&self.pattern, label_sets)
+                                    {
+                                        Some(resolved) => match_twig(ctx.doc, &resolved),
+                                        None => Vec::new(),
+                                    }
+                                }
+                                SetMode::SchemaNodes => {
+                                    let sets: Vec<Vec<SchemaNodeId>> = (0..n_nodes)
+                                        .map(|j| {
+                                            span(j).iter().map(|&raw| SchemaNodeId(raw)).collect()
+                                        })
+                                        .collect();
+                                    node_sets_to_matches(
+                                        &self.pattern,
+                                        &sets,
+                                        ctx.pm,
+                                        ctx.doc,
+                                        ctx.index
+                                            .expect("node-granularity programs carry an index"),
+                                    )
                                 }
                             }
-                            SetMode::SchemaNodes => {
-                                let sets: Vec<Vec<SchemaNodeId>> = (0..n_nodes)
-                                    .map(|j| span(j).iter().map(|&raw| SchemaNodeId(raw)).collect())
-                                    .collect();
-                                node_sets_to_matches(
-                                    &self.pattern,
-                                    &sets,
-                                    ctx.pm,
-                                    ctx.doc,
-                                    ctx.index.expect("node-granularity programs carry an index"),
-                                )
-                            }
-                        }
-                    });
+                        })
+                        .collect();
                 }
                 Op::FoldProb { mode } => {
                     answers = ids

@@ -14,16 +14,17 @@
 //! terms that match no target label are *value* terms and match document
 //! text directly, independent of the mapping. Like PTQ, the result is one
 //! SLCA set per relevant mapping, weighted by the mapping's probability —
-//! and mappings whose rewrites agree share one evaluation.
+//! and mappings whose rewrites agree share one evaluation. A mapping is
+//! irrelevant (and skipped) when some vocabulary term has no
+//! correspondence under it; value terms never filter mappings.
 //!
-//! Evaluation happens in [`crate::engine`]; [`keyword_query`] is the
-//! free-function wrapper over a throwaway session, and malformed inputs
+//! Evaluate one with [`QueryEngine::run`](crate::engine::QueryEngine::run)
+//! and [`Query::keyword`](crate::api::Query::keyword); malformed inputs
 //! surface as [`KeywordError`] instead of panicking.
 
-use crate::engine::{eval_keyword, SessionState};
-use crate::mapping::{MappingId, PossibleMappings};
+use crate::mapping::MappingId;
 use std::fmt;
-use uxm_xml::{DocNodeId, Document};
+use uxm_xml::DocNodeId;
 
 /// One per-mapping keyword answer.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,35 +80,33 @@ impl KeywordError {
     }
 }
 
-/// Evaluates a keyword query over every possible mapping.
-///
-/// A mapping is *irrelevant* (and skipped) when some vocabulary keyword
-/// has no correspondence under it. Value keywords (terms matching no
-/// target label) never filter mappings.
-///
-/// Errors with [`KeywordError::Empty`] on an empty keyword list and
-/// [`KeywordError::TooMany`] beyond 64 keywords.
-///
-/// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run)
-/// with [`Query::keyword`](crate::api::Query::keyword).
-#[deprecated(note = "build an api::Query::keyword and call QueryEngine::run")]
-pub fn keyword_query(
-    keywords: &[&str],
-    pm: &PossibleMappings,
-    doc: &Document,
-) -> Result<Vec<KeywordAnswer>, KeywordError> {
-    // Validate before paying for session construction.
-    KeywordError::check(keywords)?;
-    let state = SessionState::build(pm, doc);
-    eval_keyword(keywords, pm, doc, &state)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // shim coverage: the legacy wrapper stays under test
 mod tests {
     use super::*;
-    use crate::engine::contains_word;
-    use uxm_xml::{parse_document, Schema};
+    use crate::api::Query;
+    use crate::block_tree::BlockTreeConfig;
+    use crate::engine::{contains_word, QueryEngine};
+    use crate::error::UxmError;
+    use crate::mapping::PossibleMappings;
+    use uxm_xml::{parse_document, Document, Schema};
+
+    /// Runs a keyword query on a fresh session over [`setup`]'s data.
+    fn keyword_query(terms: &[&str]) -> Result<Vec<KeywordAnswer>, UxmError> {
+        let (pm, doc) = setup();
+        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let query = Query::keyword(terms.iter().map(|t| t.to_string()).collect());
+        let answers = engine
+            .run(&query)?
+            .answers
+            .into_iter()
+            .map(|a| KeywordAnswer {
+                mapping: a.mappings[0],
+                probability: a.probability,
+                slcas: a.matches.iter().map(|m| m.nodes[0]).collect(),
+            })
+            .collect();
+        Ok(answers)
+    }
 
     fn setup() -> (PossibleMappings, Document) {
         let source = Schema::parse_outline("Order(BP(BCN RCN) SP(SCN))").unwrap();
@@ -132,9 +131,9 @@ mod tests {
 
     #[test]
     fn vocabulary_keyword_rewrites_per_mapping() {
-        let (pm, doc) = setup();
+        let (_, doc) = setup();
         // "ICN" is a target label; each mapping sends it elsewhere.
-        let answers = keyword_query(&["ICN"], &pm, &doc).unwrap();
+        let answers = keyword_query(&["ICN"]).unwrap();
         assert_eq!(answers.len(), 3);
         // m0: ICN -> BCN: SLCA is the BCN node itself.
         let bcn = doc.nodes_with_label("BCN")[0];
@@ -145,8 +144,8 @@ mod tests {
 
     #[test]
     fn value_keyword_is_mapping_independent() {
-        let (pm, doc) = setup();
-        let answers = keyword_query(&["Bob"], &pm, &doc).unwrap();
+        let (_, doc) = setup();
+        let answers = keyword_query(&["Bob"]).unwrap();
         assert_eq!(answers.len(), 3, "no filtering by value terms");
         let rcn = doc.nodes_with_label("RCN")[0];
         for a in &answers {
@@ -156,9 +155,9 @@ mod tests {
 
     #[test]
     fn mixed_terms_compute_slca() {
-        let (pm, doc) = setup();
+        let (_, doc) = setup();
         // "IP" rewrites to BP (m0, m1) or SP (m2); "Bob" sits under BP.
-        let answers = keyword_query(&["IP", "Bob"], &pm, &doc).unwrap();
+        let answers = keyword_query(&["IP", "Bob"]).unwrap();
         assert_eq!(answers.len(), 3);
         let bp = doc.nodes_with_label("BP")[0];
         // Under m0/m1 both keywords are inside BP; the RCN node holds
@@ -172,10 +171,10 @@ mod tests {
 
     #[test]
     fn slca_prefers_deepest_cover() {
-        let (pm, doc) = setup();
+        let (_, doc) = setup();
         // Both terms match the same node: SLCA is that node, not its
         // ancestors.
-        let answers = keyword_query(&["ICN", "Cathy"], &pm, &doc).unwrap();
+        let answers = keyword_query(&["ICN", "Cathy"]).unwrap();
         let bcn = doc.nodes_with_label("BCN")[0];
         assert_eq!(answers[0].slcas, vec![bcn]);
         // m1 (ICN->RCN): RCN doesn't contain "Cathy" -> SLCA is BP.
@@ -185,49 +184,44 @@ mod tests {
 
     #[test]
     fn missing_keyword_yields_empty_slca() {
-        let (pm, doc) = setup();
-        let answers = keyword_query(&["zzz-not-present"], &pm, &doc).unwrap();
+        let answers = keyword_query(&["zzz-not-present"]).unwrap();
         assert_eq!(answers.len(), 3);
         assert!(answers.iter().all(|a| a.slcas.is_empty()));
     }
 
     #[test]
     fn shared_rewrites_share_results() {
-        let (pm, doc) = setup();
         // "IP" rewrites identically for m0 and m1 -> identical SLCA sets.
-        let answers = keyword_query(&["IP"], &pm, &doc).unwrap();
+        let answers = keyword_query(&["IP"]).unwrap();
         assert_eq!(answers[0].slcas, answers[1].slcas);
         assert_ne!(answers[0].slcas, answers[2].slcas);
     }
 
     #[test]
     fn probabilities_carried_through() {
-        let (pm, doc) = setup();
-        let answers = keyword_query(&["ICN"], &pm, &doc).unwrap();
+        let answers = keyword_query(&["ICN"]).unwrap();
         let total: f64 = answers.iter().map(|a| a.probability).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_keyword_list_is_an_error() {
-        let (pm, doc) = setup();
         assert_eq!(
-            keyword_query(&[], &pm, &doc).unwrap_err(),
-            KeywordError::Empty
+            keyword_query(&[]).unwrap_err(),
+            UxmError::Keyword(KeywordError::Empty)
         );
     }
 
     #[test]
     fn too_many_keywords_is_an_error() {
-        let (pm, doc) = setup();
         let many: Vec<&str> = vec!["ICN"; 65];
         assert_eq!(
-            keyword_query(&many, &pm, &doc).unwrap_err(),
-            KeywordError::TooMany { count: 65 }
+            keyword_query(&many).unwrap_err(),
+            UxmError::Keyword(KeywordError::TooMany { count: 65 })
         );
         // 64 keywords is still fine (the bitmask boundary).
         let at_limit: Vec<&str> = vec!["ICN"; 64];
-        assert!(keyword_query(&at_limit, &pm, &doc).is_ok());
+        assert!(keyword_query(&at_limit).is_ok());
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! * [`compress`] — mapping compression and storage accounting (the
 //!   compression-ratio metric of §VI),
 //! * [`rewrite`] — target→source query rewriting under a mapping,
-//! * [`ptq`] — the probabilistic twig query and `query_basic`
-//!   (Definition 4, Algorithm 3),
-//! * [`ptq_tree`] — PTQ evaluation with the block tree (Algorithm 4),
+//! * [`ptq`] — the probabilistic twig query and its per-mapping result
+//!   (Definition 4),
 //! * [`topk`] — top-k PTQ (Definition 5),
 //! * [`stats`] — o-ratio and c-block distribution metrics (§VI),
 //! * [`path_ptq`] — node-granularity PTQ (an extension: exact semantics
 //!   when element labels repeat),
 //! * [`engine`] — the [`engine::QueryEngine`] session layer every query
-//!   entry point evaluates through: interned labels, precomputed
+//!   evaluates through, home of PTQ evaluation with and without the
+//!   block tree (Algorithms 3 and 4): interned labels, precomputed
 //!   relevance bitsets, and sharded, thread-safe `(query, mapping)`
 //!   rewrite caches (the engine is `Send + Sync`),
 //! * [`api`] — the unified query surface: the typed [`api::Query`] AST
@@ -98,9 +98,9 @@
 //! assert_eq!(kw.len(), engine.mappings().len());
 //! ```
 //!
-//! The legacy free functions (`ptq_basic`, `ptq_with_tree`, `topk_ptq`,
-//! …) remain as **deprecated** shims building a throwaway session per
-//! call; the [`api`] module docs carry the migration table.
+//! Pin Algorithm 3 or 4 with
+//! [`api::EvaluatorHint::Naive`] or [`api::EvaluatorHint::BlockTree`];
+//! answers never depend on the choice.
 //!
 //! To serve **many** schema-pair/document sessions at once — with
 //! snapshot persistence and a memory budget — put engines behind an
@@ -120,7 +120,6 @@ pub mod mapping;
 pub mod path_ptq;
 pub mod planner;
 pub mod ptq;
-pub mod ptq_tree;
 pub mod registry;
 pub mod rewrite;
 pub mod router;
@@ -144,16 +143,3 @@ pub use ptq::{PtqAnswer, PtqResult};
 pub use registry::{BatchQuery, EngineRegistry, RegistryConfig, RegistryStats, Request, Response};
 pub use router::{Ring, Router, RouterConfig, TopKAnswer};
 pub use server::{Server, ServerConfig, ServerHandle};
-
-// Legacy one-shot entry points, kept as deprecated shims over the
-// engine (see the `api` module docs for the migration table).
-#[allow(deprecated)]
-pub use keyword::keyword_query;
-#[allow(deprecated)]
-pub use ptq::ptq_basic;
-#[allow(deprecated)]
-pub use ptq_tree::ptq_with_tree;
-#[allow(deprecated)]
-pub use registry::RegistryError;
-#[allow(deprecated)]
-pub use topk::topk_ptq;

@@ -1,7 +1,7 @@
 //! Node-granularity PTQ evaluation.
 //!
-//! The default evaluators ([`crate::ptq`], [`crate::ptq_tree`]) rewrite a
-//! query node's *label*: any source element carrying a rewritten label may
+//! Label-granularity PTQ ([`Query::ptq`](crate::api::Query::ptq))
+//! rewrites a query node's *label*: any source element carrying a rewritten label may
 //! match. That is exact when element labels are unique (as in the paper's
 //! figures, where the three ContactName elements are labelled BCN/RCN/OCN),
 //! but coarser than the mapping itself when labels repeat.
@@ -11,13 +11,15 @@
 //! instantiating those schema nodes (identified by their root label path
 //! via [`PathIndex`]) may match. This is the reproduction's main extension
 //! beyond the paper's experimental prototype.
+//!
+//! Evaluate one with [`QueryEngine::run`](crate::engine::QueryEngine::run)
+//! and [`Query::ptq_nodes`](crate::api::Query::ptq_nodes); this module
+//! holds the string-based node rewrites and the schema-to-document step
+//! the engine shares.
 
-use crate::block_tree::BlockTree;
-use crate::engine::{eval_basic_nodes, eval_tree_nodes, SessionState};
 use crate::mapping::{MappingId, PossibleMappings};
-use crate::ptq::PtqResult;
 use uxm_twig::TwigPattern;
-use uxm_xml::{DocNodeId, Document, PathIndex, Schema, SchemaNodeId};
+use uxm_xml::{DocNodeId, PathIndex, Schema, SchemaNodeId};
 
 /// Rewrites `q` through mapping `id` at node granularity: per query node,
 /// the source schema nodes it may match. `None` when irrelevant.
@@ -92,58 +94,25 @@ pub fn filter_mappings_nodes(q: &TwigPattern, pm: &PossibleMappings) -> Vec<Mapp
         .collect()
 }
 
-/// Node-granularity `query_basic`: rewrite and evaluate per mapping.
-///
-/// Deprecated shim over [`crate::engine`] with a throwaway session.
-///
-/// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run)
-/// with [`Query::ptq_nodes`](crate::api::Query::ptq_nodes) pinned to
-/// [`EvaluatorHint::Naive`](crate::api::EvaluatorHint::Naive).
-#[deprecated(
-    note = "build an api::Query::ptq_nodes (evaluator hint Naive) and call QueryEngine::run"
-)]
-pub fn ptq_basic_nodes(
-    q: &TwigPattern,
-    pm: &PossibleMappings,
-    doc: &Document,
-    index: &PathIndex,
-) -> PtqResult {
-    let state = SessionState::build(pm, doc);
-    eval_basic_nodes(q, pm, doc, index, &state)
-}
-
-/// Node-granularity PTQ with the block tree: blocks anchored at target
-/// nodes answer once per block; everything else shares work across
-/// mappings whose node-rewrites agree.
-///
-/// Node candidates pin query nodes to exact source elements, so a block's
-/// answer is valid for precisely `b.M` — no label-uniqueness side
-/// condition is needed (unlike the label-mode evaluator).
-///
-/// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run)
-/// with [`Query::ptq_nodes`](crate::api::Query::ptq_nodes) pinned to
-/// [`EvaluatorHint::BlockTree`](crate::api::EvaluatorHint::BlockTree).
-#[deprecated(
-    note = "build an api::Query::ptq_nodes (evaluator hint BlockTree) and call QueryEngine::run"
-)]
-pub fn ptq_with_tree_nodes(
-    q: &TwigPattern,
-    pm: &PossibleMappings,
-    doc: &Document,
-    index: &PathIndex,
-    tree: &BlockTree,
-) -> PtqResult {
-    let state = SessionState::build(pm, doc);
-    eval_tree_nodes(q, pm, doc, index, tree, &state)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // shim coverage: the legacy wrappers stay under test
 mod tests {
     use super::*;
+    use crate::api::{Answer, EvaluatorHint, Query};
     use crate::block_tree::BlockTreeConfig;
-    use crate::ptq::ptq_basic;
-    use uxm_xml::parse_document;
+    use crate::engine::QueryEngine;
+    use uxm_xml::{parse_document, Document};
+
+    /// `q`'s answers at label (`nodes == false`) or node granularity,
+    /// with the evaluator pinned.
+    fn run(engine: &QueryEngine, q: &str, nodes: bool, hint: EvaluatorHint) -> Vec<Answer> {
+        let q = TwigPattern::parse(q).unwrap();
+        let query = if nodes {
+            Query::ptq_nodes(q)
+        } else {
+            Query::ptq(q)
+        };
+        engine.run(&query.with_evaluator(hint)).unwrap().answers
+    }
 
     /// Shared labels that label-mode cannot tell apart: all three contacts
     /// are `ContactName`.
@@ -176,15 +145,15 @@ mod tests {
 
     #[test]
     fn node_mode_disambiguates_shared_labels() {
-        let (pm, doc, index) = ambiguous_setup();
-        let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let res = ptq_basic_nodes(&q, &pm, &doc, &index);
+        let (pm, doc, _) = ambiguous_setup();
+        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let res = run(&engine, "//IP//ICN", true, EvaluatorHint::Naive);
         assert_eq!(res.len(), 3);
         let names: Vec<&str> = res
             .iter()
             .map(|a| {
                 assert_eq!(a.matches.len(), 1, "exactly one contact per mapping");
-                doc.text(a.matches[0].nodes[1]).unwrap()
+                engine.document().text(a.matches[0].nodes[1]).unwrap()
             })
             .collect();
         assert_eq!(names, ["Cathy", "Bob", "Alice"]);
@@ -195,29 +164,25 @@ mod tests {
         // The contrast: label-granularity returns all three contacts for
         // every mapping.
         let (pm, doc, _) = ambiguous_setup();
-        let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let res = ptq_basic(&q, &pm, &doc);
+        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let res = run(&engine, "//IP//ICN", false, EvaluatorHint::Naive);
         assert!(res.iter().all(|a| a.matches.len() == 3));
     }
 
     #[test]
     fn tree_agrees_with_basic_in_node_mode() {
-        let (pm, doc, index) = ambiguous_setup();
-        let tree = BlockTree::build(
-            &pm.target.clone(),
-            &pm,
-            &BlockTreeConfig {
-                tau: 0.4,
-                ..BlockTreeConfig::default()
-            },
-        );
+        let (pm, doc, _) = ambiguous_setup();
+        let config = BlockTreeConfig {
+            tau: 0.4,
+            ..BlockTreeConfig::default()
+        };
+        let engine = QueryEngine::build(pm, doc, &config);
         for qs in ["//IP//ICN", "//ICN", "ORDER//ICN", "ORDER"] {
-            let q = TwigPattern::parse(qs).unwrap();
-            let mut a = ptq_basic_nodes(&q, &pm, &doc, &index);
-            let mut b = ptq_with_tree_nodes(&q, &pm, &doc, &index, &tree);
-            a.normalize();
-            b.normalize();
-            assert_eq!(a, b, "query {qs}");
+            assert_eq!(
+                run(&engine, qs, true, EvaluatorHint::Naive),
+                run(&engine, qs, true, EvaluatorHint::BlockTree),
+                "query {qs}"
+            );
         }
     }
 
@@ -237,13 +202,11 @@ mod tests {
             ],
         );
         let doc = parse_document("<Ord><A><X>1</X></A><B><Y>2</Y></B></Ord>").unwrap();
-        let index = PathIndex::new(&doc);
-        let q = TwigPattern::parse("PO/P/Q").unwrap();
-        let mut by_label = ptq_basic(&q, &pm, &doc);
-        let mut by_node = ptq_basic_nodes(&q, &pm, &doc, &index);
-        by_label.normalize();
-        by_node.normalize();
-        assert_eq!(by_label, by_node);
+        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        assert_eq!(
+            run(&engine, "PO/P/Q", false, EvaluatorHint::Naive),
+            run(&engine, "PO/P/Q", true, EvaluatorHint::Naive)
+        );
     }
 
     #[test]

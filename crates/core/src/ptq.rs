@@ -1,14 +1,15 @@
-//! The probabilistic twig query and its basic evaluation (Definition 4,
-//! Algorithm 3).
+//! The probabilistic twig query (Definition 4) and its per-mapping
+//! result.
 //!
 //! A PTQ returns, per relevant mapping `m_i`, the match set `R_i` of the
 //! rewritten query on the source document together with `p_i` — the
-//! probability that `R_i` is the correct answer.
+//! probability that `R_i` is the correct answer. Evaluate one with
+//! [`QueryEngine::run`](crate::engine::QueryEngine::run) and
+//! [`Query::ptq`](crate::api::Query::ptq); pin Algorithm 3 with
+//! [`EvaluatorHint::Naive`](crate::api::EvaluatorHint::Naive).
 
-use crate::engine::{eval_basic_over, SessionState};
-use crate::mapping::{MappingId, PossibleMappings};
-use uxm_twig::{TwigMatch, TwigPattern};
-use uxm_xml::Document;
+use crate::mapping::MappingId;
+use uxm_twig::TwigMatch;
 
 /// One `(R_i, pr(R_i))` tuple of a PTQ result.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,42 +74,35 @@ impl PtqResult {
     }
 }
 
-/// Algorithm 3 (`query_basic`): filter irrelevant mappings, then rewrite
-/// and evaluate the query independently per mapping.
-///
-/// Deprecated shim over [`crate::engine`] with a throwaway session;
-/// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run)
-/// with [`Query::ptq`](crate::api::Query::ptq) pinned to
-/// [`EvaluatorHint::Naive`](crate::api::EvaluatorHint::Naive).
-#[deprecated(note = "build an api::Query (evaluator hint Naive) and call QueryEngine::run")]
-pub fn ptq_basic(q: &TwigPattern, pm: &PossibleMappings, doc: &Document) -> PtqResult {
-    let state = SessionState::build(pm, doc);
-    let ids = state.relevant(q, &q.to_string());
-    eval_basic_over(q, pm, doc, &state, &ids)
-}
-
-/// Algorithm 3 restricted to a pre-filtered mapping subset (shared by the
-/// top-k evaluator).
-///
-/// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run)
-/// with [`Query::topk`](crate::api::Query::topk) (the one caller that
-/// needed a pre-filtered subset).
-#[deprecated(note = "build an api::Query and call QueryEngine::run")]
-pub fn ptq_basic_over(
-    q: &TwigPattern,
-    pm: &PossibleMappings,
-    doc: &Document,
-    ids: &[MappingId],
-) -> PtqResult {
-    let state = SessionState::build(pm, doc);
-    eval_basic_over(q, pm, doc, &state, ids)
+#[cfg(test)]
+impl PtqResult {
+    /// The per-mapping result behind a [`Granularity::Mapping`] response
+    /// (test fixtures feed it to the [`crate::semantics`] functions).
+    ///
+    /// [`Granularity::Mapping`]: crate::api::Granularity::Mapping
+    pub(crate) fn from_response(response: crate::api::QueryResponse) -> PtqResult {
+        let answers = response
+            .answers
+            .into_iter()
+            .map(|a| PtqAnswer {
+                mapping: a.mappings[0],
+                probability: a.probability,
+                matches: a.matches,
+            })
+            .collect();
+        PtqResult { answers }
+    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // shim coverage: the legacy wrappers stay under test
 mod tests {
     use super::*;
-    use uxm_xml::{parse_document, Schema, SchemaNodeId};
+    use crate::api::{EvaluatorHint, Query};
+    use crate::block_tree::BlockTreeConfig;
+    use crate::engine::QueryEngine;
+    use crate::mapping::PossibleMappings;
+    use uxm_twig::TwigPattern;
+    use uxm_xml::{parse_document, Document, Schema, SchemaNodeId};
 
     /// The paper's introduction example: query //IP//ICN over Fig. 2's
     /// document with three mappings for ICN.
@@ -137,11 +131,18 @@ mod tests {
         (pm, doc)
     }
 
+    /// Algorithm 3 (`query_basic`) on a fresh session.
+    fn basic(q: &TwigPattern, pm: PossibleMappings, doc: Document) -> PtqResult {
+        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let query = Query::ptq(q.clone()).with_evaluator(EvaluatorHint::Naive);
+        PtqResult::from_response(engine.run(&query).unwrap())
+    }
+
     #[test]
     fn intro_example_answers() {
         let (pm, doc) = intro_example();
         let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let res = ptq_basic(&q, &pm, &doc);
+        let res = basic(&q, pm, doc.clone());
         assert_eq!(res.len(), 3, "irrelevant mapping filtered");
         // Answers carry the mapping probabilities and find one name each.
         let names: Vec<(&str, f64)> = res
@@ -163,7 +164,7 @@ mod tests {
     fn aggregate_groups_identical_answers() {
         let (pm, doc) = intro_example();
         let q = TwigPattern::parse("//IP").unwrap();
-        let res = ptq_basic(&q, &pm, &doc);
+        let res = basic(&q, pm, doc);
         // All three relevant mappings rewrite IP to BP: identical answers.
         let agg = res.aggregate();
         assert_eq!(agg.len(), 1);
@@ -175,7 +176,7 @@ mod tests {
         let (pm, _) = intro_example();
         let doc = parse_document("<Order><Other/></Order>").unwrap();
         let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let res = ptq_basic(&q, &pm, &doc);
+        let res = basic(&q, pm, doc);
         assert_eq!(res.len(), 3);
         assert!(res.iter().all(|a| a.matches.is_empty()));
     }
@@ -184,8 +185,7 @@ mod tests {
     fn total_probability_bounded_by_one() {
         let (pm, doc) = intro_example();
         let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let res = ptq_basic(&q, &pm, &doc);
-        let p = res.total_probability();
+        let p = basic(&q, pm, doc).total_probability();
         assert!(p > 0.0 && p <= 1.0 + 1e-9);
     }
 
@@ -193,7 +193,7 @@ mod tests {
     fn unknown_query_label_yields_empty_result() {
         let (pm, doc) = intro_example();
         let q = TwigPattern::parse("//IP//MISSING").unwrap();
-        assert!(ptq_basic(&q, &pm, &doc).is_empty());
+        assert!(basic(&q, pm, doc).is_empty());
     }
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
         let (pm, doc) = intro_example();
         let mut q = TwigPattern::parse("//IP//ICN").unwrap();
         q.set_text_eq(uxm_twig::PatternNodeId(1), "Bob");
-        let res = ptq_basic(&q, &pm, &doc);
+        let res = basic(&q, pm, doc);
         // only the RCN mapping finds "Bob"
         let non_empty: Vec<_> = res.iter().filter(|a| !a.matches.is_empty()).collect();
         assert_eq!(non_empty.len(), 1);

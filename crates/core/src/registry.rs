@@ -4,9 +4,8 @@
 //! `(schema pair, document)`; a service serves *many* such sessions at
 //! once. The registry manages named engines behind `Arc`s so any number
 //! of threads can query them concurrently (the engine is `Send + Sync`),
-//! answers whole request batches in one call — with the `parallel`
-//! feature, batch items evaluate on scoped threads — and keeps resident
-//! memory under a configurable budget by evicting the least-recently-used
+//! answers whole request batches in one call, and keeps resident memory
+//! under a configurable budget by evicting the least-recently-used
 //! engines. Because engines are shared, so are their caches: every
 //! client benefits from every other client's warm rewrite caches and
 //! compiled-program cache ([`crate::exec`]).
@@ -73,7 +72,7 @@
 //! ```
 
 use crate::api::{Query, QueryResponse};
-use crate::engine::{par_run, QueryEngine};
+use crate::engine::QueryEngine;
 use crate::error::UxmError;
 use crate::json::Json;
 use crate::storage::{
@@ -156,14 +155,6 @@ impl RegistryStats {
         self.resident_bytes + self.unreclaimed_bytes
     }
 }
-
-/// The registry's old error type, absorbed into the crate-wide
-/// [`UxmError`] (variant for variant).
-///
-/// Use instead: [`UxmError`] (and match its variants directly — they
-/// carry the same data).
-#[deprecated(note = "use uxm_core::UxmError")]
-pub type RegistryError = UxmError;
 
 /// The request shape a registry batch carries: the typed [`Query`] of
 /// [`crate::api`].
@@ -683,15 +674,12 @@ impl EngineRegistry {
     /// come back in request order. Each distinct engine is resolved once
     /// (hydrating cold ones from disk).
     ///
-    /// With no memory budget, engines hydrate and requests evaluate with
-    /// full fan-out (scoped threads under the `parallel` feature;
-    /// per-request evaluation also parallelizes internally — the brief
-    /// oversubscription is benign since total work is fixed). With a
-    /// budget configured, engines are served **one group at a time** and
-    /// each engine's handle is dropped before the next hydrates, so
-    /// resident memory stays bounded by the budget plus the engine
-    /// currently being served — a batch naming more engines than the
-    /// budget fits cannot blow past it.
+    /// Engines are served **one group at a time**, in order of first
+    /// appearance, and each engine's handle is dropped before the next
+    /// hydrates. Under a memory budget, resident memory therefore stays
+    /// bounded by the budget plus the engine currently being served — a
+    /// batch naming more engines than the budget fits cannot blow past
+    /// it.
     pub fn batch(&self, queries: &[BatchQuery]) -> Vec<Result<QueryResponse, UxmError>> {
         // One group of request indices per distinct engine, in
         // first-appearance order.
@@ -707,30 +695,16 @@ impl EngineRegistry {
             }
         }
 
-        if self.config.memory_budget == 0 {
-            // Unlimited: hydrate engines and evaluate ALL requests with
-            // full fan-out, across engines as well as within them.
-            let engines = par_run(groups.len(), |g| self.fetch(groups[g].0));
-            return par_run(queries.len(), |i| {
-                match &engines[group_of[queries[i].engine.as_str()]] {
-                    Err(e) => Err(e.clone()),
-                    Ok(engine) => engine.run(&queries[i].query),
-                }
-            });
-        }
-
-        // Budgeted: one engine group at a time; the handle drops before
-        // the next group hydrates, so only the registry's (budgeted)
-        // residency carries engines between groups.
+        // The handle drops before the next group hydrates, so only the
+        // registry's (budgeted) residency carries engines between groups.
         let mut out: Vec<Option<Result<QueryResponse, UxmError>>> = vec![None; queries.len()];
         for (name, idxs) in &groups {
             let engine = self.fetch(name);
-            let answers = par_run(idxs.len(), |k| match &engine {
-                Err(e) => Err(e.clone()),
-                Ok(engine) => engine.run(&queries[idxs[k]].query),
-            });
-            for (&i, a) in idxs.iter().zip(answers) {
-                out[i] = Some(a);
+            for &i in idxs {
+                out[i] = Some(match &engine {
+                    Err(e) => Err(e.clone()),
+                    Ok(engine) => engine.run(&queries[i].query),
+                });
             }
         }
         out.into_iter()
@@ -901,6 +875,54 @@ mod tests {
             answers[4].clone().unwrap_err(),
             UxmError::UnknownEngine("nope".to_string())
         );
+    }
+
+    #[test]
+    fn interleaved_batch_is_budget_invariant() {
+        // Engines a and b live on disk; the batch interleaves them with an
+        // unknown engine and a keyword request with no terms.
+        let dir = scratch_dir("interleaved");
+        let builder = EngineRegistry::new().snapshot_dir(&dir);
+        for (name, seed) in [("a", 30), ("b", 31)] {
+            builder.insert(name, engine(seed));
+            builder.save(name).unwrap();
+        }
+        drop(builder);
+        let q = uxm_twig::TwigPattern::parse("PO//Qty").unwrap();
+        let requests = [
+            BatchQuery::ptq("a", q.clone()),
+            BatchQuery::topk("b", q.clone(), 3),
+            BatchQuery::keyword("a", vec![]),
+            BatchQuery::basic("nope", q.clone()),
+            BatchQuery::keyword("b", vec!["Qty".to_string(), "order".to_string()]),
+        ];
+        let (a, b) = (engine(30), engine(31));
+        let expected = [
+            a.run(&requests[0].query),
+            b.run(&requests[1].query),
+            Err(UxmError::Keyword(KeywordError::Empty)),
+            Err(UxmError::UnknownEngine("nope".to_string())),
+            b.run(&requests[4].query),
+        ]
+        .map(|r| r.map(|resp| resp.answers));
+
+        // Unlimited, and room for only one engine at a time.
+        let one = a.approx_bytes().max(b.approx_bytes());
+        for (budget, evictions) in [(0, 0), (one + one / 2, 1)] {
+            let registry = EngineRegistry::with_config(RegistryConfig {
+                memory_budget: budget,
+                ..RegistryConfig::default()
+            })
+            .snapshot_dir(&dir);
+            let got: Vec<_> = registry
+                .batch(&requests)
+                .into_iter()
+                .map(|r| r.map(|resp| resp.answers))
+                .collect();
+            assert_eq!(got, expected, "budget {budget}");
+            assert_eq!(registry.eviction_count(), evictions, "budget {budget}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -64,13 +64,21 @@ pub fn expected_count(result: &PtqResult) -> f64 {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // fixtures built through the legacy wrappers
 mod tests {
     use super::*;
+    use crate::api::{EvaluatorHint, Query};
+    use crate::block_tree::BlockTreeConfig;
+    use crate::engine::QueryEngine;
     use crate::mapping::PossibleMappings;
-    use crate::ptq::ptq_basic;
     use uxm_twig::TwigPattern;
-    use uxm_xml::{parse_document, Schema};
+    use uxm_xml::{parse_document, Document, Schema};
+
+    /// Algorithm 3 on a fresh session, as a per-mapping result.
+    fn ptq_basic(q: &TwigPattern, pm: &PossibleMappings, doc: &Document) -> PtqResult {
+        let engine = QueryEngine::build(pm.clone(), doc.clone(), &BlockTreeConfig::default());
+        let query = Query::ptq(q.clone()).with_evaluator(EvaluatorHint::Naive);
+        PtqResult::from_response(engine.run(&query).unwrap())
+    }
 
     fn setup() -> PtqResult {
         let source = Schema::parse_outline("Order(BP(BCN RCN) SP(SCN))").unwrap();

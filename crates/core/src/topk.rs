@@ -4,40 +4,14 @@
 //! the paper observes, those must come from the k most-probable *relevant*
 //! mappings, so the mapping set is pruned right after `filter_mappings` —
 //! before any query evaluation happens.
+//!
+//! Evaluate one with [`QueryEngine::run`](crate::engine::QueryEngine::run)
+//! and [`Query::topk`](crate::api::Query::topk). [`topk_mappings`] is the
+//! string-based reference for the pruning step.
 
-use crate::block_tree::BlockTree;
-use crate::engine::{eval_tree_over, SessionState};
 use crate::mapping::{MappingId, PossibleMappings};
-use crate::ptq::PtqResult;
 use crate::rewrite::filter_mappings;
 use uxm_twig::TwigPattern;
-use uxm_xml::Document;
-
-/// Evaluates a top-k PTQ with the block tree: filter, keep the k
-/// most-probable mappings, then evaluate only those.
-///
-/// Deprecated shim over [`crate::engine`] with a throwaway session.
-///
-/// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run)
-/// with [`Query::topk`](crate::api::Query::topk).
-#[deprecated(note = "build an api::Query::topk and call QueryEngine::run")]
-pub fn topk_ptq(
-    q: &TwigPattern,
-    pm: &PossibleMappings,
-    doc: &Document,
-    tree: &BlockTree,
-    k: usize,
-) -> PtqResult {
-    let ids = topk_mappings(q, pm, k);
-    let state = SessionState::build(pm, doc);
-    let mut res = eval_tree_over(q, pm, doc, tree, &state, &ids);
-    res.answers.sort_by(|a, b| {
-        b.probability
-            .total_cmp(&a.probability)
-            .then(a.mapping.cmp(&b.mapping))
-    });
-    res
-}
 
 /// The k most-probable relevant mappings for `q` (ties broken by id).
 pub fn topk_mappings(q: &TwigPattern, pm: &PossibleMappings, k: usize) -> Vec<MappingId> {
@@ -53,14 +27,14 @@ pub fn topk_mappings(q: &TwigPattern, pm: &PossibleMappings, k: usize) -> Vec<Ma
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // shim coverage: the legacy wrappers stay under test
 mod tests {
     use super::*;
-    use crate::block_tree::{BlockTree, BlockTreeConfig};
-    use crate::ptq::ptq_basic;
+    use crate::api::{Answer, EvaluatorHint, Query};
+    use crate::block_tree::BlockTreeConfig;
+    use crate::engine::QueryEngine;
     use uxm_xml::{parse_document, Schema};
 
-    fn setup() -> (PossibleMappings, Document, BlockTree) {
+    fn setup() -> QueryEngine {
         let source = Schema::parse_outline("Order(BP(BCN RCN OCN))").unwrap();
         let target = Schema::parse_outline("ORDER(IP(ICN))").unwrap();
         let s = |l: &str| source.nodes_with_label(l)[0];
@@ -78,38 +52,41 @@ mod tests {
             "<Order><BP><BCN>Cathy</BCN><RCN>Bob</RCN><OCN>Alice</OCN></BP></Order>",
         )
         .unwrap();
-        let tree = BlockTree::build(&pm.target.clone(), &pm, &BlockTreeConfig::default());
-        (pm, doc, tree)
+        QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    }
+
+    /// A block-tree top-k PTQ of //IP//ICN.
+    fn topk(engine: &QueryEngine, k: usize) -> Vec<Answer> {
+        let q = TwigPattern::parse("//IP//ICN").unwrap();
+        let query = Query::topk(q, k).with_evaluator(EvaluatorHint::BlockTree);
+        engine.run(&query).unwrap().answers
     }
 
     #[test]
     fn returns_k_highest_probability_answers() {
-        let (pm, doc, tree) = setup();
-        let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let res = topk_ptq(&q, &pm, &doc, &tree, 2);
+        let res = topk(&setup(), 2);
         assert_eq!(res.len(), 2);
-        assert!(res.answers[0].probability >= res.answers[1].probability);
-        assert!((res.answers[0].probability - 0.5).abs() < 1e-9);
+        assert!(res[0].probability >= res[1].probability);
+        assert!((res[0].probability - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn k_larger_than_mappings_returns_all() {
-        let (pm, doc, tree) = setup();
-        let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let res = topk_ptq(&q, &pm, &doc, &tree, 10);
-        assert_eq!(res.len(), 3);
+        assert_eq!(topk(&setup(), 10).len(), 3);
     }
 
     #[test]
     fn topk_answers_subset_of_full_ptq() {
-        let (pm, doc, tree) = setup();
+        let engine = setup();
         let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let full = ptq_basic(&q, &pm, &doc);
-        let top = topk_ptq(&q, &pm, &doc, &tree, 2);
-        for a in top.iter() {
+        let full = engine
+            .run(&Query::ptq(q).with_evaluator(EvaluatorHint::Naive))
+            .unwrap();
+        for a in topk(&engine, 2) {
             let in_full = full
+                .answers
                 .iter()
-                .find(|f| f.mapping == a.mapping)
+                .find(|f| f.mappings == a.mappings)
                 .expect("top-k answer exists in full result");
             assert_eq!(in_full.matches, a.matches);
         }
@@ -117,16 +94,16 @@ mod tests {
 
     #[test]
     fn k_zero_is_empty() {
-        let (pm, doc, tree) = setup();
-        let q = TwigPattern::parse("//IP//ICN").unwrap();
-        assert!(topk_ptq(&q, &pm, &doc, &tree, 0).is_empty());
+        assert!(topk(&setup(), 0).is_empty());
     }
 
     #[test]
     fn pruning_happens_before_evaluation() {
-        let (pm, _, _) = setup();
+        let engine = setup();
         let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let ids = topk_mappings(&q, &pm, 1);
+        let ids = topk_mappings(&q, engine.mappings(), 1);
         assert_eq!(ids, vec![MappingId(0)], "highest-probability mapping kept");
+        let top = engine.run(&Query::topk(q, 1)).unwrap();
+        assert_eq!(top.stats.relevant, 1, "only the kept mapping is evaluated");
     }
 }

@@ -51,7 +51,7 @@ fn main() {
 
     // 5. Serve it through a registry. A real service registers one engine
     //    per (schema pair, document) under a memory budget; queries are
-    //    answered in batches, concurrently under `--features parallel`.
+    //    answered in batches, and any number of threads may share it.
     let registry = EngineRegistry::with_config(RegistryConfig {
         memory_budget: 64 << 20, // 64 MiB of resident engines
         ..RegistryConfig::default()

@@ -43,10 +43,6 @@
 //! let top1 = engine.run(&Query::topk(q, 1)).unwrap();
 //! assert!(top1.len() <= answers.len());
 //! ```
-//!
-//! The legacy free functions (`ptq_basic`, `ptq_with_tree`, `topk_ptq`, …)
-//! remain available as deprecated shims and return identical results;
-//! `uxm::core::api` documents the migration.
 
 pub use uxm_assignment as assignment;
 pub use uxm_core as core;
@@ -70,11 +66,6 @@ pub mod prelude {
         ptq::PtqAnswer,
         registry::{BatchQuery, EngineRegistry, RegistryConfig},
         server::{Server, ServerConfig, ServerHandle},
-    };
-    // Legacy one-shot entry points (deprecated shims over the engine).
-    #[allow(deprecated)]
-    pub use uxm_core::{
-        keyword::keyword_query, ptq::ptq_basic, ptq_tree::ptq_with_tree, topk::topk_ptq,
     };
     pub use uxm_datagen::datasets::{Dataset, DatasetId};
     pub use uxm_matching::{matcher::Matcher, SchemaMatching};

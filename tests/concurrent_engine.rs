@@ -5,10 +5,8 @@
 //! is the contract the `EngineRegistry` serving layer builds on — the
 //! sharded caches may race on *computing* an entry, but never on its
 //! value, and the planner's choice (which may differ between cold and
-//! warm caches) never changes answers.
-//!
-//! The test is meaningful both with and without `--features parallel`
-//! (the engine then also fans out internally, nesting scoped threads).
+//! warm caches) never changes answers. Each query's own `ExecStats`
+//! rewrite counters must stay exact while other queries share the engine.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -163,4 +161,58 @@ fn warm_and_cold_answers_agree_across_threads() {
     for (i, a) in answers.iter().enumerate() {
         assert_eq!(a, &expected, "run {i}");
     }
+}
+
+#[test]
+fn per_query_rewrite_counters_are_exact_under_concurrency() {
+    // Rewrite lookups per query are fixed by the query and its pinned
+    // evaluator; only the hit/miss split depends on cache warmth. So
+    // hits + misses must equal the count of the same query run alone,
+    // whatever the other threads are doing to the shared caches.
+    let queries = paper_queries();
+    let requests: Vec<Query> = (0..REQUESTS / 2)
+        .map(|i| {
+            let q = queries[i % queries.len()].clone();
+            match i % 3 {
+                0 => Query::ptq(q).with_evaluator(EvaluatorHint::Naive),
+                1 => Query::ptq(q).with_evaluator(EvaluatorHint::BlockTree),
+                _ => Query::ptq_nodes(q).with_evaluator(EvaluatorHint::BlockTree),
+            }
+        })
+        .collect();
+    let lookups = |engine: &QueryEngine, query: &Query| {
+        let stats = engine.run(query).expect("valid request").stats;
+        stats.rewrite_hits + stats.rewrite_misses
+    };
+    let solo = engine(DatasetId::D7, 20, 400);
+    let alone: Vec<u64> = requests.iter().map(|q| lookups(&solo, q)).collect();
+    assert!(alone.iter().any(|&n| n > 0), "workload looks up rewrites");
+
+    let shared = engine(DatasetId::D7, 20, 400);
+    let next = AtomicUsize::new(0);
+    let mismatches: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut bad = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= requests.len() {
+                            break;
+                        }
+                        let got = lookups(&shared, &requests[i]);
+                        if got != alone[i] {
+                            bad.push(format!("request {i}: {got} lookups, {} alone", alone[i]));
+                        }
+                    }
+                    bad
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("stress worker panicked"))
+            .collect()
+    });
+    assert!(mismatches.is_empty(), "{mismatches:?}");
 }

@@ -1,34 +1,30 @@
-//! The `QueryEngine` session layer must return results *identical* to the
-//! legacy free-function paths — same answers, same order, same floats —
-//! across the Table II datasets and the paper's query workload. The free
-//! functions are themselves wrappers over the engine with a throwaway
-//! session, so this pins (a) wrapper/engine agreement including all cache
-//! interactions, and (b) warm-cache runs agreeing with cold runs.
+//! The `QueryEngine` session layer must answer a query identically
+//! however warm its caches are — same answers, same order, same floats —
+//! across the Table II datasets and the paper's query workload. The
+//! reference is a cold session: a fresh engine over the same data. The
+//! suite pins (a) warm shared-session runs ≡ cold-session runs, including all
+//! cache interactions between evaluators, (b) repeated runs ≡ first
+//! runs, and (c) the mapping ids the engine evaluates ≡ the string-based
+//! `filter_mappings` / `topk_mappings` references.
 //!
 //! It also hosts the **planner differential suite**: `QueryEngine::run`
 //! must return identical answers under every forced evaluator hint and
 //! the auto plan, for every query kind, across all Table II datasets —
 //! the guarantee that lets the planner treat evaluator choice as a pure
 //! performance decision.
-//!
-//! This file is the designated *shim coverage*: it exercises the
-//! deprecated legacy entry points on purpose, so the CI deprecation gate
-//! (`RUSTFLAGS="-D deprecated"`) exempts it via this allow.
-#![allow(deprecated)]
 
 use uxm::core::api::{Answer, EvaluatorHint, Granularity, Query};
 use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm::core::engine::QueryEngine;
-use uxm::core::keyword::keyword_query;
-use uxm::core::mapping::PossibleMappings;
-use uxm::core::path_ptq::{ptq_basic_nodes, ptq_with_tree_nodes};
-use uxm::core::ptq::ptq_basic;
-use uxm::core::ptq_tree::ptq_with_tree;
+use uxm::core::mapping::{MappingId, PossibleMappings};
+use uxm::core::path_ptq::filter_mappings_nodes;
 use uxm::core::registry::{BatchQuery, EngineRegistry};
-use uxm::core::topk::topk_ptq;
+use uxm::core::rewrite::filter_mappings;
+use uxm::core::topk::topk_mappings;
 use uxm::datagen::datasets::{Dataset, DatasetId};
 use uxm::datagen::queries::paper_queries;
-use uxm::xml::{DocGenConfig, Document, PathIndex};
+use uxm::twig::TwigPattern;
+use uxm::xml::{DocGenConfig, Document};
 
 /// Builds the session pieces for one dataset, sized to keep the full
 /// sweep affordable in debug builds.
@@ -55,33 +51,52 @@ fn session(id: DatasetId, m: usize, nodes: usize) -> QueryEngine {
     QueryEngine::new(pm, doc, tree)
 }
 
-/// Asserts every evaluator agrees between engine and legacy on `queries`,
-/// and that a second (cache-warm) engine run is identical to the first.
+/// `query`'s answers on a cold session over `engine`'s data.
+fn cold(engine: &QueryEngine, query: &Query) -> Vec<Answer> {
+    let fresh = QueryEngine::new(
+        engine.mappings().clone(),
+        engine.document().clone(),
+        engine.tree().clone(),
+    );
+    fresh.run(query).unwrap().answers
+}
+
+/// The mapping each per-mapping answer was computed under.
+fn ids(answers: &[Answer]) -> Vec<MappingId> {
+    answers.iter().map(|a| a.mappings[0]).collect()
+}
+
+/// A label-granularity PTQ pinned to `hint`.
+fn pinned(q: &TwigPattern, hint: EvaluatorHint) -> Query {
+    Query::ptq(q.clone()).with_evaluator(hint)
+}
+
+/// Asserts, on `queries`, that every evaluator's first and repeated runs
+/// on the shared `engine` equal a cold session's, and that the evaluated
+/// mappings are the string-based references' relevant and top-k sets.
 fn assert_equivalent(engine: &QueryEngine, queries: &[usize], dataset: &str) {
     let all = paper_queries();
-    let (pm, doc, tree) = (engine.mappings(), engine.document(), engine.tree());
+    let pm = engine.mappings();
     for &qi in queries {
         let q = &all[qi - 1];
         let label = format!("{dataset} Q{qi}");
 
-        let basic = engine.ptq(q);
-        assert_eq!(basic, ptq_basic(q, pm, doc), "{label}: ptq_basic");
-        assert_eq!(basic, engine.ptq(q), "{label}: warm ptq");
+        for hint in [EvaluatorHint::Naive, EvaluatorHint::BlockTree] {
+            let query = pinned(q, hint);
+            let first = engine.run(&query).unwrap().answers;
+            assert_eq!(first, cold(engine, &query), "{label}: {hint:?}");
+            assert_eq!(
+                first,
+                engine.run(&query).unwrap().answers,
+                "{label}: warm {hint:?}"
+            );
+            assert_eq!(ids(&first), filter_mappings(q, pm), "{label}: relevant");
+        }
 
-        let tree_res = engine.ptq_with_tree(q);
-        assert_eq!(
-            tree_res,
-            ptq_with_tree(q, pm, doc, tree),
-            "{label}: ptq_with_tree"
-        );
-        assert_eq!(
-            tree_res,
-            engine.ptq_with_tree(q),
-            "{label}: warm ptq_with_tree"
-        );
-
-        let top = engine.topk(q, 5);
-        assert_eq!(top, topk_ptq(q, pm, doc, tree, 5), "{label}: topk_ptq");
+        let topk = Query::topk(q.clone(), 5).with_evaluator(EvaluatorHint::BlockTree);
+        let top = engine.run(&topk).unwrap().answers;
+        assert_eq!(top, cold(engine, &topk), "{label}: topk");
+        assert_eq!(ids(&top), topk_mappings(q, pm, 5), "{label}: topk ids");
     }
 }
 
@@ -114,9 +129,8 @@ fn engine_equals_legacy_on_large_datasets_spot_queries() {
 }
 
 /// The serving stack adds no semantics: for every request kind, the
-/// registry batch path returns exactly what the engine returns, which
-/// returns exactly what the legacy free functions return
-/// (registry ≡ engine ≡ legacy).
+/// registry batch path returns exactly what a cold session returns
+/// (registry ≡ engine).
 #[test]
 fn registry_batch_equals_engine_equals_legacy() {
     let registry = EngineRegistry::new();
@@ -126,75 +140,39 @@ fn registry_batch_equals_engine_equals_legacy() {
         registry.insert(name, session(id, 20, 400));
     }
     for (name, id) in [("d4", DatasetId::D4), ("d7", DatasetId::D7)] {
-        let legacy = session(id, 20, 400);
-        let (pm, doc, tree) = (legacy.mappings(), legacy.document(), legacy.tree());
+        let reference = session(id, 20, 400);
+        let pm = reference.mappings();
         let vocab = pm
             .target
             .label(pm.target.children(pm.target.root())[0])
             .to_string();
         for qi in [2usize, 7, 10] {
             let q = &all[qi - 1];
-            let answers = registry.batch(&[
+            let requests = [
                 BatchQuery::ptq(name, q.clone()),
                 BatchQuery::basic(name, q.clone()),
                 BatchQuery::topk(name, q.clone(), 5),
                 BatchQuery::keyword(name, vec![vocab.clone(), "order".to_string()]),
-            ]);
-            let label = format!("{} Q{qi}", id.name());
-            assert_eq!(
-                answers[0].as_ref().unwrap().answers,
-                legacy_as_answers(&ptq_with_tree(q, pm, doc, tree)),
-                "{label}: registry ptq vs legacy"
-            );
-            assert_eq!(
-                answers[1].as_ref().unwrap().answers,
-                legacy_as_answers(&ptq_basic(q, pm, doc)),
-                "{label}: registry basic vs legacy"
-            );
-            assert_eq!(
-                answers[2].as_ref().unwrap().answers,
-                legacy_as_answers(&topk_ptq(q, pm, doc, tree, 5)),
-                "{label}: registry topk vs legacy"
-            );
-            let keyword_legacy: Vec<Answer> = keyword_query(&[vocab.as_str(), "order"], pm, doc)
-                .unwrap()
-                .into_iter()
-                .map(|a| Answer {
-                    probability: a.probability,
-                    mappings: vec![a.mapping],
-                    matches: a
-                        .slcas
-                        .into_iter()
-                        .map(|n| uxm::twig::TwigMatch { nodes: vec![n] })
-                        .collect(),
-                })
-                .collect();
-            assert_eq!(
-                answers[3].as_ref().unwrap().answers,
-                keyword_legacy,
-                "{label}: registry keyword vs legacy"
-            );
+            ];
+            let answers = registry.batch(&requests);
+            for (request, answer) in requests.iter().zip(&answers) {
+                assert_eq!(
+                    answer.as_ref().unwrap().answers,
+                    cold(&reference, &request.query),
+                    "{} Q{qi}: registry {} vs engine",
+                    id.name(),
+                    request.query
+                );
+            }
         }
     }
-}
-
-/// Converts a legacy per-mapping result into the unified answer shape
-/// (the exact transformation `run` performs at `Granularity::Mapping`).
-fn legacy_as_answers(result: &uxm::core::ptq::PtqResult) -> Vec<Answer> {
-    result
-        .iter()
-        .map(|a| Answer {
-            probability: a.probability,
-            mappings: vec![a.mapping],
-            matches: a.matches.clone(),
-        })
-        .collect()
 }
 
 /// The planner differential suite: for every Table II dataset and every
 /// query kind, `run()` answers are identical under the auto plan and
 /// every pinned evaluator — including the compiled bytecode backend —
-/// and equal to the legacy ground truth.
+/// and equal to a cold session's naive (PTQ) and block-tree (top-k)
+/// answers.
 #[test]
 fn run_is_plan_invariant_across_all_datasets() {
     let hints = [
@@ -206,13 +184,12 @@ fn run_is_plan_invariant_across_all_datasets() {
     let all = paper_queries();
     for id in DatasetId::all() {
         let engine = session(id, 20, 400);
-        let (pm, doc) = (engine.mappings(), engine.document());
         for qi in [2usize, 7, 10] {
             let q = &all[qi - 1];
             let label = format!("{} Q{qi}", id.name());
 
-            // Label granularity: auto and both pins agree with legacy.
-            let expected = legacy_as_answers(&ptq_basic(q, pm, doc));
+            // Label granularity: auto and every pin agree with Algorithm 3.
+            let expected = cold(&engine, &pinned(q, EvaluatorHint::Naive));
             for hint in hints {
                 let got = engine
                     .run(&Query::ptq(q.clone()).with_evaluator(hint))
@@ -232,8 +209,11 @@ fn run_is_plan_invariant_across_all_datasets() {
                 );
             }
 
-            // Top-k: all hints agree with each other and with legacy.
-            let top_expected = legacy_as_answers(&topk_ptq(q, pm, doc, engine.tree(), 5));
+            // Top-k: all hints agree with each other and with Algorithm 4.
+            let top_expected = cold(
+                &engine,
+                &Query::topk(q.clone(), 5).with_evaluator(EvaluatorHint::BlockTree),
+            );
             for hint in hints {
                 let got = engine
                     .run(&Query::topk(q.clone(), 5).with_evaluator(hint))
@@ -329,21 +309,20 @@ fn compiled_replay_hits_the_program_cache() {
 #[test]
 fn engine_equals_legacy_node_granularity_and_keyword() {
     let engine = session(DatasetId::D4, 30, 600);
-    let (pm, doc, tree) = (engine.mappings(), engine.document(), engine.tree());
-    let index = PathIndex::new(doc);
+    let pm = engine.mappings();
     let all = paper_queries();
     for qi in [2usize, 7, 10] {
         let q = &all[qi - 1];
-        assert_eq!(
-            engine.ptq_nodes(q),
-            ptq_basic_nodes(q, pm, doc, &index),
-            "D4 Q{qi}: ptq_basic_nodes"
-        );
-        assert_eq!(
-            engine.ptq_with_tree_nodes(q),
-            ptq_with_tree_nodes(q, pm, doc, &index, tree),
-            "D4 Q{qi}: ptq_with_tree_nodes"
-        );
+        for hint in [EvaluatorHint::Naive, EvaluatorHint::BlockTree] {
+            let query = Query::ptq_nodes(q.clone()).with_evaluator(hint);
+            let got = engine.run(&query).unwrap().answers;
+            assert_eq!(got, cold(&engine, &query), "D4 Q{qi}: ptq_nodes {hint:?}");
+            assert_eq!(
+                ids(&got),
+                filter_mappings_nodes(q, pm),
+                "D4 Q{qi}: ptq_nodes {hint:?} relevant"
+            );
+        }
     }
     // Keyword: one vocabulary term (a target label) and one value term.
     let vocab = pm
@@ -355,9 +334,10 @@ fn engine_equals_legacy_node_granularity_and_keyword() {
         vec!["order"],
         vec![vocab.as_str(), "order"],
     ] {
+        let query = Query::keyword(terms.iter().map(|t| t.to_string()).collect());
         assert_eq!(
-            engine.keyword(&terms).unwrap(),
-            keyword_query(&terms, pm, doc).unwrap(),
+            engine.run(&query).unwrap().answers,
+            cold(&engine, &query),
             "keyword {terms:?}"
         );
     }

@@ -1,19 +1,15 @@
 //! End-to-end integration tests: matcher → possible mappings → block tree
 //! → PTQ, across generated datasets and the paper's query workload.
-//!
-//! Shim coverage: the legacy free functions are exercised on purpose, so
-//! the CI deprecation gate exempts this file via the allow below.
-#![allow(deprecated)]
 
+use uxm::core::api::{Answer, EvaluatorHint, Query};
 use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm::core::compress::{compress, compression_ratio};
+use uxm::core::engine::QueryEngine;
 use uxm::core::mapping::PossibleMappings;
-use uxm::core::ptq::ptq_basic;
-use uxm::core::ptq_tree::ptq_with_tree;
 use uxm::core::stats::o_ratio;
-use uxm::core::topk::topk_ptq;
 use uxm::datagen::datasets::{Dataset, DatasetId};
 use uxm::datagen::queries::paper_queries;
+use uxm::twig::TwigPattern;
 use uxm::xml::{DocGenConfig, Document};
 
 /// The paper's query workload (D7: XCBL → Apertum), sized down for test
@@ -38,24 +34,38 @@ fn workload() -> &'static (PossibleMappings, Document, BlockTree) {
     })
 }
 
+/// One query session over [`workload`].
+fn engine() -> &'static QueryEngine {
+    static ENGINE: std::sync::OnceLock<QueryEngine> = std::sync::OnceLock::new();
+    ENGINE.get_or_init(|| {
+        let (pm, doc, tree) = workload();
+        QueryEngine::new(pm.clone(), doc.clone(), tree.clone())
+    })
+}
+
+/// `q` as a PTQ pinned to Algorithm 3 (`Naive`) or 4 (`BlockTree`).
+fn ptq(q: &TwigPattern, hint: EvaluatorHint) -> Vec<Answer> {
+    let query = Query::ptq(q.clone()).with_evaluator(hint);
+    engine().run(&query).unwrap().answers
+}
+
 #[test]
 fn basic_and_block_tree_agree_on_all_paper_queries() {
-    let (pm, doc, tree) = workload();
     for (i, q) in paper_queries().iter().enumerate() {
-        let mut basic = ptq_basic(q, pm, doc);
-        let mut tree_res = ptq_with_tree(q, pm, doc, tree);
-        basic.normalize();
-        tree_res.normalize();
-        assert_eq!(basic, tree_res, "Q{} differs", i + 1);
+        assert_eq!(
+            ptq(q, EvaluatorHint::Naive),
+            ptq(q, EvaluatorHint::BlockTree),
+            "Q{} differs",
+            i + 1
+        );
     }
 }
 
 #[test]
 fn paper_queries_have_answers_on_d6() {
-    let (pm, doc, tree) = workload();
     let mut answered = 0;
     for q in &paper_queries() {
-        let res = ptq_with_tree(q, pm, doc, tree);
+        let res = ptq(q, EvaluatorHint::BlockTree);
         if res.iter().any(|a| !a.matches.is_empty()) {
             answered += 1;
         }
@@ -122,17 +132,17 @@ fn compression_saves_space_on_overlapping_mappings() {
 
 #[test]
 fn topk_is_prefix_of_full_by_probability() {
-    let (pm, doc, tree) = workload();
     let q = &paper_queries()[9];
-    let full = ptq_with_tree(q, pm, doc, tree);
+    let full = ptq(q, EvaluatorHint::BlockTree);
     for k in [1, 5, 20] {
-        let top = topk_ptq(q, pm, doc, tree, k);
+        let topk = Query::topk(q.clone(), k).with_evaluator(EvaluatorHint::BlockTree);
+        let top = engine().run(&topk).unwrap().answers;
         assert!(top.len() <= k);
         // every top-k answer matches the full result for its mapping
-        for a in top.iter() {
+        for a in &top {
             let f = full
                 .iter()
-                .find(|f| f.mapping == a.mapping)
+                .find(|f| f.mappings == a.mappings)
                 .expect("mapping in full result");
             assert_eq!(f.matches, a.matches);
         }
@@ -141,9 +151,9 @@ fn topk_is_prefix_of_full_by_probability() {
             .iter()
             .map(|a| a.probability)
             .fold(f64::INFINITY, f64::min);
-        let kept: Vec<_> = top.iter().map(|a| a.mapping).collect();
-        for f in full.iter() {
-            if !kept.contains(&f.mapping) {
+        let kept: Vec<_> = top.iter().map(|a| &a.mappings).collect();
+        for f in &full {
+            if !kept.contains(&&f.mappings) {
                 assert!(f.probability <= min_kept + 1e-12);
             }
         }

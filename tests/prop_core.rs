@@ -1,19 +1,29 @@
 //! Property-based tests for the core contribution: block-tree invariants,
 //! lossless compression, and exact agreement between the basic and
 //! block-tree PTQ evaluators on arbitrary mapping sets and queries.
-//!
-//! Shim coverage: the legacy free functions are exercised on purpose, so
-//! the CI deprecation gate exempts this file via the allow below.
-#![allow(deprecated)]
 
 use proptest::prelude::*;
+use uxm::core::api::{Answer, EvaluatorHint, Query};
 use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm::core::compress::compress;
+use uxm::core::engine::QueryEngine;
 use uxm::core::mapping::PossibleMappings;
-use uxm::core::ptq::ptq_basic;
-use uxm::core::ptq_tree::ptq_with_tree;
 use uxm::twig::TwigPattern;
 use uxm::xml::{DocGenConfig, Document, Schema, SchemaNodeId};
+
+/// `q`'s answers on a fresh session over `(pm, doc, tree)`, with the
+/// evaluator pinned.
+fn ptq(
+    q: &TwigPattern,
+    pm: &PossibleMappings,
+    doc: &Document,
+    tree: &BlockTree,
+    hint: EvaluatorHint,
+) -> Vec<Answer> {
+    let engine = QueryEngine::new(pm.clone(), doc.clone(), tree.clone());
+    let query = Query::ptq(q.clone()).with_evaluator(hint);
+    engine.run(&query).unwrap().answers
+}
 
 /// Fixed schema pair with enough structure for interesting blocks.
 fn schemas() -> (Schema, Schema) {
@@ -110,10 +120,8 @@ proptest! {
         let cfg = BlockTreeConfig { tau, ..BlockTreeConfig::default() };
         let tree = BlockTree::build(&pm.target.clone(), &pm, &cfg);
         let q = TwigPattern::parse(QUERIES[q_idx]).unwrap();
-        let mut basic = ptq_basic(&q, &pm, &doc);
-        let mut with_tree = ptq_with_tree(&q, &pm, &doc, &tree);
-        basic.normalize();
-        with_tree.normalize();
+        let basic = ptq(&q, &pm, &doc, &tree, EvaluatorHint::Naive);
+        let with_tree = ptq(&q, &pm, &doc, &tree, EvaluatorHint::BlockTree);
         prop_assert_eq!(basic, with_tree, "query {}", QUERIES[q_idx]);
     }
 
@@ -146,10 +154,8 @@ proptest! {
             &pm,
             &BlockTreeConfig { max_blocks: 1, ..BlockTreeConfig::default() },
         );
-        let mut a = ptq_with_tree(&q, &pm, &doc, &full);
-        let mut b = ptq_with_tree(&q, &pm, &doc, &capped);
-        a.normalize();
-        b.normalize();
+        let a = ptq(&q, &pm, &doc, &full, EvaluatorHint::BlockTree);
+        let b = ptq(&q, &pm, &doc, &capped, EvaluatorHint::BlockTree);
         prop_assert_eq!(a, b);
     }
 }

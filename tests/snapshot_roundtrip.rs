@@ -2,12 +2,9 @@
 //! answers on every Table II dataset, arbitrary corruption must never
 //! panic, and every snapshot-specific `DecodeError` variant must be
 //! reachable from a decoder that started with valid bytes.
-//!
-//! Shim coverage: the legacy engine methods are exercised on purpose, so
-//! the CI deprecation gate exempts this file via the allow below.
-#![allow(deprecated)]
 
 use proptest::prelude::*;
+use uxm::core::api::{EvaluatorHint, Query};
 use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm::core::engine::QueryEngine;
 use uxm::core::mapping::PossibleMappings;
@@ -67,21 +64,23 @@ fn snapshot_roundtrip_preserves_answers_on_every_dataset() {
         } else {
             &[2, 7, 10]
         };
+        let same = |query: &Query, what: &str| {
+            assert_eq!(
+                back.run(query).unwrap().answers,
+                original.run(query).unwrap().answers,
+                "{name}: {what}"
+            );
+        };
         for &qi in spots {
             let q = &queries[qi - 1];
-            assert_eq!(
-                back.ptq_with_tree(q),
-                original.ptq_with_tree(q),
-                "{name} Q{qi}: ptq_with_tree"
-            );
-            assert_eq!(back.ptq(q), original.ptq(q), "{name} Q{qi}: ptq");
-            assert_eq!(back.topk(q, 5), original.topk(q, 5), "{name} Q{qi}: topk");
+            for hint in [EvaluatorHint::BlockTree, EvaluatorHint::Naive] {
+                let query = Query::ptq(q.clone()).with_evaluator(hint);
+                same(&query, &format!("Q{qi} ptq {hint:?}"));
+            }
+            let topk = Query::topk(q.clone(), 5).with_evaluator(EvaluatorHint::BlockTree);
+            same(&topk, &format!("Q{qi} topk"));
         }
-        assert_eq!(
-            back.keyword(&["order"]).unwrap(),
-            original.keyword(&["order"]).unwrap(),
-            "{name}: keyword"
-        );
+        same(&Query::keyword(vec!["order".to_string()]), "keyword");
     }
 }
 
