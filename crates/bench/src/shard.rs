@@ -78,10 +78,6 @@ fn start_stack(
         RouterConfig {
             shards,
             registry,
-            shard_server: ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
             ..RouterConfig::default()
         },
     )

@@ -492,13 +492,6 @@ pub fn soak(cfg: &SoakConfig) -> String {
             RouterConfig {
                 shards: cfg.shards,
                 registry: registry_config,
-                shard_server: ServerConfig {
-                    workers: 2,
-                    queue_depth: QUEUE_DEPTH,
-                    max_conns_per_client: cfg.clients + 40,
-                    retry_after_ms: 100,
-                    ..ServerConfig::default()
-                },
                 ..RouterConfig::default()
             },
         )

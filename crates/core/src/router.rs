@@ -1,92 +1,82 @@
-//! Horizontal scale-out: a [`Router`] scatter-gathering over sharded
-//! [`EngineRegistry`] instances behind a consistent-hash ring.
+//! Horizontal scale-out: a [`Router`] over sharded [`EngineRegistry`]
+//! instances behind a consistent-hash ring.
 //!
 //! The single-registry deployment of [`crate::server`] scales
 //! vertically: one registry owns every engine, one LRU budget, one
 //! thrash gate. This module partitions the collection instead. A
-//! [`Router`] spawns N **shards** — each a full [`Server`] on a
-//! loopback ephemeral port over its *own* registry, with its own
-//! [`RegistryConfig`] memory budget and thrash gate — and fronts them
-//! with the same serving shell, routing by a [`Ring`]:
+//! [`Router`] holds N **shards** — each an in-process registry with its
+//! own [`RegistryConfig`] memory budget, LRU and thrash gate, all
+//! hydrating from one shared snapshot directory — and fronts them with
+//! the same serving shell, routing by a [`Ring`]:
 //!
 //! ```text
 //!                      clients
 //!                         │
 //!                 ┌───────▼────────┐
 //!                 │  front Server  │   POST /query/<e>  POST /batch
-//!                 │  (RouterHandler)│  POST /topk  GET /stats /shards
+//!                 │    (Router)    │   POST /topk  GET /stats /shards
 //!                 └───────┬────────┘
 //!            consistent-hash ring on engine name
 //!           ┌─────────────┼─────────────┐
 //!     ┌─────▼─────┐ ┌─────▼─────┐ ┌─────▼─────┐
-//!     │  shard 0  │ │  shard 1  │ │  shard 2  │   each: Server over
-//!     │ registry  │ │ registry  │ │ registry  │   its own registry
-//!     └─────┬─────┘ └─────┬─────┘ └─────┬─────┘   (budget, thrash gate)
+//!     │  shard 0  │ │  shard 1  │ │  shard 2  │   each: an in-process
+//!     │ registry  │ │ registry  │ │ registry  │   registry (budget,
+//!     └─────┬─────┘ └─────┬─────┘ └─────┬─────┘   LRU, thrash gate)
 //!           └─────────────┴─────────────┘
 //!              one shared snapshot directory
 //! ```
 //!
-//! * `POST /query/<engine>` forwards to the owning shard and relays its
-//!   response verbatim.
-//! * `POST /batch` is split by owner, fanned out concurrently, and the
-//!   per-shard results are spliced back **in request order** — the
-//!   merged body is byte-identical to a single big registry's.
-//! * `POST /topk` (served by single-registry servers too) evaluates a
-//!   top-k query across many engines; each shard returns its local
-//!   top-k and the router merges by the **pinned total order** of
+//! The front answers every route itself, with one parse and one render
+//! per request: it resolves each engine name to its owner's registry
+//! and runs the route code a single server runs.
+//!
+//! * `POST /query/<engine>` runs on the owner's registry.
+//! * `POST /batch` is split by owner, each group runs through its
+//!   shard's [`EngineRegistry::batch`] in turn, and the results are
+//!   spliced back **in request order** — the body is byte-identical to
+//!   a single big registry's.
+//! * `POST /topk` (served by single-registry servers too) walks the
+//!   sorted, deduplicated engine names, fetches each from its owner,
+//!   and merges the answers by the **pinned total order** of
 //!   [`merge_topk`] — probability descending, then engine name, then
-//!   [`MappingId`] list — so the cross-shard merge is exact and
-//!   byte-identical to the unsharded answer.
-//! * `POST /aggregate` (served by single-registry servers too)
-//!   evaluates an aggregate query across many engines; the router
-//!   concatenates the per-engine entries in **name-ascending order**
-//!   and recomputes the fleet value with [`merge_marginals`] over that
-//!   order (count/sum add, min/max take the extremum) — an associative
-//!   fold, never a merge of per-shard partials, so the sharded body is
-//!   byte-identical to the unsharded one.
+//!   [`MappingId`] list — so the result is independent of the shard
+//!   count.
+//! * `POST /aggregate` (served by single-registry servers too) walks
+//!   the same name-ascending order and folds the per-engine marginals
+//!   with [`merge_marginals`] in that order (count/sum add, min/max
+//!   take the extremum), so the sharded body is byte-identical to the
+//!   unsharded one.
 //! * `GET /shards` reports the ring layout plus per-shard footprint,
-//!   evictions, and shed hydrations; `GET /stats` nests each shard's
-//!   full stats body under the front server's own counters.
+//!   evictions, and shed hydrations; `GET /stats` reports the front's
+//!   counters plus each shard's registry accounting.
 //!
 //! # Rebalancing
 //!
-//! [`Router::add_shard`] / [`Router::remove_shard`] rebuild the ring
-//! for the new shard set (rebuild-per-epoch), drop residents from
-//! shards that no longer own them, and let the new owner re-hydrate
-//! from the **shared snapshot directory** on first touch. Because every
-//! shard can hydrate every engine, there is no window where a routed
-//! name 404s mid-rebalance: a request racing the ring swap either
-//! reaches the old owner (which still serves it correctly) or the new
-//! owner (which hydrates it); a request that reaches a *removed* shard
-//! fails the internal hop and is retried once against the fresh ring.
-//!
-//! # Fairness across the hop
-//!
-//! The TCP peer of every shard-bound connection is the router itself,
-//! so shard servers run with
-//! [`ServerConfig::trust_forwarded_client`] and the router forwards the
-//! original client identity as `x-uxm-client` — shard-side per-client
-//! 429s keep binding to the real client. See [`crate::server`].
+//! [`Router::add_shard`] / [`Router::remove_shard`] publish a new shard
+//! set and ring (rebuild-per-epoch), drop residents from shards that no
+//! longer own them, and let the new owner re-hydrate from the **shared
+//! snapshot directory** on first touch. A request keeps the epoch it
+//! started under, so one that races a removal is answered by the
+//! removed shard's registry, which can still hydrate every engine:
+//! there is no window where a routed name 404s.
 
 #![deny(missing_docs)]
 
-use crate::aggregate::{merge_marginals, opt_num, AggFunc};
-use crate::api::Query;
+use crate::aggregate::{merge_marginals, opt_num};
+use crate::api::{Query, QueryResponse};
+use crate::engine::QueryEngine;
 use crate::error::UxmError;
 use crate::json::Json;
 use crate::mapping::MappingId;
 use crate::registry::{BatchQuery, EngineRegistry, RegistryConfig, RegistryStats};
 use crate::server::{
-    error_body, status_for, Client, Handler, RegistryHandler, Request, Server, ServerConfig,
-    ServerHandle, ServerStats,
+    registry_json, route_engines, Engines, Handler, Request, Server, ServerConfig, ServerStats,
 };
 use crate::sync;
-use std::net::{IpAddr, SocketAddr};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use uxm_twig::TwigMatch;
-use uxm_xml::DocNodeId;
 
 // ---------------------------------------------------------------------
 // the ring
@@ -211,85 +201,6 @@ impl TopKAnswer {
             ("probability".into(), Json::Num(self.probability)),
         ])
     }
-
-    /// Parses the canonical form back (the router re-parses shard
-    /// responses to merge them).
-    pub fn from_json(value: &Json) -> Result<TopKAnswer, UxmError> {
-        let Json::Obj(members) = value else {
-            return Err(UxmError::Json("top-k answer must be an object".into()));
-        };
-        let mut engine = None;
-        let mut probability = None;
-        let mut mappings = None;
-        let mut matches = None;
-        for (key, val) in members {
-            match key.as_str() {
-                "engine" => {
-                    engine = Some(
-                        val.as_str()
-                            .ok_or_else(|| UxmError::Json("engine must be a string".into()))?
-                            .to_string(),
-                    )
-                }
-                "probability" => {
-                    probability = Some(
-                        val.as_f64()
-                            .ok_or_else(|| UxmError::Json("probability must be a number".into()))?,
-                    )
-                }
-                "mappings" => {
-                    let arr = val
-                        .as_arr()
-                        .ok_or_else(|| UxmError::Json("mappings must be an array".into()))?;
-                    mappings = Some(
-                        arr.iter()
-                            .map(|v| {
-                                v.as_f64().map(|n| MappingId(n as u32)).ok_or_else(|| {
-                                    UxmError::Json("mapping ids must be numbers".into())
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                    );
-                }
-                "matches" => {
-                    let arr = val
-                        .as_arr()
-                        .ok_or_else(|| UxmError::Json("matches must be an array".into()))?;
-                    matches = Some(
-                        arr.iter()
-                            .map(|m| {
-                                let nodes = m
-                                    .as_arr()
-                                    .ok_or_else(|| {
-                                        UxmError::Json("a match must be an array".into())
-                                    })?
-                                    .iter()
-                                    .map(|n| {
-                                        n.as_f64().map(|n| DocNodeId(n as u32)).ok_or_else(|| {
-                                            UxmError::Json("match nodes must be numbers".into())
-                                        })
-                                    })
-                                    .collect::<Result<Vec<_>, _>>()?;
-                                Ok(TwigMatch { nodes })
-                            })
-                            .collect::<Result<Vec<_>, UxmError>>()?,
-                    );
-                }
-                other => return Err(UxmError::Json(format!("unknown answer member {other:?}"))),
-            }
-        }
-        match (engine, probability, mappings, matches) {
-            (Some(engine), Some(probability), Some(mappings), Some(matches)) => Ok(TopKAnswer {
-                engine,
-                probability,
-                mappings,
-                matches,
-            }),
-            _ => Err(UxmError::Json(
-                "top-k answer needs engine, mappings, matches, probability".into(),
-            )),
-        }
-    }
 }
 
 /// Sorts `answers` by the **pinned cross-engine total order** and keeps
@@ -315,297 +226,125 @@ pub fn merge_topk(mut answers: Vec<TopKAnswer>, k: usize) -> Vec<TopKAnswer> {
     answers
 }
 
-/// The parsed body of `POST /topk`:
-/// `{"engines":[…],"query":{…}}` with `engines` optional (default: all
-/// known engines) and `query` required to be a top-k query.
-pub struct TopKRequest {
-    /// Explicit engine names, when given.
-    pub engines: Option<Vec<String>>,
-    /// The top-k query to run on each engine.
-    pub query: Query,
-    /// The query's `k`.
-    pub k: usize,
-}
+// ---------------------------------------------------------------------
+// cross-engine /topk and /aggregate
 
-impl TopKRequest {
-    /// Strict parse (unknown members rejected, like the rest of the
-    /// wire format).
-    pub fn from_json_str(body: &str) -> Result<TopKRequest, UxmError> {
-        let parsed = Json::parse(body)?;
-        let Json::Obj(members) = &parsed else {
-            return Err(UxmError::Json("topk body must be an object".into()));
-        };
-        let mut engines = None;
-        let mut query = None;
-        for (key, value) in members {
-            match key.as_str() {
-                "engines" => {
-                    let arr = value.as_arr().ok_or_else(|| {
-                        UxmError::Json("engines must be an array of names".into())
-                    })?;
-                    engines = Some(
-                        arr.iter()
-                            .map(|v| {
-                                v.as_str().map(str::to_string).ok_or_else(|| {
-                                    UxmError::Json("engine names must be strings".into())
-                                })
+/// Parses a `/topk` or `/aggregate` body, `{"engines":[…],"query":{…}}`
+/// with `engines` optional, strictly (unknown members rejected, like the
+/// rest of the wire format). `endpoint` names the route in errors.
+fn parse_fan_out(body: &str, endpoint: &str) -> Result<(Option<Vec<String>>, Query), UxmError> {
+    let parsed = Json::parse(body)?;
+    let Json::Obj(members) = &parsed else {
+        return Err(UxmError::Json(format!("{endpoint} body must be an object")));
+    };
+    let mut engines = None;
+    let mut query = None;
+    for (key, value) in members {
+        match key.as_str() {
+            "engines" => {
+                let arr = value
+                    .as_arr()
+                    .ok_or_else(|| UxmError::Json("engines must be an array of names".into()))?;
+                engines = Some(
+                    arr.iter()
+                        .map(|v| {
+                            v.as_str().map(str::to_string).ok_or_else(|| {
+                                UxmError::Json("engine names must be strings".into())
                             })
-                            .collect::<Result<Vec<String>, _>>()?,
-                    );
-                }
-                "query" => query = Some(Query::from_json(value)?),
-                other => return Err(UxmError::Json(format!("unknown topk member {other:?}"))),
+                        })
+                        .collect::<Result<Vec<String>, _>>()?,
+                );
+            }
+            "query" => query = Some(Query::from_json(value)?),
+            other => {
+                return Err(UxmError::Json(format!(
+                    "unknown {endpoint} member {other:?}"
+                )))
             }
         }
-        let query = query.ok_or_else(|| UxmError::Json("topk body needs a \"query\"".into()))?;
-        let Query::TopK { k, .. } = &query else {
-            return Err(UxmError::InvalidQuery(
-                "the /topk endpoint needs a top-k query (kind \"topk\")".into(),
-            ));
-        };
-        let k = *k;
-        Ok(TopKRequest { engines, query, k })
     }
+    let query =
+        query.ok_or_else(|| UxmError::Json(format!("{endpoint} body needs a \"query\"")))?;
+    Ok((engines, query))
+}
 
-    /// The canonical sub-request body the router sends each shard:
-    /// the same query with an explicit (sorted) engine subset.
-    fn sub_body(&self, names: &[String]) -> String {
-        Json::Obj(vec![
-            (
-                "engines".into(),
-                Json::Arr(names.iter().map(|n| Json::str(n.as_str())).collect()),
-            ),
-            ("query".into(), self.query.to_json()),
-        ])
-        .to_string()
+/// The engines a `/topk` or `/aggregate` request walks: its explicit
+/// list sorted and deduplicated — so the first missing name, and with
+/// it the error, is the same at every shard count — or, when the list
+/// is omitted, every known engine.
+fn fan_out_names(engines: &dyn Engines, explicit: Option<Vec<String>>) -> Vec<String> {
+    match explicit {
+        Some(mut names) => {
+            names.sort();
+            names.dedup();
+            names
+        }
+        None => engines.known_names(),
     }
 }
 
-/// Renders the canonical `/topk` response body
-/// (`{"answers":[…],"k":…}`).
-fn topk_body(answers: &[TopKAnswer], k: usize) -> String {
-    Json::Obj(vec![
+/// `POST /topk`: runs one top-k query on every requested engine, in
+/// name order, and renders the best `k` answers under [`merge_topk`]
+/// as `{"answers":[…],"k":…}`.
+pub(crate) fn topk(engines: &dyn Engines, body: &str) -> Result<String, UxmError> {
+    let (names, query) = parse_fan_out(body, "topk")?;
+    let Query::TopK { k, .. } = query else {
+        return Err(UxmError::InvalidQuery(
+            "the /topk endpoint needs a top-k query (kind \"topk\")".into(),
+        ));
+    };
+    let mut all = Vec::new();
+    for name in fan_out_names(engines, names) {
+        let response = engines.fetch(&name)?.run(&query)?;
+        all.extend(response.answers.into_iter().map(|a| TopKAnswer {
+            engine: name.clone(),
+            probability: a.probability,
+            mappings: a.mappings,
+            matches: a.matches,
+        }));
+    }
+    Ok(Json::Obj(vec![
         (
             "answers".into(),
-            Json::Arr(answers.iter().map(TopKAnswer::to_json).collect()),
+            Json::Arr(merge_topk(all, k).iter().map(TopKAnswer::to_json).collect()),
         ),
         ("k".into(), Json::uint(k as u64)),
     ])
-    .to_string()
+    .to_string())
 }
 
-/// Evaluates a `/topk` request against one registry — the
-/// single-registry server's handler, and what each shard runs for the
-/// router's fan-out. Engines are resolved in sorted, deduplicated name
-/// order (so failures are deterministic), evaluated one by one, and
-/// merged with [`merge_topk`].
-pub(crate) fn topk_over_registry(
-    registry: &EngineRegistry,
-    body: &str,
-) -> Result<String, UxmError> {
-    let request = TopKRequest::from_json_str(body)?;
-    let names = match &request.engines {
-        Some(explicit) => {
-            let mut names = explicit.clone();
-            names.sort();
-            names.dedup();
-            names
-        }
-        None => known_names(registry),
+/// `POST /aggregate`: runs one aggregate query on every requested
+/// engine, in name order, and renders the per-engine entries in that
+/// order together with the fleet value [`merge_marginals`] folds over
+/// it: `{"engines":[…],"func":…,"value":…}`. Documented in
+/// `docs/wire-format.md`.
+pub(crate) fn aggregate(engines: &dyn Engines, body: &str) -> Result<String, UxmError> {
+    let (names, query) = parse_fan_out(body, "aggregate")?;
+    let Query::Aggregate { func, .. } = query else {
+        return Err(UxmError::InvalidQuery(
+            "the /aggregate endpoint needs an aggregate query (kind \"aggregate\")".into(),
+        ));
     };
-    let mut all = Vec::new();
-    for name in &names {
-        let engine = registry.fetch(name)?;
-        let response = engine.run(&request.query)?;
-        all.extend(response.answers.iter().map(|a| TopKAnswer {
-            engine: name.clone(),
-            probability: a.probability,
-            mappings: a.mappings.clone(),
-            matches: a.matches.clone(),
-        }));
-    }
-    Ok(topk_body(&merge_topk(all, request.k), request.k))
-}
-
-// ---------------------------------------------------------------------
-// cross-shard aggregates
-
-/// The parsed body of `POST /aggregate`:
-/// `{"engines":[…],"query":{…}}` with `engines` optional (default: all
-/// known engines) and `query` required to be an aggregate query.
-pub struct AggregateRequest {
-    /// Explicit engine names, when given.
-    pub engines: Option<Vec<String>>,
-    /// The aggregate query to run on each engine.
-    pub query: Query,
-    /// The query's aggregate function.
-    pub func: AggFunc,
-}
-
-impl AggregateRequest {
-    /// Strict parse (unknown members rejected, like the rest of the
-    /// wire format).
-    pub fn from_json_str(body: &str) -> Result<AggregateRequest, UxmError> {
-        let parsed = Json::parse(body)?;
-        let Json::Obj(members) = &parsed else {
-            return Err(UxmError::Json("aggregate body must be an object".into()));
-        };
-        let mut engines = None;
-        let mut query = None;
-        for (key, value) in members {
-            match key.as_str() {
-                "engines" => {
-                    let arr = value.as_arr().ok_or_else(|| {
-                        UxmError::Json("engines must be an array of names".into())
-                    })?;
-                    engines = Some(
-                        arr.iter()
-                            .map(|v| {
-                                v.as_str().map(str::to_string).ok_or_else(|| {
-                                    UxmError::Json("engine names must be strings".into())
-                                })
-                            })
-                            .collect::<Result<Vec<String>, _>>()?,
-                    );
-                }
-                "query" => query = Some(Query::from_json(value)?),
-                other => {
-                    return Err(UxmError::Json(format!(
-                        "unknown aggregate member {other:?}"
-                    )))
-                }
-            }
-        }
-        let query =
-            query.ok_or_else(|| UxmError::Json("aggregate body needs a \"query\"".into()))?;
-        let Query::Aggregate { func, .. } = &query else {
-            return Err(UxmError::InvalidQuery(
-                "the /aggregate endpoint needs an aggregate query (kind \"aggregate\")".into(),
-            ));
-        };
-        let func = *func;
-        Ok(AggregateRequest {
-            engines,
-            query,
-            func,
-        })
-    }
-
-    /// The canonical sub-request body the router sends each shard:
-    /// the same query with an explicit (sorted) engine subset.
-    fn sub_body(&self, names: &[String]) -> String {
-        Json::Obj(vec![
-            (
-                "engines".into(),
-                Json::Arr(names.iter().map(|n| Json::str(n.as_str())).collect()),
-            ),
-            ("query".into(), self.query.to_json()),
-        ])
-        .to_string()
-    }
-}
-
-/// One engine's contribution to a `/aggregate` response, as parsed
-/// back by the router's cross-shard merge.
-struct AggregateEntry {
-    /// The engine name (the merge's fold order is name ascending).
-    name: String,
-    /// That engine's marginal, `null` on the wire when undefined.
-    marginal: Option<f64>,
-    /// The entry's canonical JSON, re-emitted verbatim in the merged
-    /// body.
-    json: Json,
-}
-
-impl AggregateEntry {
-    fn from_json(value: &Json) -> Result<AggregateEntry, UxmError> {
-        let name = value
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| UxmError::Json("aggregate entry needs an \"engine\" name".into()))?
-            .to_string();
-        let marginal = match value.get("marginal") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_f64()
-                    .ok_or_else(|| UxmError::Json("marginal must be a number or null".into()))?,
-            ),
-        };
-        Ok(AggregateEntry {
-            name,
-            marginal,
-            json: value.clone(),
-        })
-    }
-}
-
-/// Renders the canonical `/aggregate` response body
-/// (`{"engines":[…],"func":…,"value":…}`). `entries` must already be
-/// in engine-name-ascending order; `value` is the fleet-wide merge of
-/// their marginals, folded in that same order by [`merge_marginals`] —
-/// recomputed from the entries at every hop, **never** from per-shard
-/// partial values, so a sharded response is byte-identical to an
-/// unsharded one. Documented in `docs/wire-format.md`.
-fn aggregate_body(entries: Vec<AggregateEntry>, func: AggFunc) -> String {
-    let value = merge_marginals(func, entries.iter().map(|e| e.marginal));
-    Json::Obj(vec![
-        (
-            "engines".into(),
-            Json::Arr(entries.into_iter().map(|e| e.json).collect()),
-        ),
-        ("func".into(), Json::str(func.wire_name())),
-        ("value".into(), opt_num(value)),
-    ])
-    .to_string()
-}
-
-/// Evaluates a `/aggregate` request against one registry — the
-/// single-registry server's handler, and what each shard runs for the
-/// router's fan-out. Engines are resolved in sorted, deduplicated name
-/// order, evaluated one by one, and their marginals folded with
-/// [`merge_marginals`] in that order.
-pub(crate) fn aggregate_over_registry(
-    registry: &EngineRegistry,
-    body: &str,
-) -> Result<String, UxmError> {
-    let request = AggregateRequest::from_json_str(body)?;
-    let names = match &request.engines {
-        Some(explicit) => {
-            let mut names = explicit.clone();
-            names.sort();
-            names.dedup();
-            names
-        }
-        None => known_names(registry),
-    };
+    let mut marginals = Vec::new();
     let mut entries = Vec::new();
-    for name in &names {
-        let engine = registry.fetch(name)?;
-        let response = engine.run(&request.query)?;
+    for name in fan_out_names(engines, names) {
+        let response = engines.fetch(&name)?.run(&query)?;
         let agg = response.aggregate.ok_or_else(|| {
             UxmError::Internal("aggregate query returned no aggregate block".into())
         })?;
-        entries.push(AggregateEntry {
-            name: name.clone(),
-            marginal: agg.marginal,
-            json: Json::Obj(vec![
-                ("engine".into(), Json::str(name.as_str())),
-                ("marginal".into(), opt_num(agg.marginal)),
-                ("rows".into(), agg.rows_json()),
-            ]),
-        });
+        marginals.push(agg.marginal);
+        entries.push(Json::Obj(vec![
+            ("engine".into(), Json::str(name)),
+            ("marginal".into(), opt_num(agg.marginal)),
+            ("rows".into(), agg.rows_json()),
+        ]));
     }
-    Ok(aggregate_body(entries, request.func))
-}
-
-/// Every name `registry` can serve: resident engines plus hydratable
-/// snapshots, sorted and deduplicated.
-fn known_names(registry: &EngineRegistry) -> Vec<String> {
-    let mut names = registry.names();
-    names.extend(registry.snapshot_names());
-    names.sort();
-    names.dedup();
-    names
+    Ok(Json::Obj(vec![
+        ("engines".into(), Json::Arr(entries)),
+        ("func".into(), Json::str(func.wire_name())),
+        ("value".into(), opt_num(merge_marginals(func, marginals))),
+    ])
+    .to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -614,7 +353,7 @@ fn known_names(registry: &EngineRegistry) -> Vec<String> {
 /// Router tuning knobs.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// How many shards to spawn at start. Must be at least 1.
+    /// How many shards to create at start. Must be at least 1.
     pub shards: usize,
     /// Virtual nodes per shard on the [`Ring`]. Default 64.
     pub vnodes: usize,
@@ -622,10 +361,9 @@ pub struct RouterConfig {
     /// [`RegistryConfig::memory_budget`] is **per shard**, so a cluster
     /// budget of B over N shards wants `B / N` here.
     pub registry: RegistryConfig,
-    /// The per-shard server configuration (workers, queue depth,
-    /// per-client cap enforced on the forwarded identity, …).
-    /// `trust_forwarded_client` is forced on and `debug_panic_route`
-    /// off, whatever this says.
+    /// Unused: shards are in-process registries with no server of their
+    /// own, so nothing reads this field. It is kept so that existing
+    /// callers that set it still compile.
     pub shard_server: ServerConfig,
 }
 
@@ -635,662 +373,71 @@ impl Default for RouterConfig {
             shards: 2,
             vnodes: 64,
             registry: RegistryConfig::default(),
-            shard_server: ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
+            shard_server: ServerConfig::default(),
         }
     }
 }
 
-/// Pooled internal connections kept per shard.
-const POOL_MAX: usize = 8;
-
-/// One shard: a loopback [`Server`] over its own registry.
+/// One shard: a registry with its own budget, LRU and thrash gate.
 struct Shard {
     /// Monotonic, never reused — removed ids stay dead.
     id: u64,
-    registry: Arc<EngineRegistry>,
-    addr: SocketAddr,
-    handle: Mutex<Option<ServerHandle>>,
-    /// Idle internal connections, reused across requests.
-    pool: Mutex<Vec<Client>>,
+    registry: EngineRegistry,
 }
 
-/// The shard set and its ring, swapped atomically per epoch.
+/// One epoch's shard set and its ring. A rebalance publishes a new
+/// `State`; a request keeps the one it started under.
 struct State {
     shards: Vec<Arc<Shard>>,
     ring: Ring,
 }
 
-/// The scatter-gather front over N shard registries. See the module
-/// docs for the architecture; construct with [`Router::start`], serve
-/// with [`Router::bind`], reshape with [`Router::add_shard`] /
-/// [`Router::remove_shard`].
-pub struct Router {
-    snapshot_dir: PathBuf,
-    config: RouterConfig,
-    state: RwLock<State>,
-    next_id: AtomicU64,
-}
-
-impl Router {
-    /// Spawns `config.shards` shard servers over `snapshot_dir` (every
-    /// shard hydrates from the same directory) and builds the ring.
-    pub fn start(
-        snapshot_dir: impl Into<PathBuf>,
-        config: RouterConfig,
-    ) -> Result<Arc<Router>, UxmError> {
-        if config.shards == 0 {
-            return Err(UxmError::Usage("a router needs at least 1 shard".into()));
-        }
-        let vnodes = config.vnodes.max(1);
-        let router = Arc::new(Router {
-            snapshot_dir: snapshot_dir.into(),
-            config,
-            state: RwLock::new(State {
-                shards: Vec::new(),
-                ring: Ring::build(&[], vnodes),
-            }),
-            next_id: AtomicU64::new(0),
-        });
-        let mut shards = Vec::new();
-        for _ in 0..router.config.shards {
-            shards.push(router.spawn_shard()?);
-        }
+impl State {
+    fn new(shards: Vec<Arc<Shard>>, vnodes: usize) -> State {
         let ids: Vec<u64> = shards.iter().map(|s| s.id).collect();
-        *sync::write(&router.state) = State {
+        State {
             ring: Ring::build(&ids, vnodes),
             shards,
-        };
-        Ok(router)
-    }
-
-    /// Binds the front server on `addr`. The front faces real clients,
-    /// so `trust_forwarded_client` is forced **off** regardless of
-    /// `config`; the router itself forwards each client's identity on
-    /// the internal hop.
-    pub fn bind(
-        self: &Arc<Self>,
-        addr: impl std::net::ToSocketAddrs + std::fmt::Display,
-        mut config: ServerConfig,
-    ) -> Result<Server, UxmError> {
-        config.trust_forwarded_client = false;
-        Server::bind_handler(
-            Arc::new(RouterHandler {
-                router: Arc::clone(self),
-            }),
-            addr,
-            config,
-        )
-    }
-
-    fn spawn_shard(&self) -> Result<Arc<Shard>, UxmError> {
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let registry = Arc::new(
-            EngineRegistry::with_config(self.config.registry.clone())
-                .snapshot_dir(&self.snapshot_dir),
-        );
-        let mut server_config = self.config.shard_server.clone();
-        server_config.trust_forwarded_client = true;
-        server_config.debug_panic_route = false;
-        let server = Server::bind_handler(
-            Arc::new(RegistryHandler {
-                registry: Arc::clone(&registry),
-            }),
-            "127.0.0.1:0",
-            server_config,
-        )?;
-        let addr = server.local_addr();
-        let handle = server.start();
-        Ok(Arc::new(Shard {
-            id,
-            registry,
-            addr,
-            handle: Mutex::new(Some(handle)),
-            pool: Mutex::new(Vec::new()),
-        }))
-    }
-
-    /// Current shard ids, ascending.
-    pub fn shard_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = sync::read(&self.state)
-            .shards
-            .iter()
-            .map(|s| s.id)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Current shard count.
-    pub fn shard_count(&self) -> usize {
-        sync::read(&self.state).shards.len()
-    }
-
-    /// `(id, loopback address)` per shard — how tests reach a shard
-    /// server directly.
-    pub fn shard_addrs(&self) -> Vec<(u64, SocketAddr)> {
-        let mut addrs: Vec<(u64, SocketAddr)> = sync::read(&self.state)
-            .shards
-            .iter()
-            .map(|s| (s.id, s.addr))
-            .collect();
-        addrs.sort_unstable_by_key(|&(id, _)| id);
-        addrs
-    }
-
-    /// Per-shard registry accounting, ascending by shard id — what the
-    /// soak harness samples for per-shard footprint and shed counters.
-    pub fn shard_stats(&self) -> Vec<(u64, RegistryStats)> {
-        let mut stats: Vec<(u64, RegistryStats)> = sync::read(&self.state)
-            .shards
-            .iter()
-            .map(|s| (s.id, s.registry.stats()))
-            .collect();
-        stats.sort_unstable_by_key(|&(id, _)| id);
-        stats
-    }
-
-    /// The shard currently owning `name`.
-    pub fn owner(&self, name: &str) -> u64 {
-        sync::read(&self.state).ring.owner(name)
-    }
-
-    /// Every name the cluster can serve (resident anywhere or
-    /// snapshotted), sorted.
-    pub fn known_names(&self) -> Vec<String> {
-        let st = sync::read(&self.state);
-        let mut names: Vec<String> = st.shards.iter().flat_map(|s| s.registry.names()).collect();
-        if let Some(first) = st.shards.first() {
-            names.extend(first.registry.snapshot_names());
-        }
-        drop(st);
-        names.sort();
-        names.dedup();
-        names
-    }
-
-    /// Adds one shard: spawns it, rebuilds the ring, and drops
-    /// now-misplaced residents so the new owners re-hydrate from the
-    /// shared snapshot directory on first touch. Returns the new
-    /// shard's id.
-    pub fn add_shard(&self) -> Result<u64, UxmError> {
-        let shard = self.spawn_shard()?;
-        let id = shard.id;
-        let mut st = sync::write(&self.state);
-        st.shards.push(shard);
-        let ids: Vec<u64> = st.shards.iter().map(|s| s.id).collect();
-        st.ring = Ring::build(&ids, self.config.vnodes.max(1));
-        Self::drop_misplaced(&st);
-        Ok(id)
-    }
-
-    /// Removes shard `id`: rebuilds the ring without it, drops
-    /// misplaced residents, then shuts the shard's server down
-    /// (gracefully, outside the state lock). In-flight requests routed
-    /// to the removed shard fail the internal hop and are retried once
-    /// against the fresh ring. The last shard cannot be removed.
-    pub fn remove_shard(&self, id: u64) -> Result<(), UxmError> {
-        let removed = {
-            let mut st = sync::write(&self.state);
-            if st.shards.len() <= 1 {
-                return Err(UxmError::Usage("cannot remove the last shard".into()));
-            }
-            let Some(pos) = st.shards.iter().position(|s| s.id == id) else {
-                return Err(UxmError::ShardUnavailable {
-                    shard: id,
-                    reason: "no such shard".into(),
-                });
-            };
-            let removed = st.shards.remove(pos);
-            let ids: Vec<u64> = st.shards.iter().map(|s| s.id).collect();
-            st.ring = Ring::build(&ids, self.config.vnodes.max(1));
-            Self::drop_misplaced(&st);
-            removed
-        };
-        // Drop pooled connections first so the server's workers see the
-        // closes and exit promptly.
-        sync::lock(&removed.pool).clear();
-        if let Some(handle) = sync::lock(&removed.handle).take() {
-            handle.shutdown();
-        }
-        Ok(())
-    }
-
-    /// Shuts every shard server down (graceful). The front server's
-    /// handle is owned by the caller of [`Router::bind`].
-    pub fn shutdown(&self) {
-        let shards: Vec<Arc<Shard>> = sync::read(&self.state).shards.clone();
-        for shard in shards {
-            sync::lock(&shard.pool).clear();
-            if let Some(handle) = sync::lock(&shard.handle).take() {
-                handle.shutdown();
-            }
         }
     }
 
-    /// Evicts residents from shards that no longer own them under the
-    /// current ring (the re-hydration half of a rebalance is lazy).
-    fn drop_misplaced(st: &State) {
-        for shard in &st.shards {
+    /// The index into `shards` of the shard owning `name`.
+    fn owner_index(&self, name: &str) -> usize {
+        let id = self.ring.owner(name);
+        self.shards
+            .iter()
+            .position(|s| s.id == id)
+            .expect("ring ids are current shards")
+    }
+
+    /// Evicts residents from shards that no longer own them under this
+    /// ring (the re-hydration half of a rebalance is lazy).
+    fn drop_misplaced(&self) {
+        for shard in &self.shards {
             for name in shard.registry.names() {
-                if st.ring.owner(&name) != shard.id {
+                if self.ring.owner(&name) != shard.id {
                     shard.registry.remove(&name);
                 }
             }
         }
     }
 
-    // -- the internal hop ---------------------------------------------
-
-    /// One request over the internal hop to `shard`, forwarding the
-    /// original client identity. Pools idle connections; a transport
-    /// failure on a (possibly stale) pooled connection is retried once
-    /// on a fresh one before reporting the shard unavailable.
-    fn call_shard(
-        &self,
-        shard: &Shard,
-        path: &str,
-        body: Option<&str>,
-        forward: Option<IpAddr>,
-    ) -> Result<(u16, String), UxmError> {
-        let unavailable = |e: &UxmError| UxmError::ShardUnavailable {
-            shard: shard.id,
-            reason: e.to_string(),
-        };
-        for fresh in [false, true] {
-            let pooled = if fresh {
-                None
-            } else {
-                sync::lock(&shard.pool).pop()
-            };
-            let mut client = match pooled {
-                Some(client) => client,
-                None => match Client::connect(shard.addr) {
-                    Ok(client) => client,
-                    Err(e) if fresh => return Err(unavailable(&e)),
-                    Err(_) => continue,
-                },
-            };
-            client.set_forward_client(forward);
-            let result = match body {
-                Some(body) => client.post(path, body),
-                None => client.get(path),
-            };
-            match result {
-                Ok((status, response)) => {
-                    // Only pool connections the shard will keep open:
-                    // error paths (shed, rebind refusal, panic) close.
-                    if status < 400 {
-                        let mut pool = sync::lock(&shard.pool);
-                        if pool.len() < POOL_MAX {
-                            client.set_forward_client(None);
-                            pool.push(client);
-                        }
-                    }
-                    return Ok((status, response));
-                }
-                Err(e) if fresh => return Err(unavailable(&e)),
-                Err(_) => {}
-            }
-        }
-        unreachable!("second attempt returns")
-    }
-
-    /// `POST /query/<engine>`: forward to the owner, relay verbatim.
-    /// A hop failure re-resolves the ring once (the owner may have
-    /// just been removed) before reporting 503.
-    fn proxy_query(&self, name: &str, body: &str, forward: Option<IpAddr>) -> (u16, String) {
-        let path = format!("/query/{name}");
-        let mut last = None;
-        for _ in 0..2 {
-            let shard = {
-                let st = sync::read(&self.state);
-                let id = st.ring.owner(name);
-                st.shards
-                    .iter()
-                    .find(|s| s.id == id)
-                    .cloned()
-                    .expect("ring ids are current shards")
-            };
-            match self.call_shard(&shard, &path, Some(body), forward) {
-                Ok(response) => return response,
-                Err(e) => last = Some(e),
-            }
-        }
-        let e = last.expect("loop ran");
-        (status_for(&e), error_body(&e))
-    }
-
-    /// `POST /batch`: split by owner, fan out concurrently, splice the
-    /// per-shard results back in request order. A shard-level refusal
-    /// (non-200) fails the whole batch with that shard's typed body; a
-    /// hop failure retries the whole batch once against the fresh ring.
-    fn proxy_batch(&self, body: &str, forward: Option<IpAddr>) -> (u16, String) {
-        let inner = || -> Result<(u16, String), UxmError> {
-            let parsed = Json::parse(body)?;
-            let items = parsed
-                .as_arr()
-                .ok_or_else(|| UxmError::Json("batch body must be a JSON array".into()))?;
-            let queries = items
-                .iter()
-                .map(BatchQuery::from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut last = None;
-            'attempt: for _ in 0..2 {
-                // Group request indices by owning shard, preserving
-                // request order within each group.
-                let mut groups: Vec<(Arc<Shard>, Vec<usize>)> = Vec::new();
-                {
-                    let st = sync::read(&self.state);
-                    for (i, q) in queries.iter().enumerate() {
-                        let id = st.ring.owner(&q.engine);
-                        match groups.iter_mut().find(|(s, _)| s.id == id) {
-                            Some((_, idxs)) => idxs.push(i),
-                            None => {
-                                let shard = st
-                                    .shards
-                                    .iter()
-                                    .find(|s| s.id == id)
-                                    .cloned()
-                                    .expect("ring ids are current shards");
-                                groups.push((shard, vec![i]));
-                            }
-                        }
-                    }
-                }
-                let bodies: Vec<String> = groups
-                    .iter()
-                    .map(|(_, idxs)| {
-                        Json::Arr(idxs.iter().map(|&i| queries[i].to_json()).collect()).to_string()
-                    })
-                    .collect();
-                let results: Vec<Result<(u16, String), UxmError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .iter()
-                        .zip(&bodies)
-                        .map(|((shard, _), sub)| {
-                            scope
-                                .spawn(move || self.call_shard(shard, "/batch", Some(sub), forward))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|_| {
-                                Err(UxmError::Internal("batch fan-out thread panicked".into()))
-                            })
-                        })
-                        .collect()
-                });
-                let mut out: Vec<Option<Json>> = (0..queries.len()).map(|_| None).collect();
-                for ((shard, idxs), result) in groups.iter().zip(results) {
-                    match result {
-                        Err(e @ UxmError::ShardUnavailable { .. }) => {
-                            last = Some(e);
-                            continue 'attempt;
-                        }
-                        Err(e) => return Err(e),
-                        Ok((200, sub_body)) => {
-                            let sub = Json::parse(&sub_body)?;
-                            let list =
-                                sub.get("results").and_then(Json::as_arr).ok_or_else(|| {
-                                    UxmError::Internal(format!(
-                                        "shard {} returned a malformed batch body",
-                                        shard.id
-                                    ))
-                                })?;
-                            if list.len() != idxs.len() {
-                                return Err(UxmError::Internal(format!(
-                                    "shard {} returned {} results for {} requests",
-                                    shard.id,
-                                    list.len(),
-                                    idxs.len()
-                                )));
-                            }
-                            for (&i, item) in idxs.iter().zip(list) {
-                                out[i] = Some(item.clone());
-                            }
-                        }
-                        // A shard-level refusal fails the whole batch
-                        // with the shard's own typed body.
-                        Ok(other) => return Ok(other),
-                    }
-                }
-                let results: Vec<Json> = out.into_iter().map(|r| r.expect("spliced")).collect();
-                return Ok((
-                    200,
-                    Json::Obj(vec![("results".into(), Json::Arr(results))]).to_string(),
-                ));
-            }
-            Err(last.expect("attempts exhausted"))
-        };
-        match inner() {
-            Ok(response) => response,
-            Err(e) => (status_for(&e), error_body(&e)),
-        }
-    }
-
-    /// `POST /topk`: validate names against the cluster's known set,
-    /// fan explicit per-shard subsets out, and [`merge_topk`] the
-    /// shard-local top-k's — exact, because the pinned order is total
-    /// and selection under it is associative.
-    fn proxy_topk(&self, body: &str, forward: Option<IpAddr>) -> (u16, String) {
-        let inner = || -> Result<(u16, String), UxmError> {
-            let request = TopKRequest::from_json_str(body)?;
-            let known = self.known_names();
-            let names = match &request.engines {
-                Some(explicit) => {
-                    let mut names = explicit.clone();
-                    names.sort();
-                    names.dedup();
-                    // Deterministic parity with the single registry,
-                    // which fetches in sorted order and fails on the
-                    // first missing name.
-                    if let Some(missing) = names.iter().find(|n| !known.contains(n)) {
-                        return Err(UxmError::UnknownEngine(missing.clone()));
-                    }
-                    names
-                }
-                None => known,
-            };
-            let mut last = None;
-            'attempt: for _ in 0..2 {
-                let mut groups: Vec<(Arc<Shard>, Vec<String>)> = Vec::new();
-                {
-                    let st = sync::read(&self.state);
-                    for name in &names {
-                        let id = st.ring.owner(name);
-                        match groups.iter_mut().find(|(s, _)| s.id == id) {
-                            Some((_, group)) => group.push(name.clone()),
-                            None => {
-                                let shard = st
-                                    .shards
-                                    .iter()
-                                    .find(|s| s.id == id)
-                                    .cloned()
-                                    .expect("ring ids are current shards");
-                                groups.push((shard, vec![name.clone()]));
-                            }
-                        }
-                    }
-                }
-                let bodies: Vec<String> = groups.iter().map(|(_, g)| request.sub_body(g)).collect();
-                let results: Vec<Result<(u16, String), UxmError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .iter()
-                        .zip(&bodies)
-                        .map(|((shard, _), sub)| {
-                            scope.spawn(move || self.call_shard(shard, "/topk", Some(sub), forward))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|_| {
-                                Err(UxmError::Internal("topk fan-out thread panicked".into()))
-                            })
-                        })
-                        .collect()
-                });
-                let mut all = Vec::new();
-                for ((shard, _), result) in groups.iter().zip(results) {
-                    match result {
-                        Err(e @ UxmError::ShardUnavailable { .. }) => {
-                            last = Some(e);
-                            continue 'attempt;
-                        }
-                        Err(e) => return Err(e),
-                        Ok((200, sub_body)) => {
-                            let sub = Json::parse(&sub_body)?;
-                            let answers =
-                                sub.get("answers").and_then(Json::as_arr).ok_or_else(|| {
-                                    UxmError::Internal(format!(
-                                        "shard {} returned a malformed topk body",
-                                        shard.id
-                                    ))
-                                })?;
-                            for a in answers {
-                                all.push(TopKAnswer::from_json(a)?);
-                            }
-                        }
-                        Ok(other) => return Ok(other),
-                    }
-                }
-                let merged = merge_topk(all, request.k);
-                return Ok((200, topk_body(&merged, request.k)));
-            }
-            Err(last.expect("attempts exhausted"))
-        };
-        match inner() {
-            Ok(response) => response,
-            Err(e) => (status_for(&e), error_body(&e)),
-        }
-    }
-
-    /// `POST /aggregate`: validate names against the cluster's known
-    /// set, fan explicit per-shard subsets out, concatenate the
-    /// per-engine entries in name-ascending order, and recompute the
-    /// fleet value with [`merge_marginals`] over that order — never
-    /// from per-shard partial values — so the merged body is
-    /// byte-identical to a single registry's.
-    fn proxy_aggregate(&self, body: &str, forward: Option<IpAddr>) -> (u16, String) {
-        let inner = || -> Result<(u16, String), UxmError> {
-            let request = AggregateRequest::from_json_str(body)?;
-            let known = self.known_names();
-            let names = match &request.engines {
-                Some(explicit) => {
-                    let mut names = explicit.clone();
-                    names.sort();
-                    names.dedup();
-                    if let Some(missing) = names.iter().find(|n| !known.contains(n)) {
-                        return Err(UxmError::UnknownEngine(missing.clone()));
-                    }
-                    names
-                }
-                None => known,
-            };
-            let mut last = None;
-            'attempt: for _ in 0..2 {
-                let mut groups: Vec<(Arc<Shard>, Vec<String>)> = Vec::new();
-                {
-                    let st = sync::read(&self.state);
-                    for name in &names {
-                        let id = st.ring.owner(name);
-                        match groups.iter_mut().find(|(s, _)| s.id == id) {
-                            Some((_, group)) => group.push(name.clone()),
-                            None => {
-                                let shard = st
-                                    .shards
-                                    .iter()
-                                    .find(|s| s.id == id)
-                                    .cloned()
-                                    .expect("ring ids are current shards");
-                                groups.push((shard, vec![name.clone()]));
-                            }
-                        }
-                    }
-                }
-                let bodies: Vec<String> = groups.iter().map(|(_, g)| request.sub_body(g)).collect();
-                let results: Vec<Result<(u16, String), UxmError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .iter()
-                        .zip(&bodies)
-                        .map(|((shard, _), sub)| {
-                            scope.spawn(move || {
-                                self.call_shard(shard, "/aggregate", Some(sub), forward)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|_| {
-                                Err(UxmError::Internal(
-                                    "aggregate fan-out thread panicked".into(),
-                                ))
-                            })
-                        })
-                        .collect()
-                });
-                let mut all: Vec<AggregateEntry> = Vec::new();
-                for ((shard, _), result) in groups.iter().zip(results) {
-                    match result {
-                        Err(e @ UxmError::ShardUnavailable { .. }) => {
-                            last = Some(e);
-                            continue 'attempt;
-                        }
-                        Err(e) => return Err(e),
-                        Ok((200, sub_body)) => {
-                            let sub = Json::parse(&sub_body)?;
-                            let engines =
-                                sub.get("engines").and_then(Json::as_arr).ok_or_else(|| {
-                                    UxmError::Internal(format!(
-                                        "shard {} returned a malformed aggregate body",
-                                        shard.id
-                                    ))
-                                })?;
-                            for e in engines {
-                                all.push(AggregateEntry::from_json(e)?);
-                            }
-                        }
-                        Ok(other) => return Ok(other),
-                    }
-                }
-                all.sort_by(|a, b| a.name.cmp(&b.name));
-                return Ok((200, aggregate_body(all, request.func)));
-            }
-            Err(last.expect("attempts exhausted"))
-        };
-        match inner() {
-            Ok(response) => response,
-            Err(e) => (status_for(&e), error_body(&e)),
-        }
-    }
-
-    // -- observability ------------------------------------------------
-
     /// `GET /shards`: the ring layout plus per-shard ownership and
     /// registry accounting (footprint, evictions, hydrations, shed
     /// hydrations).
     fn shards_body(&self) -> String {
-        let (shards, ring) = {
-            let st = sync::read(&self.state);
-            (st.shards.clone(), st.ring.clone())
-        };
         let known = self.known_names();
-        let mut entries: Vec<(u64, Json)> = shards
+        let mut entries: Vec<(u64, Json)> = self
+            .shards
             .iter()
             .map(|shard| {
                 let stats = shard.registry.stats();
                 let owned: Vec<Json> = known
                     .iter()
-                    .filter(|n| ring.owner(n) == shard.id)
+                    .filter(|n| self.ring.owner(n) == shard.id)
                     .map(|n| Json::str(n.as_str()))
                     .collect();
                 let entry = Json::Obj(vec![
-                    ("addr".into(), Json::str(shard.addr.to_string())),
                     ("engines".into(), Json::Arr(owned)),
                     ("evictions".into(), Json::uint(stats.evictions)),
                     (
@@ -1321,8 +468,8 @@ impl Router {
             (
                 "ring".into(),
                 Json::Obj(vec![
-                    ("points".into(), Json::uint(ring.points() as u64)),
-                    ("vnodes".into(), Json::uint(ring.vnodes() as u64)),
+                    ("points".into(), Json::uint(self.ring.points() as u64)),
+                    ("vnodes".into(), Json::uint(self.ring.vnodes() as u64)),
                 ]),
             ),
             (
@@ -1333,68 +480,58 @@ impl Router {
         .to_string()
     }
 
-    /// The router's `GET /stats`: the front server's own counters plus
-    /// each shard's full stats body (fetched over the internal hop) as
-    /// a per-shard breakdown. An unreachable shard reports `null`.
+    /// The router's `GET /stats`: the front's per-engine and server
+    /// counters, the same `engines` and `server` sections a single
+    /// server reports, plus a `registry` section per shard.
     fn stats_body(&self, stats: &ServerStats) -> String {
-        let front = stats.to_json();
-        let server = front.get("server").cloned().unwrap_or(Json::Null);
-        let shards: Vec<Arc<Shard>> = sync::read(&self.state).shards.clone();
-        let mut entries: Vec<(u64, Json)> = shards
+        let Json::Obj(mut members) = stats.to_json() else {
+            unreachable!("ServerStats::to_json is an object");
+        };
+        let mut entries: Vec<(u64, Json)> = self
+            .shards
             .iter()
             .map(|shard| {
-                let body = match self.call_shard(shard, "/stats", None, None) {
-                    Ok((200, body)) => Json::parse(&body).unwrap_or(Json::Null),
-                    _ => Json::Null,
-                };
-                (
-                    shard.id,
-                    Json::Obj(vec![
-                        ("id".into(), Json::uint(shard.id)),
-                        ("stats".into(), body),
-                    ]),
-                )
+                let entry = Json::Obj(vec![
+                    ("id".into(), Json::uint(shard.id)),
+                    ("registry".into(), registry_json(&shard.registry)),
+                ]);
+                (shard.id, entry)
             })
             .collect();
         entries.sort_by_key(|&(id, _)| id);
-        Json::Obj(vec![
-            ("server".into(), server),
-            (
-                "shards".into(),
-                Json::Arr(entries.into_iter().map(|(_, e)| e).collect()),
-            ),
-        ])
-        .to_string()
+        // Keys stay alphabetical: engines < server < shards.
+        members.push((
+            "shards".into(),
+            Json::Arr(entries.into_iter().map(|(_, e)| e).collect()),
+        ));
+        Json::Obj(members).to_string()
     }
 
     /// The router's `GET /engines`: every known name with its owning
     /// shard and whether the owner has it resident, plus cluster-wide
-    /// totals.
+    /// totals. Residency is read without touching any LRU stamp, so a
+    /// monitoring poll never changes what is evicted next.
     fn engines_body(&self) -> String {
-        let (shards, ring) = {
-            let st = sync::read(&self.state);
-            (st.shards.clone(), st.ring.clone())
-        };
-        let known = self.known_names();
-        let entries: Vec<Json> = known
+        let resident: Vec<Vec<String>> = self.shards.iter().map(|s| s.registry.names()).collect();
+        let entries: Vec<Json> = self
+            .known_names()
             .iter()
             .map(|name| {
-                let owner = ring.owner(name);
-                let resident = shards
-                    .iter()
-                    .find(|s| s.id == owner)
-                    .is_some_and(|s| s.registry.get(name).is_some());
+                let owner = self.owner_index(name);
                 Json::Obj(vec![
                     ("name".into(), Json::str(name.as_str())),
-                    ("resident".into(), Json::Bool(resident)),
-                    ("shard".into(), Json::uint(owner)),
+                    (
+                        "resident".into(),
+                        Json::Bool(resident[owner].binary_search(name).is_ok()),
+                    ),
+                    ("shard".into(), Json::uint(self.shards[owner].id)),
                 ])
             })
             .collect();
         let mut evictions = 0u64;
         let mut resident_bytes = 0u64;
         let mut unreclaimed = 0u64;
-        for shard in &shards {
+        for shard in &self.shards {
             let stats = shard.registry.stats();
             evictions += stats.evictions;
             resident_bytes += stats.resident_bytes as u64;
@@ -1410,46 +547,213 @@ impl Router {
     }
 }
 
-/// The front server's routing: scatter-gather over the shard set.
-struct RouterHandler {
-    router: Arc<Router>,
+/// Each name is served by its owner's registry.
+impl Engines for State {
+    fn fetch(&self, name: &str) -> Result<Arc<QueryEngine>, UxmError> {
+        self.shards[self.owner_index(name)].registry.fetch(name)
+    }
+
+    /// Splits the batch by owner, runs each group through its shard's
+    /// [`EngineRegistry::batch`] in turn (in order of first appearance),
+    /// and splices the answers back in request order.
+    fn batch(&self, queries: &[BatchQuery]) -> Vec<Result<QueryResponse, UxmError>> {
+        let owners: Vec<usize> = queries
+            .iter()
+            .map(|q| self.owner_index(&q.engine))
+            .collect();
+        let mut order: Vec<usize> = Vec::new();
+        for &owner in &owners {
+            if !order.contains(&owner) {
+                order.push(owner);
+            }
+        }
+        if let [only] = order[..] {
+            return self.shards[only].registry.batch(queries);
+        }
+        let mut out: Vec<Option<Result<QueryResponse, UxmError>>> = vec![None; queries.len()];
+        for owner in order {
+            let idxs: Vec<usize> = (0..queries.len()).filter(|&i| owners[i] == owner).collect();
+            let group: Vec<BatchQuery> = idxs.iter().map(|&i| queries[i].clone()).collect();
+            let answers = self.shards[owner].registry.batch(&group);
+            for (i, answer) in idxs.into_iter().zip(answers) {
+                out[i] = Some(answer);
+            }
+        }
+        out.into_iter()
+            .map(|a| a.expect("every request answered"))
+            .collect()
+    }
+
+    /// Residents of every shard plus the shared directory's snapshots.
+    fn known_names(&self) -> Vec<String> {
+        let mut names: Vec<String> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.registry.names())
+            .collect();
+        if let Some(first) = self.shards.first() {
+            names.extend(first.registry.snapshot_names());
+        }
+        names.sort();
+        names.dedup();
+        names
+    }
 }
 
-impl Handler for RouterHandler {
-    fn handle(
-        &self,
-        stats: &ServerStats,
-        _config: &ServerConfig,
-        client: Option<IpAddr>,
-        request: &Request,
-    ) -> (u16, String) {
+/// The sharded front over N in-process shard registries. See the module
+/// docs for the architecture; construct with [`Router::start`], serve
+/// with [`Router::bind`], reshape with [`Router::add_shard`] /
+/// [`Router::remove_shard`].
+pub struct Router {
+    snapshot_dir: PathBuf,
+    config: RouterConfig,
+    state: RwLock<Arc<State>>,
+    next_id: AtomicU64,
+}
+
+impl Router {
+    /// Creates `config.shards` shard registries over `snapshot_dir`
+    /// (every shard hydrates from the same directory) and builds the
+    /// ring.
+    pub fn start(
+        snapshot_dir: impl Into<PathBuf>,
+        mut config: RouterConfig,
+    ) -> Result<Arc<Router>, UxmError> {
+        if config.shards == 0 {
+            return Err(UxmError::Usage("a router needs at least 1 shard".into()));
+        }
+        config.vnodes = config.vnodes.max(1);
+        let router = Arc::new(Router {
+            snapshot_dir: snapshot_dir.into(),
+            state: RwLock::new(Arc::new(State::new(Vec::new(), config.vnodes))),
+            next_id: AtomicU64::new(0),
+            config,
+        });
+        for _ in 0..router.config.shards {
+            router.add_shard()?;
+        }
+        Ok(router)
+    }
+
+    /// Binds the front server on `addr`; it answers every route in
+    /// process over the shard registries.
+    pub fn bind(
+        self: &Arc<Self>,
+        addr: impl std::net::ToSocketAddrs + std::fmt::Display,
+        config: ServerConfig,
+    ) -> Result<Server, UxmError> {
+        Server::bind_handler(Arc::clone(self) as Arc<dyn Handler>, addr, config)
+    }
+
+    fn new_shard(&self) -> Arc<Shard> {
+        Arc::new(Shard {
+            id: self.next_id.fetch_add(1, Ordering::SeqCst),
+            registry: EngineRegistry::with_config(self.config.registry.clone())
+                .snapshot_dir(&self.snapshot_dir),
+        })
+    }
+
+    /// The current epoch.
+    fn state(&self) -> Arc<State> {
+        Arc::clone(&sync::read(&self.state))
+    }
+
+    /// Current shard ids, ascending.
+    pub fn shard_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self.state().shards.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Current shard count.
+    pub fn shard_count(&self) -> usize {
+        self.state().shards.len()
+    }
+
+    /// Per-shard registry accounting, ascending by shard id — what the
+    /// soak harness samples for per-shard footprint and shed counters.
+    pub fn shard_stats(&self) -> Vec<(u64, RegistryStats)> {
+        let mut stats: Vec<(u64, RegistryStats)> = self
+            .state()
+            .shards
+            .iter()
+            .map(|s| (s.id, s.registry.stats()))
+            .collect();
+        stats.sort_unstable_by_key(|&(id, _)| id);
+        stats
+    }
+
+    /// The shard currently owning `name`.
+    pub fn owner(&self, name: &str) -> u64 {
+        self.state().ring.owner(name)
+    }
+
+    /// Every name the cluster can serve (resident anywhere or
+    /// snapshotted), sorted.
+    pub fn known_names(&self) -> Vec<String> {
+        self.state().known_names()
+    }
+
+    /// Adds one shard: publishes the grown shard set and ring, and drops
+    /// now-misplaced residents so the new owners re-hydrate from the
+    /// shared snapshot directory on first touch. Returns the new
+    /// shard's id.
+    pub fn add_shard(&self) -> Result<u64, UxmError> {
+        let shard = self.new_shard();
+        let id = shard.id;
+        let mut st = sync::write(&self.state);
+        let mut shards = st.shards.clone();
+        shards.push(shard);
+        *st = Arc::new(State::new(shards, self.config.vnodes));
+        st.drop_misplaced();
+        Ok(id)
+    }
+
+    /// Removes shard `id`: publishes the shard set and ring without it
+    /// and drops misplaced residents. A request already holding the old
+    /// epoch finishes on the removed shard's registry. The last shard
+    /// cannot be removed.
+    pub fn remove_shard(&self, id: u64) -> Result<(), UxmError> {
+        let mut st = sync::write(&self.state);
+        if st.shards.len() <= 1 {
+            return Err(UxmError::Usage("cannot remove the last shard".into()));
+        }
+        let Some(pos) = st.shards.iter().position(|s| s.id == id) else {
+            return Err(UxmError::ShardUnavailable {
+                shard: id,
+                reason: "no such shard".into(),
+            });
+        };
+        let mut shards = st.shards.clone();
+        shards.remove(pos);
+        *st = Arc::new(State::new(shards, self.config.vnodes));
+        st.drop_misplaced();
+        Ok(())
+    }
+
+    /// Releases every shard's resident engines; the snapshots on disk
+    /// stay. Shards run no threads of their own, so there is nothing
+    /// else to stop — the front server's handle is owned by the caller
+    /// of [`Router::bind`].
+    pub fn shutdown(&self) {
+        for shard in &self.state().shards {
+            for name in shard.registry.names() {
+                shard.registry.remove(&name);
+            }
+        }
+    }
+}
+
+/// The front server's routing: every route answered in process over
+/// the current epoch's shards.
+impl Handler for Router {
+    fn handle(&self, stats: &ServerStats, request: &Request) -> (u16, String) {
+        let state = self.state();
         match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/shards") => (200, self.router.shards_body()),
-            ("GET", "/stats") => (200, self.router.stats_body(stats)),
-            ("GET", "/engines") => (200, self.router.engines_body()),
-            ("POST", "/topk") => self.router.proxy_topk(&request.body, client),
-            ("POST", "/aggregate") => self.router.proxy_aggregate(&request.body, client),
-            ("POST", "/batch") => self.router.proxy_batch(&request.body, client),
-            ("POST", path) if path.starts_with("/query/") => {
-                let name = &path["/query/".len()..];
-                if name.is_empty() {
-                    let e = UxmError::UnknownEngine(String::new());
-                    return (status_for(&e), error_body(&e));
-                }
-                self.router.proxy_query(name, &request.body, client)
-            }
-            ("GET" | "POST", _) => {
-                let e = UxmError::Usage(format!(
-                    "no route {} {} (POST /query/<engine>, POST /batch, POST /topk, \
-                     POST /aggregate, GET /engines|/stats|/shards|/healthz)",
-                    request.method, request.path
-                ));
-                (404, error_body(&e))
-            }
-            (method, _) => {
-                let e = UxmError::Usage(format!("method {method} not allowed"));
-                (405, error_body(&e))
-            }
+            ("GET", "/shards") => (200, state.shards_body()),
+            ("GET", "/stats") => (200, state.stats_body(stats)),
+            ("GET", "/engines") => (200, state.engines_body()),
+            _ => route_engines(&*state, stats, request, "/engines|/stats|/shards|/healthz"),
         }
     }
 }
@@ -1566,35 +870,31 @@ mod tests {
     }
 
     #[test]
-    fn topk_answer_round_trips_canonically() {
+    fn topk_answer_renders_canonically() {
         let a = TopKAnswer {
             engine: "orders".into(),
             probability: 0.125,
             mappings: vec![MappingId(0), MappingId(3)],
             matches: vec![TwigMatch {
-                nodes: vec![DocNodeId(1), DocNodeId(5)],
+                nodes: vec![uxm_xml::DocNodeId(1), uxm_xml::DocNodeId(5)],
             }],
         };
-        let body = a.to_json().to_string();
         assert_eq!(
-            body,
+            a.to_json().to_string(),
             "{\"engine\":\"orders\",\"mappings\":[0,3],\"matches\":[[1,5]],\"probability\":0.125}"
         );
-        let back = TopKAnswer::from_json(&Json::parse(&body).unwrap()).unwrap();
-        assert_eq!(back, a);
-        assert_eq!(back.to_json().to_string(), body);
     }
 
     #[test]
-    fn topk_request_is_strict() {
-        assert!(TopKRequest::from_json_str("[]").is_err());
-        assert!(TopKRequest::from_json_str("{}").is_err());
-        assert!(TopKRequest::from_json_str("{\"bogus\":1}").is_err());
+    fn fan_out_requests_are_strict() {
+        for body in ["[]", "{}", "{\"bogus\":1}"] {
+            assert!(parse_fan_out(body, "topk").is_err(), "{body}");
+        }
         // A non-topk query is rejected with invalid-query.
         let q = Query::ptq(uxm_twig::TwigPattern::parse("A//B").unwrap());
         let body = Json::Obj(vec![("query".into(), q.to_json())]).to_string();
         assert!(matches!(
-            TopKRequest::from_json_str(&body),
+            topk(&EngineRegistry::new(), &body),
             Err(UxmError::InvalidQuery(_))
         ));
         let q = Query::topk(uxm_twig::TwigPattern::parse("A//B").unwrap(), 5);
@@ -1603,8 +903,8 @@ mod tests {
             ("query".into(), q.to_json()),
         ])
         .to_string();
-        let parsed = TopKRequest::from_json_str(&body).unwrap();
-        assert_eq!(parsed.k, 5);
-        assert_eq!(parsed.engines.as_deref(), Some(&["x".to_string()][..]));
+        let (engines, query) = parse_fan_out(&body, "topk").unwrap();
+        assert_eq!(engines.as_deref(), Some(&["x".to_string()][..]));
+        assert_eq!(query, q);
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! | Route                  | Body in                      | Body out |
 //! |------------------------|------------------------------|----------|
-//! | `POST /query/<engine>` | one [`Query`] | one [`QueryResponse`](crate::api::QueryResponse): `run()`'s response, its `answers` byte-identical to a direct run |
+//! | `POST /query/<engine>` | one [`Query`] | one [`QueryResponse`]: `run()`'s response, its `answers` byte-identical to a direct run |
 //! | `POST /batch`          | JSON array of `{"engine":…,"query":…}` | `{"results":[…]}`, one response or error object per request |
 //! | `POST /topk`           | `{"engines":[…],"query":…}` (top-k query; `engines` optional) | `{"answers":[…],"k":…}` — the best *k* answers across the named (default: all known) engines in the pinned cross-engine order (see [`crate::router`]) |
 //! | `POST /aggregate`      | `{"engines":[…],"query":…}` (aggregate query; `engines` optional) | `{"engines":[…],"func":…,"value":…}` — per-engine rows + marginals in name-ascending order, and the fleet value folded by [`crate::aggregate::merge_marginals`] |
@@ -26,9 +26,9 @@
 //!
 //! The same serving shell (accept loop, worker pool, admission control,
 //! panic containment) also fronts the sharded deployment: a
-//! [`crate::router::Router`] binds it over a scatter-gather handler
-//! instead of a registry, adding `GET /shards` and routing everything
-//! else to per-shard servers over loopback.
+//! [`crate::router::Router`] binds it with its own routing, which
+//! resolves each engine name to its owning shard's in-process registry,
+//! runs the same route code as above, and adds `GET /shards`.
 //!
 //! Failures never panic a worker: every error is a typed
 //! [`UxmError`] rendered as `{"error":{"kind":…,"message":…}}` with the
@@ -53,12 +53,6 @@
 //! * a registry whose working set exceeds its memory budget refuses
 //!   cold hydrations with **503** while evictions are thrashing (see
 //!   [`crate::registry::RegistryConfig::thrash_evictions`]).
-//!
-//! Behind a router, the TCP peer of every shard-bound connection is the
-//! router itself (loopback), so shard servers run with
-//! [`ServerConfig::trust_forwarded_client`] set and bind the per-client
-//! cap to the `x-uxm-client` identity the router forwards with each
-//! request — 429s keep naming the real client, not the hop.
 //!
 //! Shed counts and contained panics are reported in the `"server"`
 //! section of `GET /stats`; registry memory accounting (including
@@ -119,7 +113,8 @@
 
 #![deny(missing_docs)]
 
-use crate::api::Query;
+use crate::api::{Query, QueryResponse};
+use crate::engine::QueryEngine;
 use crate::error::UxmError;
 use crate::json::Json;
 use crate::planner::Evaluator;
@@ -172,18 +167,6 @@ pub struct ServerConfig {
     /// tests and the soak harness can prove that. Off by default and
     /// never enabled by `uxm serve`.
     pub debug_panic_route: bool,
-    /// Trust the `x-uxm-client` request header as the client identity
-    /// for the per-client cap. Meant **only** for servers reached
-    /// exclusively through a trusted hop — the router's internal shard
-    /// servers, whose TCP peer is always the router on loopback. When
-    /// set, connections are not capped at accept time (the identity
-    /// arrives with the first request); instead each request re-binds
-    /// the connection's per-client slot to the forwarded identity, and
-    /// an identity already holding [`ServerConfig::max_conns_per_client`]
-    /// slots is answered with a typed 429. Never enable it on a server
-    /// that untrusted clients can reach directly: the header is
-    /// client-controlled there. Default `false`.
-    pub trust_forwarded_client: bool,
 }
 
 impl Default for ServerConfig {
@@ -196,7 +179,6 @@ impl Default for ServerConfig {
             max_conns_per_client: 256,
             retry_after_ms: 250,
             debug_panic_route: false,
-            trust_forwarded_client: false,
         }
     }
 }
@@ -521,29 +503,20 @@ impl ServerStats {
 /// entry remembers the peer IP so the per-client connection count can
 /// be released when the worker finishes with it.
 struct Queue {
-    conns: VecDeque<(TcpStream, Option<IpAddr>)>,
+    conns: VecDeque<(TcpStream, IpAddr)>,
     /// Set once the accept loop exits; workers drain what is queued,
     /// then stop.
     closed: bool,
 }
 
 /// The routing half of a server: maps one parsed request to a status
-/// and a canonical-JSON body. The registry server
-/// ([`RegistryHandler`]) and the shard router
-/// ([`crate::router::Router`]) plug into the same serving shell
+/// and a canonical-JSON body. A single [`EngineRegistry`] and the shard
+/// router ([`crate::router::Router`]) plug into the same serving shell
 /// (accept loop, worker pool, admission control, panic containment)
-/// through this trait. `client` is the connection's accounting
-/// identity — the TCP peer, or the forwarded identity after a re-bind —
-/// which the router forwards on its internal hop.
+/// through this trait.
 pub(crate) trait Handler: Send + Sync + 'static {
     /// Routes one request.
-    fn handle(
-        &self,
-        stats: &ServerStats,
-        config: &ServerConfig,
-        client: Option<IpAddr>,
-        request: &Request,
-    ) -> (u16, String);
+    fn handle(&self, stats: &ServerStats, request: &Request) -> (u16, String);
 }
 
 struct Shared {
@@ -586,7 +559,7 @@ impl Server {
         addr: impl ToSocketAddrs + std::fmt::Display,
         config: ServerConfig,
     ) -> Result<Server, UxmError> {
-        Server::bind_handler(Arc::new(RegistryHandler { registry }), addr, config)
+        Server::bind_handler(registry, addr, config)
     }
 
     /// [`Server::bind`] over any [`Handler`] — how the router reuses
@@ -710,20 +683,12 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             continue;
         };
         shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-        // Behind a trusted hop the TCP peer is always the router on
-        // loopback; the real identity arrives per request in
-        // `x-uxm-client`, so the cap is enforced at request time
-        // (see `serve_connection`) instead of here.
-        let ip = if shared.config.trust_forwarded_client {
-            None
-        } else {
-            Some(peer.ip())
-        };
+        let ip = peer.ip();
 
         // Per-client fairness: one peer holding its cap's worth of
         // connections gets 429s, not more of the queue.
         let cap = shared.config.max_conns_per_client;
-        if cap > 0 && ip.is_some() && !try_acquire_client(shared, peer.ip()) {
+        if !try_acquire_client(shared, ip) {
             shared.stats.shed_per_client.fetch_add(1, Ordering::Relaxed);
             shed(
                 shared,
@@ -786,8 +751,7 @@ fn try_acquire_client(shared: &Shared, ip: IpAddr) -> bool {
 }
 
 /// Releases one unit of `ip`'s per-client connection count.
-fn release_client(shared: &Shared, ip: Option<IpAddr>) {
-    let Some(ip) = ip else { return };
+fn release_client(shared: &Shared, ip: IpAddr) {
     if shared.config.max_conns_per_client == 0 {
         return;
     }
@@ -821,13 +785,9 @@ fn worker_loop(shared: &Shared) {
             Some((stream, ip)) => {
                 // A panic anywhere in connection handling is contained
                 // to this one connection: the worker survives, and the
-                // per-client count is released either way. The slot may
-                // have been re-bound to a forwarded identity mid-
-                // connection, so the release uses the identity the
-                // connection last held.
-                let mut ip = ip;
+                // per-client count is released either way.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = serve_connection(shared, stream, &mut ip);
+                    let _ = serve_connection(shared, stream);
                 }));
                 release_client(shared, ip);
                 if result.is_err() {
@@ -854,9 +814,6 @@ pub(crate) struct Request {
     pub(crate) path: String,
     pub(crate) body: String,
     keep_alive: bool,
-    /// The `x-uxm-client` header, when present and a valid IP. Only
-    /// honored when [`ServerConfig::trust_forwarded_client`] is set.
-    forwarded_client: Option<IpAddr>,
 }
 
 enum ReadOutcome {
@@ -868,15 +825,9 @@ enum ReadOutcome {
     Reject(u16, UxmError),
 }
 
-/// Serves one connection. `account` is the identity currently holding
-/// this connection's per-client slot: the TCP peer on a normal server,
-/// or (behind a trusted hop) the forwarded identity of the most recent
-/// request — the worker releases whatever it holds on exit.
-fn serve_connection(
-    shared: &Shared,
-    stream: TcpStream,
-    account: &mut Option<IpAddr>,
-) -> std::io::Result<()> {
+/// Serves one connection until the peer closes, the keep-alive budget
+/// runs out, or an error response ends it.
+fn serve_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK)).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -896,44 +847,12 @@ fn serve_connection(
             }
         };
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        // Behind a trusted hop, re-bind this connection's per-client
-        // slot to the forwarded identity so the cap (and its 429s)
-        // keeps naming the real client, not the loopback hop.
-        if shared.config.trust_forwarded_client && shared.config.max_conns_per_client > 0 {
-            if let Some(fwd) = request.forwarded_client {
-                if *account != Some(fwd) {
-                    if try_acquire_client(shared, fwd) {
-                        release_client(shared, *account);
-                        *account = Some(fwd);
-                    } else {
-                        let cap = shared.config.max_conns_per_client;
-                        shared.stats.shed_per_client.fetch_add(1, Ordering::Relaxed);
-                        shared.stats.http_errors.fetch_add(1, Ordering::Relaxed);
-                        let e = UxmError::RateLimited {
-                            reason: format!(
-                                "client {fwd} holds {cap} connections (the per-client cap)"
-                            ),
-                            retry_after_ms: shared.config.retry_after_ms,
-                        };
-                        write_response_with(
-                            &mut writer,
-                            429,
-                            &error_body(&e),
-                            false,
-                            Some(shared.config.retry_after_ms),
-                        )?;
-                        return Ok(());
-                    }
-                }
-            }
-        }
         let mut keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
         // A handler panic is contained to this one request: the worker
         // answers a typed 500 and keeps serving (the shared locks are
         // poison-tolerant, so other workers never notice).
-        let client = *account;
         let (status, body) = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            route(shared, client, &request)
+            route(shared, &request)
         })) {
             Ok(answer) => answer,
             Err(panic) => {
@@ -1041,7 +960,6 @@ fn read_request(
     let mut keep_alive = version != "HTTP/1.0";
 
     let mut content_length: Option<usize> = None;
-    let mut forwarded_client: Option<IpAddr> = None;
     for _ in 0..100 {
         let mut header = String::new();
         if read_line_patient(shared, reader, &mut header, deadline)? == 0 {
@@ -1094,7 +1012,6 @@ fn read_request(
                 path,
                 body,
                 keep_alive,
-                forwarded_client,
             }));
         }
         let Some((name, value)) = header.split_once(':') else {
@@ -1112,10 +1029,6 @@ fn read_request(
             } else if value.eq_ignore_ascii_case("keep-alive") {
                 keep_alive = true;
             }
-        } else if name.eq_ignore_ascii_case("x-uxm-client") {
-            // Unparsable values are ignored, not rejected: the header
-            // only means anything on trusted internal servers.
-            forwarded_client = value.parse().ok();
         }
     }
     reject(400, "too many headers".into())
@@ -1202,64 +1115,93 @@ pub(crate) fn status_for(e: &UxmError) -> u16 {
 
 /// Generic dispatch: the routes every server kind answers itself
 /// (`/healthz`, the debug panic hook), then the bound [`Handler`].
-fn route(shared: &Shared, client: Option<IpAddr>, request: &Request) -> (u16, String) {
+fn route(shared: &Shared, request: &Request) -> (u16, String) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => (200, "{\"status\":\"ok\"}".into()),
         ("POST", "/debug/panic") if shared.config.debug_panic_route => {
             panic!("debug panic route")
         }
-        _ => shared
-            .handler
-            .handle(&shared.stats, &shared.config, client, request),
+        _ => shared.handler.handle(&shared.stats, request),
+    }
+}
+
+/// Where the engine routes find their engines: one [`EngineRegistry`],
+/// or, behind a [`crate::router::Router`], the registry of each name's
+/// owning shard. `/query`, `/batch`, `/topk` and `/aggregate` are
+/// written once against this trait ([`route_engines`]).
+pub(crate) trait Engines {
+    /// The engine under `name`, hydrated when cold
+    /// ([`EngineRegistry::fetch`]).
+    fn fetch(&self, name: &str) -> Result<Arc<QueryEngine>, UxmError>;
+    /// A batch answered in request order ([`EngineRegistry::batch`]).
+    fn batch(&self, queries: &[BatchQuery]) -> Vec<Result<QueryResponse, UxmError>>;
+    /// Every name that can be served, resident or snapshotted, sorted
+    /// and deduplicated.
+    fn known_names(&self) -> Vec<String>;
+}
+
+impl Engines for EngineRegistry {
+    fn fetch(&self, name: &str) -> Result<Arc<QueryEngine>, UxmError> {
+        EngineRegistry::fetch(self, name)
+    }
+
+    fn batch(&self, queries: &[BatchQuery]) -> Vec<Result<QueryResponse, UxmError>> {
+        EngineRegistry::batch(self, queries)
+    }
+
+    fn known_names(&self) -> Vec<String> {
+        let mut names = self.names();
+        names.extend(self.snapshot_names());
+        names.sort();
+        names.dedup();
+        names
+    }
+}
+
+/// The engine routes every server kind answers the same way over its
+/// [`Engines`]: `POST /query/<engine>`, `/batch`, `/topk` and
+/// `/aggregate`, plus the 404/405 answers for anything else.
+/// `get_routes` lists the kind's own `GET` routes for the 404 message.
+pub(crate) fn route_engines(
+    engines: &dyn Engines,
+    stats: &ServerStats,
+    request: &Request,
+    get_routes: &str,
+) -> (u16, String) {
+    let result = match (request.method.as_str(), request.path.as_str()) {
+        ("POST", "/batch") => handle_batch(engines, stats, &request.body),
+        ("POST", "/topk") => crate::router::topk(engines, &request.body),
+        ("POST", "/aggregate") => crate::router::aggregate(engines, &request.body),
+        ("POST", path) if path.starts_with("/query/") => {
+            handle_query(engines, stats, &path["/query/".len()..], &request.body)
+        }
+        ("GET" | "POST", _) => {
+            let e = UxmError::Usage(format!(
+                "no route {} {} (POST /query/<engine>, POST /batch, POST /topk, \
+                 POST /aggregate, GET {get_routes})",
+                request.method, request.path
+            ));
+            return (404, error_body(&e));
+        }
+        (method, _) => {
+            let e = UxmError::Usage(format!("method {method} not allowed"));
+            return (405, error_body(&e));
+        }
+    };
+    match result {
+        Ok(body) => (200, body),
+        Err(e) => (status_for(&e), error_body(&e)),
     }
 }
 
 /// The single-registry routing behind [`Server::bind`]: every route of
 /// the module-level table over one [`EngineRegistry`].
-pub(crate) struct RegistryHandler {
-    pub(crate) registry: Arc<EngineRegistry>,
-}
-
-impl Handler for RegistryHandler {
-    fn handle(
-        &self,
-        stats: &ServerStats,
-        _config: &ServerConfig,
-        _client: Option<IpAddr>,
-        request: &Request,
-    ) -> (u16, String) {
-        let done = |r: Result<String, UxmError>| match r {
-            Ok(body) => (200, body),
-            Err(e) => (status_for(&e), error_body(&e)),
-        };
+impl Handler for EngineRegistry {
+    fn handle(&self, stats: &ServerStats, request: &Request) -> (u16, String) {
         match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/engines") => (200, engines_body(&self.registry)),
-            ("GET", "/stats") => (200, stats_body(&self.registry, stats)),
-            ("POST", "/batch") => done(handle_batch(&self.registry, stats, &request.body)),
-            ("POST", "/topk") => done(crate::router::topk_over_registry(
-                &self.registry,
-                &request.body,
-            )),
-            ("POST", "/aggregate") => done(crate::router::aggregate_over_registry(
-                &self.registry,
-                &request.body,
-            )),
-            ("POST", path) if path.starts_with("/query/") => {
-                let name = &path["/query/".len()..];
-                done(handle_query(&self.registry, stats, name, &request.body))
-            }
-            ("GET" | "POST", _) => {
-                let e = UxmError::Usage(format!(
-                    "no route {} {} (POST /query/<engine>, POST /batch, POST /topk, \
-                     POST /aggregate, GET /engines|/stats|/healthz)",
-                    request.method, request.path
-                ));
-                (404, error_body(&e))
-            }
-            (method, _) => {
-                let e = UxmError::Usage(format!("method {method} not allowed"));
-                (405, error_body(&e))
-            }
+            ("GET", "/engines") => (200, engines_body(self)),
+            ("GET", "/stats") => (200, stats_body(self, stats)),
+            _ => route_engines(self, stats, request, "/engines|/stats|/healthz"),
         }
     }
 }
@@ -1276,7 +1218,7 @@ impl Handler for RegistryHandler {
 /// `"explain"` object (plan, planner inputs, compiled program listing;
 /// see [`crate::exec::Explain`]) to the response.
 fn handle_query(
-    registry: &EngineRegistry,
+    engines: &dyn Engines,
     stats: &ServerStats,
     name: &str,
     body: &str,
@@ -1302,7 +1244,7 @@ fn handle_query(
         _ => false,
     };
     let query = Query::from_json(&parsed)?;
-    let engine = registry.fetch(name)?;
+    let engine = engines.fetch(name)?;
     let outcome = engine.run(&query);
     stats.record(name, &outcome);
     let response = outcome?;
@@ -1323,7 +1265,7 @@ fn handle_query(
 /// `{"error":…}` object, in request order (exactly what
 /// [`EngineRegistry::batch`] returns).
 fn handle_batch(
-    registry: &EngineRegistry,
+    engines: &dyn Engines,
     stats: &ServerStats,
     body: &str,
 ) -> Result<String, UxmError> {
@@ -1335,7 +1277,7 @@ fn handle_batch(
         .iter()
         .map(BatchQuery::from_json)
         .collect::<Result<Vec<_>, _>>()?;
-    let answers = registry.batch(&queries);
+    let answers = engines.batch(&queries);
     let results = queries
         .iter()
         .zip(&answers)
@@ -1406,6 +1348,17 @@ fn engines_body(registry: &EngineRegistry) -> String {
 /// `hydrate_p50_us` / `hydrate_max_us` wall times, and a per-engine
 /// `engines` object (`last_us`, `count`, on-disk `snapshot_version`).
 fn stats_body(registry: &EngineRegistry, stats: &ServerStats) -> String {
+    let Json::Obj(mut members) = stats.to_json() else {
+        unreachable!("ServerStats::to_json is an object");
+    };
+    // Keys stay alphabetical: engines < registry < server.
+    members.insert(1, ("registry".into(), registry_json(registry)));
+    Json::Obj(members).to_string()
+}
+
+/// The `"registry"` section of `GET /stats`: one registry's memory
+/// accounting and hydration telemetry.
+pub(crate) fn registry_json(registry: &EngineRegistry) -> Json {
     let r = registry.stats();
     let hydrated: Vec<(String, Json)> = registry
         .hydration_stats()
@@ -1421,7 +1374,7 @@ fn stats_body(registry: &EngineRegistry, stats: &ServerStats) -> String {
             )
         })
         .collect();
-    let registry_section = Json::Obj(vec![
+    Json::Obj(vec![
         ("engines".into(), Json::Obj(hydrated)),
         ("evictions".into(), Json::uint(r.evictions)),
         ("hydrate_max_us".into(), Json::uint(r.hydrate_max_us)),
@@ -1441,13 +1394,7 @@ fn stats_body(registry: &EngineRegistry, stats: &ServerStats) -> String {
             "unreclaimed_bytes".into(),
             Json::uint(r.unreclaimed_bytes as u64),
         ),
-    ]);
-    let Json::Obj(mut members) = stats.to_json() else {
-        unreachable!("ServerStats::to_json is an object");
-    };
-    // Keys stay alphabetical: engines < registry < server.
-    members.insert(1, ("registry".into(), registry_section));
-    Json::Obj(members).to_string()
+    ])
 }
 
 // ---------------------------------------------------------------------
@@ -1459,7 +1406,6 @@ fn stats_body(registry: &EngineRegistry, stats: &ServerStats) -> String {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    forward: Option<IpAddr>,
 }
 
 impl Client {
@@ -1478,18 +1424,7 @@ impl Client {
         Ok(Client {
             reader,
             writer: stream,
-            forward: None,
         })
-    }
-
-    /// Sets (or clears) the client identity to forward as an
-    /// `x-uxm-client` header on every subsequent request. Servers
-    /// ignore the header unless they run with
-    /// [`ServerConfig::trust_forwarded_client`]; the router sets it on
-    /// its internal hop so shard-side per-client 429s bind to the real
-    /// client rather than the loopback hop.
-    pub fn set_forward_client(&mut self, ip: Option<IpAddr>) {
-        self.forward = ip;
     }
 
     /// Replaces the per-read deadline (default 30 s from
@@ -1534,12 +1469,8 @@ impl Client {
     ) -> Result<(u16, String), UxmError> {
         let io = |e: std::io::Error| UxmError::io(format!("{method} {path}"), e);
         let body = body.unwrap_or("");
-        let forward = match self.forward {
-            Some(ip) => format!("x-uxm-client: {ip}\r\n"),
-            None => String::new(),
-        };
         let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: uxm\r\n{forward}content-length: {}\r\n\r\n",
+            "{method} {path} HTTP/1.1\r\nhost: uxm\r\ncontent-length: {}\r\n\r\n",
             body.len()
         );
         self.writer.write_all(head.as_bytes()).map_err(io)?;

@@ -777,13 +777,6 @@ fn cmd_serve(args: &[String]) -> Result<(), UxmError> {
             RouterConfig {
                 shards,
                 registry: registry_config(budget / shards),
-                shard_server: ServerConfig {
-                    workers: 2,
-                    queue_depth: queue,
-                    max_conns_per_client: per_client,
-                    retry_after_ms,
-                    ..ServerConfig::default()
-                },
                 ..RouterConfig::default()
             },
         )?;
@@ -791,9 +784,6 @@ fn cmd_serve(args: &[String]) -> Result<(), UxmError> {
         let local = front.local_addr();
         let snapshots = router.known_names();
         banner(local, &snapshots, &format!(", {shards} shard(s)"));
-        for (id, shard_addr) in router.shard_addrs() {
-            println!("  shard {id} on {shard_addr}");
-        }
         println!(
             "routes: POST /query/<engine>  POST /batch  POST /topk  POST /aggregate  GET /engines  GET /stats  GET /shards  GET /healthz"
         );

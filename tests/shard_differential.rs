@@ -1,9 +1,10 @@
 //! The sharding differential harness: a [`Router`] over N shard
 //! registries must be **observably identical** to one big single
 //! registry — same `answers` subtrees for `/query`, same per-item
-//! results in `/batch` (in request order), and byte-exact `/topk`
-//! bodies including cross-shard score ties — across all 10 Table II
-//! datasets at 1, 2, and 4 shards.
+//! results in `/batch` (in request order), byte-exact `/topk` and
+//! `/aggregate` bodies including cross-shard score ties, and the same
+//! status and body for typed errors — across all 10 Table II datasets
+//! at 1, 2, and 4 shards.
 //!
 //! Everything runs over real sockets: a reference `Server` on a single
 //! registry and a router front, both hydrating from the same snapshot
@@ -288,6 +289,60 @@ fn router_matches_single_registry_across_datasets_and_ring_sizes() {
             let mut ordered = names.clone();
             ordered.sort_unstable();
             assert_eq!(names, ordered, "{shards} shards, {func}: entry order");
+        }
+
+        // -- typed errors: the same status and byte-identical body
+        //    through either front — an unknown name among known ones
+        //    (the first missing name in sorted order), the wrong query
+        //    kind, an unknown member, a batch that is not an array ----
+        let topk_query = Query::topk(pattern.clone(), 3).to_json();
+        let aggregate_query =
+            Query::aggregate(TwigPattern::parse("//*[.>=0]").unwrap(), AggFunc::Count).to_json();
+        let with_ghost = |query: &Json| {
+            Json::Obj(vec![
+                (
+                    "engines".to_string(),
+                    Json::Arr(["d2", "ghost", "d5"].map(Json::str).to_vec()),
+                ),
+                ("query".to_string(), query.clone()),
+            ])
+            .to_string()
+        };
+        let error_cases = [
+            ("/topk", with_ghost(&topk_query), 404),
+            ("/aggregate", with_ghost(&aggregate_query), 404),
+            (
+                "/topk",
+                Json::Obj(vec![(
+                    "query".to_string(),
+                    Query::ptq(pattern.clone()).to_json(),
+                )])
+                .to_string(),
+                400,
+            ),
+            (
+                "/aggregate",
+                Json::Obj(vec![
+                    ("bogus".to_string(), Json::uint(1)),
+                    ("query".to_string(), aggregate_query.clone()),
+                ])
+                .to_string(),
+                400,
+            ),
+            (
+                "/batch",
+                BatchQuery::ptq("d1", pattern.clone()).to_json_string(),
+                400,
+            ),
+        ];
+        for (path, body, status) in &error_cases {
+            let single = sc.post(path, body).unwrap();
+            let routed = rc.post(path, body).unwrap();
+            assert_eq!(single.0, *status, "POST {path} {body}: {}", single.1);
+            assert_eq!(
+                single, routed,
+                "{shards} shards, POST {path} {body}: error diverges"
+            );
         }
 
         front.shutdown();

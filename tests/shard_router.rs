@@ -1,20 +1,21 @@
-//! Router-layer behavior the differential harness can't see: per-client
-//! fairness across the internal hop, and rebalancing under live
-//! traffic.
+//! Router-layer behavior the differential harness can't see: client
+//! identity at the front, what monitoring reads leave behind, and
+//! rebalancing under live traffic.
 //!
-//! * **Forwarded identity** — behind the router every shard-bound TCP
-//!   connection's peer is the router itself on loopback, so shard-side
-//!   per-client caps would bind to the hop, not the client. Shard
-//!   servers therefore run with `trust_forwarded_client` and key
-//!   admission on the `x-uxm-client` header the router forwards; these
-//!   tests pin that at socket level (trusted rebinding, untrusted
-//!   indifference, and 429 propagation through the front).
+//! * **Client identity** — per-client caps bind to the TCP peer. An
+//!   identity header supplied by the client names no one: neither a
+//!   single server nor a router front reads it, so spoofed identities
+//!   neither escape nor consume per-client slots.
+//! * **Monitoring** — `GET /engines` reports residency without touching
+//!   any shard's LRU, so polling it never changes what is evicted next.
 //! * **Rebalancing** — shard add/remove mid-traffic must keep every
 //!   engine reachable (the shared snapshot directory means any shard
 //!   can hydrate any engine, so there is no 404 window), and the
 //!   router must still match a single registry at the new ring size.
 
-use std::net::IpAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -23,9 +24,9 @@ use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::json::Json;
 use uxm::core::mapping::PossibleMappings;
-use uxm::core::registry::EngineRegistry;
+use uxm::core::registry::{EngineRegistry, RegistryConfig};
 use uxm::core::router::{Router, RouterConfig};
-use uxm::core::server::{Client, Server, ServerConfig};
+use uxm::core::server::{Client, Server, ServerConfig, ServerHandle};
 use uxm::matching::Matcher;
 use uxm::twig::TwigPattern;
 use uxm::xml::{DocGenConfig, Document, Schema};
@@ -45,203 +46,189 @@ fn small_engine(seed: u64) -> QueryEngine {
     QueryEngine::build(pm, doc, &BlockTreeConfig::default())
 }
 
-fn ip(s: &str) -> Option<IpAddr> {
-    Some(s.parse().unwrap())
-}
-
 const QUERY_PATTERN: &str = "PO//Qty";
 
 fn ptq() -> Query {
     Query::ptq(TwigPattern::parse(QUERY_PATTERN).unwrap())
 }
 
-/// A trusted server keys its per-client cap on the forwarded identity,
-/// re-bound per request: the same connection can switch identities
-/// (releasing the old slot), a second connection claiming a full
-/// identity is refused with a 429 naming the real client, and a
-/// different identity passes.
-#[test]
-fn trusted_server_caps_on_forwarded_identity() {
-    let registry = Arc::new(EngineRegistry::new());
-    registry.insert("po", small_engine(7));
-    let handle = Server::bind(
-        registry,
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            max_conns_per_client: 1,
-            trust_forwarded_client: true,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-    .start();
-    let addr = handle.addr();
-
-    // First connection binds identity 10.0.0.1.
-    let mut a = Client::connect(addr).unwrap();
-    a.set_forward_client(ip("10.0.0.1"));
-    let (status, _) = a.query("po", &ptq()).unwrap();
-    assert_eq!(status, 200);
-
-    // A second connection claiming the same identity is refused — and
-    // the refusal names the forwarded client, not the loopback peer.
-    let mut b = Client::connect(addr).unwrap();
-    b.set_forward_client(ip("10.0.0.1"));
-    let (status, body) = b.query("po", &ptq()).unwrap();
-    assert_eq!(status, 429, "{body}");
-    assert!(body.contains("\"kind\":\"rate-limited\""), "{body}");
-    assert!(
-        body.contains("10.0.0.1"),
-        "refusal must name the client: {body}"
-    );
-
-    // A different identity has its own slot.
-    let mut c = Client::connect(addr).unwrap();
-    c.set_forward_client(ip("10.0.0.2"));
-    let (status, _) = c.query("po", &ptq()).unwrap();
-    assert_eq!(status, 200);
-
-    // The first connection keeps serving, and re-binding it to a new
-    // identity releases the old slot for others.
-    a.set_forward_client(ip("10.0.0.3"));
-    let (status, _) = a.query("po", &ptq()).unwrap();
-    assert_eq!(status, 200);
-    let mut d = Client::connect(addr).unwrap();
-    d.set_forward_client(ip("10.0.0.1"));
-    let (status, body) = d.query("po", &ptq()).unwrap();
-    assert_eq!(status, 200, "released identity must be claimable: {body}");
-
-    handle.shutdown();
+/// A fresh snapshot directory holding `engines`, one `<name>.uxm` each.
+fn snapshot_dir(tag: &str, engines: Vec<(&str, QueryEngine)>) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("uxm-shard-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = EngineRegistry::new().snapshot_dir(&dir);
+    for (name, engine) in engines {
+        registry.insert(name, engine);
+    }
+    registry.save_all().unwrap();
+    dir
 }
 
-/// An untrusted (default) server ignores the header entirely: the cap
-/// keys on the TCP peer, so spoofed identities neither escape nor
-/// consume per-identity slots.
-#[test]
-fn untrusted_server_ignores_forwarded_identity() {
-    let registry = Arc::new(EngineRegistry::new());
-    registry.insert("po", small_engine(7));
-    let handle = Server::bind(
-        registry,
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            max_conns_per_client: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-    .start();
-    let addr = handle.addr();
+/// A router front over `dir`.
+fn start_router(
+    dir: &Path,
+    config: RouterConfig,
+    front: ServerConfig,
+) -> (Arc<Router>, ServerHandle) {
+    let router = Router::start(dir, config).unwrap();
+    let handle = router.bind("127.0.0.1:0", front).unwrap().start();
+    (router, handle)
+}
 
-    // Two loopback connections claiming distinct forwarded identities
-    // still count against the one real peer…
-    let mut a = Client::connect(addr).unwrap();
-    a.set_forward_client(ip("10.0.0.1"));
-    assert_eq!(a.query("po", &ptq()).unwrap().0, 200);
-    let mut b = Client::connect(addr).unwrap();
-    b.set_forward_client(ip("10.0.0.2"));
-    assert_eq!(b.query("po", &ptq()).unwrap().0, 200);
+/// One `POST /query/<engine>` over a raw socket, claiming `identity`
+/// in a client-identity header. Returns the status and body, or the
+/// transport error when the server closed first.
+fn post_claiming(
+    stream: &mut TcpStream,
+    engine: &str,
+    identity: &str,
+) -> std::io::Result<(u16, String)> {
+    let body = ptq().to_json_string();
+    write!(
+        stream,
+        "POST /query/{engine} HTTP/1.1\r\nhost: uxm\r\nx-uxm-client: {identity}\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut line = String::new();
+    reader.read_line(&mut line)?;
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| std::io::Error::other(format!("bad status line {line:?}")))?;
+    let mut length = 0;
+    loop {
+        let mut header = String::new();
+        reader.read_line(&mut header)?;
+        let header = header.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                length = value.trim().parse().unwrap();
+            }
+        }
+    }
+    let mut buf = vec![0; length];
+    reader.read_exact(&mut buf)?;
+    Ok((status, String::from_utf8(buf).unwrap()))
+}
 
-    // …so the third loopback connection is shed at accept time no
-    // matter what identity it claims.
-    let mut c = Client::connect(addr).unwrap();
-    c.set_forward_client(ip("10.0.0.3"));
-    let outcome = c.query("po", &ptq());
-    match outcome {
+/// With a per-client cap of 2, two loopback connections claiming
+/// distinct identities both serve, and a third is shed with a 429 at
+/// accept time whatever identity it claims: the cap counts the one real
+/// peer.
+fn assert_claimed_identity_ignored(addr: SocketAddr, engine: &str) {
+    let mut a = TcpStream::connect(addr).unwrap();
+    assert_eq!(post_claiming(&mut a, engine, "10.0.0.1").unwrap().0, 200);
+    let mut b = TcpStream::connect(addr).unwrap();
+    assert_eq!(post_claiming(&mut b, engine, "10.0.0.2").unwrap().0, 200);
+    let mut c = TcpStream::connect(addr).unwrap();
+    match post_claiming(&mut c, engine, "10.0.0.3") {
         Ok((status, body)) => {
             assert_eq!(status, 429, "{body}");
             assert!(body.contains("\"kind\":\"rate-limited\""), "{body}");
         }
         // The accept-time shed closes the connection; depending on
         // timing the client may see the reset before the 429 body.
-        Err(e) => assert!(e.to_string().contains("i/o") || !e.to_string().is_empty()),
+        Err(e) => assert!(!e.to_string().is_empty()),
     }
-    handle.shutdown();
 }
 
-/// The router forwards each front client's identity on the internal
-/// hop: when that identity's slot on the owning shard is already held
-/// (here, by a direct connection claiming loopback), the shard's typed
-/// 429 — naming the real client — propagates through the front.
+/// Neither a single server nor a router front reads a client-supplied
+/// identity header: the per-client cap keys on the TCP peer, so
+/// spoofed identities neither escape nor consume per-identity slots.
 #[test]
-fn router_forwards_client_identity_to_shards() {
-    let dir = std::env::temp_dir().join(format!("uxm-shard-fwd-{}", std::process::id()));
+fn untrusted_server_ignores_forwarded_identity() {
+    let capped = ServerConfig {
+        workers: 2,
+        max_conns_per_client: 2,
+        ..ServerConfig::default()
+    };
+
+    let registry = Arc::new(EngineRegistry::new());
+    registry.insert("po", small_engine(7));
+    let single = Server::bind(registry, "127.0.0.1:0", capped.clone())
+        .unwrap()
+        .start();
+    assert_claimed_identity_ignored(single.addr(), "po");
+    single.shutdown();
+
+    let dir = snapshot_dir("ident", vec![("po", small_engine(7))]);
+    let (router, front) = start_router(&dir, RouterConfig::default(), capped);
+    assert_claimed_identity_ignored(front.addr(), "po");
+    front.shutdown();
+    router.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-    {
-        let registry = EngineRegistry::new().snapshot_dir(&dir);
-        for i in 0..4 {
-            registry.insert(format!("e{i}"), small_engine(i));
-        }
-        registry.save_all().unwrap();
-    }
-    let router = Router::start(
+}
+
+/// `GET /engines` on a router must not reorder the LRU. With a budget
+/// that fits two of three equal engines: after `b` then `a` are served,
+/// `a` is the most recent, so serving `c` must evict `b` — even with a
+/// listing polled in between.
+#[test]
+fn router_engines_listing_leaves_the_lru_alone() {
+    let engine = small_engine(7);
+    let bytes = engine.approx_bytes();
+    let dir = snapshot_dir(
+        "lru",
+        vec![
+            ("a", engine),
+            ("b", small_engine(7)),
+            ("c", small_engine(7)),
+        ],
+    );
+    let (router, front) = start_router(
         &dir,
         RouterConfig {
-            shards: 2,
-            shard_server: ServerConfig {
-                workers: 2,
-                max_conns_per_client: 1,
-                ..ServerConfig::default()
+            shards: 1,
+            registry: RegistryConfig {
+                memory_budget: bytes * 5 / 2,
+                ..RegistryConfig::default()
             },
             ..RouterConfig::default()
         },
-    )
-    .unwrap();
-    let front = router
-        .bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap()
-        .start();
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect(front.addr()).unwrap();
+    let residency = |client: &mut Client| -> Vec<(String, bool)> {
+        let (status, body) = client.get("/engines").unwrap();
+        assert_eq!(status, 200, "{body}");
+        Json::parse(&body)
+            .unwrap()
+            .get("engines")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|e| {
+                (
+                    e.get("name").unwrap().as_str().unwrap().to_string(),
+                    matches!(e.get("resident"), Some(Json::Bool(true))),
+                )
+            })
+            .collect()
+    };
 
-    // Pick any engine and find its owning shard's direct address.
-    let engine = "e0";
-    let owner = router.owner(engine);
-    let shard_addr = router
-        .shard_addrs()
-        .into_iter()
-        .find(|(id, _)| *id == owner)
-        .map(|(_, addr)| addr)
-        .unwrap();
-
-    // Hold the front clients' identity (loopback) directly on the
-    // owning shard. Shard servers trust the header, so this binds
-    // 127.0.0.1's one slot. The connection must stay open.
-    let mut holder = Client::connect(shard_addr).unwrap();
-    holder.set_forward_client(ip("127.0.0.1"));
-    let (status, _) = holder.query(engine, &ptq()).unwrap();
-    assert_eq!(status, 200);
-
-    // Through the front, the same identity is now over its cap on that
-    // shard — the shard's 429 comes back verbatim, naming the client.
-    let mut fc = Client::connect(front.addr()).unwrap();
-    let (status, body) = fc.query(engine, &ptq()).unwrap();
-    assert_eq!(status, 429, "{body}");
-    assert!(body.contains("\"kind\":\"rate-limited\""), "{body}");
-    assert!(body.contains("127.0.0.1"), "{body}");
-
-    // A different identity was never the problem: release the slot and
-    // the same front client passes.
-    drop(holder);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let (status, body) = fc.query(engine, &ptq()).unwrap();
-        if status == 200 {
-            break;
-        }
-        assert_eq!(status, 429, "{body}");
-        assert!(
-            std::time::Instant::now() < deadline,
-            "slot never released: {body}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(50));
+    for name in ["b", "a"] {
+        assert_eq!(client.query(name, &ptq()).unwrap().0, 200, "{name}");
     }
+    residency(&mut client);
+    assert_eq!(client.query("c", &ptq()).unwrap().0, 200);
+    assert_eq!(
+        residency(&mut client),
+        vec![
+            ("a".to_string(), true),
+            ("b".to_string(), false),
+            ("c".to_string(), true),
+        ],
+        "the listing reordered the LRU"
+    );
 
     front.shutdown();
     router.shutdown();
@@ -251,7 +238,7 @@ fn router_forwards_client_identity_to_shards() {
 /// Shard add/remove under live traffic: every engine stays reachable
 /// throughout (no 404/503 window — any shard can hydrate any engine
 /// from the shared snapshot directory, and requests racing a removal
-/// are retried against the fresh ring), and afterwards the router
+/// finish on the epoch they started under), and afterwards the router
 /// still matches a single registry at the new ring size.
 #[test]
 fn rebalance_mid_traffic_keeps_every_engine_reachable() {
