@@ -16,7 +16,6 @@ use uxm_core::compress::compression_ratio;
 use uxm_core::engine::QueryEngine;
 use uxm_core::json::Json;
 use uxm_core::mapping::PossibleMappings;
-use uxm_core::planner::Evaluator;
 use uxm_core::stats::{avg_block_size, block_size_histogram, max_block_coverage, o_ratio};
 use uxm_datagen::datasets::{Dataset, DatasetId};
 use uxm_datagen::queries::paper_queries;
@@ -45,6 +44,10 @@ impl Default for ReproConfig {
         }
     }
 }
+
+/// Nodes in the single large `corpus` document of `bench_layout` and
+/// `bench_exec`.
+const CORPUS_NODES: usize = 200_000;
 
 /// The τ sweep used by Fig 9(a)/(b).
 const TAU_SWEEP: [f64; 11] = [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
@@ -688,113 +691,6 @@ pub fn ablation(cfg: &ReproConfig) -> String {
     out
 }
 
-/// The planner benchmark behind `BENCH_query.json`: for every Table II
-/// dataset, the paper's 10-query workload served by one warm
-/// [`uxm_core::engine::QueryEngine`] through the unified
-/// `QueryEngine::run` entry point — once with the auto plan, once pinned
-/// to each evaluator — so the performance trajectory of the planner is
-/// recorded machine-readably. Writes `BENCH_query.json` (canonical
-/// JSON, see `uxm_core::json`) into the current directory and returns a
-/// printable summary.
-pub fn bench_query(cfg: &ReproConfig) -> String {
-    let queries = paper_queries();
-    let hints = [
-        ("auto", EvaluatorHint::Auto),
-        ("naive", EvaluatorHint::Naive),
-        ("block_tree", EvaluatorHint::BlockTree),
-    ];
-    let mut out = format!(
-        "BENCH_query — per-dataset 10-query latency (s), |M| = {}, warm engine\n  \
-         ID       auto     naive  block-tree   auto plans\n",
-        cfg.m
-    );
-    let mut rows = Vec::new();
-    for id in DatasetId::all() {
-        let w = workload_for(id, cfg.m, &default_config());
-        let engine = w.engine();
-        let mut cells: Vec<(&str, f64)> = Vec::new();
-        let mut auto_naive = 0usize;
-        let mut auto_tree = 0usize;
-        let mut auto_compiled = 0usize;
-        for (name, hint) in hints {
-            let pinned: Vec<Query> = queries
-                .iter()
-                .map(|q| Query::ptq(q.clone()).with_evaluator(hint))
-                .collect();
-            // One warming pass (caches are shared engine-wide, so every
-            // hint is measured equally warm), then — for the auto row — a
-            // plan census in the SAME warm state the timed runs see (the
-            // planner may pick differently cold vs warm), then the timed
-            // runs.
-            for q in &pinned {
-                std::hint::black_box(engine.run(q).expect("valid query").len());
-            }
-            if hint == EvaluatorHint::Auto {
-                for q in &pinned {
-                    match engine.run(q).expect("valid query").stats.plan.evaluator {
-                        Evaluator::Naive => auto_naive += 1,
-                        Evaluator::BlockTree => auto_tree += 1,
-                        Evaluator::Compiled => auto_compiled += 1,
-                    }
-                }
-            }
-            let t = time_avg(cfg.runs, || {
-                for q in &pinned {
-                    std::hint::black_box(engine.run(q).expect("valid query").len());
-                }
-            });
-            cells.push((name, t));
-        }
-        let _ = writeln!(
-            out,
-            "  {:<5} {:>8.4} {:>9.4} {:>11.4}   {}x tree, {}x compiled, {}x naive",
-            id.name(),
-            cells[0].1,
-            cells[1].1,
-            cells[2].1,
-            auto_tree,
-            auto_compiled,
-            auto_naive,
-        );
-        rows.push(Json::Obj(vec![
-            (
-                "auto_plans".into(),
-                Json::Obj(vec![
-                    ("block_tree".into(), Json::uint(auto_tree as u64)),
-                    ("compiled".into(), Json::uint(auto_compiled as u64)),
-                    ("naive".into(), Json::uint(auto_naive as u64)),
-                ]),
-            ),
-            ("id".into(), Json::str(id.name())),
-            (
-                "latency_s".into(),
-                Json::Obj(
-                    cells
-                        .iter()
-                        .map(|&(n, t)| (n.into(), Json::Num(t)))
-                        .collect(),
-                ),
-            ),
-        ]));
-    }
-    let report = Json::Obj(vec![
-        ("datasets".into(), Json::Arr(rows)),
-        ("m".into(), Json::uint(cfg.m as u64)),
-        ("queries".into(), Json::uint(queries.len() as u64)),
-        ("runs".into(), Json::uint(cfg.runs as u64)),
-    ]);
-    let path = "BENCH_query.json";
-    match std::fs::write(path, format!("{report}\n")) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote {path}");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "could not write {path}: {e}");
-        }
-    }
-    out
-}
-
 /// The columnar-layout benchmark behind `BENCH_layout.json`: for every
 /// Table II dataset plus one 200k-node `corpus` document (the soak
 /// schema family, bigger than any paper dataset), the engine's resident
@@ -810,8 +706,6 @@ pub fn bench_layout(cfg: &ReproConfig) -> String {
         decode_engine_snapshot, encode_engine_snapshot, encode_engine_snapshot_v1,
         encode_engine_snapshot_v2,
     };
-    /// Nodes in the `corpus` row's single large document.
-    const CORPUS_NODES: usize = 200_000;
     let queries = paper_queries();
     let mut out = format!(
         "BENCH_layout — columnar arena + page-aligned snapshot v3, |M| = {}\n  \
@@ -940,98 +834,144 @@ pub fn bench_layout(cfg: &ReproConfig) -> String {
     out
 }
 
-/// The compiled-execution benchmark behind `BENCH_exec.json`: for every
-/// Table II dataset, the paper's 10-query workload pinned to each
-/// backend (compiled bytecode VM vs the two recursive evaluators) on
-/// one warm engine — plus an **amortization curve** on D4: cumulative
-/// workload latency over repeated runs for compiled (cold compile on
-/// run 1, program-cache replays after) against the naive recursive
-/// evaluator, showing where compile cost breaks even. Writes
-/// `BENCH_exec.json` (canonical JSON, see `uxm_core::json`) into the
-/// current directory and returns a printable summary.
+/// The execution benchmark behind `BENCH_exec.json`, and the evidence
+/// for the planner's per-kind defaults (`uxm_core::planner`). For every
+/// Table II dataset (the paper's 10 queries) plus one 200k-node
+/// `corpus` document (the soak schema family, timed on its own target
+/// patterns), each query kind — `ptq`, `ptq_nodes`, `topk` and `count`
+/// aggregates — runs on one warm engine under the auto plan and pinned
+/// to each backend. A row's `auto_over_best` is auto's latency over the
+/// fastest pinned backend's, per kind. An **amortization curve** on D7
+/// follows: cumulative workload latency over repeated runs for compiled
+/// (cold compile on run 1, program-cache replays after) against the
+/// naive recursive evaluator, showing where compile cost breaks even.
+/// Writes `BENCH_exec.json` (canonical JSON, see `uxm_core::json`) into
+/// the current directory and returns a printable summary.
 pub fn bench_exec(cfg: &ReproConfig) -> String {
-    let queries = paper_queries();
+    /// The `corpus` row's workload: target-schema twigs of the soak
+    /// schema family.
+    const CORPUS_QUERIES: [&str; 6] = [
+        "//Qty",
+        "//PName",
+        "//Ref",
+        "PO//Amount",
+        "PO/Line[./Qty]/Amount",
+        "PO/Purchaser//PEMail",
+    ];
+    /// `k` of the `topk` kind.
+    const TOPK: usize = 5;
+    /// Rows whose `auto_over_best` the summary checks against
+    /// `AUTO_BOUND`; the µs-scale Table II rows are reported only.
+    const GATED: [&str; 2] = ["D7", "corpus"];
+    const AUTO_BOUND: f64 = 1.10;
+    let kinds = ["ptq", "ptq_nodes", "topk", "count"];
+    let make = |kind: &str, q: &TwigPattern| match kind {
+        "ptq" => Query::ptq(q.clone()),
+        "ptq_nodes" => Query::ptq_nodes(q.clone()),
+        "topk" => Query::topk(q.clone(), TOPK),
+        _ => Query::aggregate(q.clone(), AggFunc::Count),
+    };
     let hints = [
+        ("auto", EvaluatorHint::Auto),
         ("compiled", EvaluatorHint::Compiled),
         ("naive", EvaluatorHint::Naive),
         ("block_tree", EvaluatorHint::BlockTree),
     ];
     let mut out = format!(
-        "BENCH_exec — per-dataset 10-query latency (s), |M| = {}, warm engine\n  \
-         ID     compiled     naive  block-tree   vs best recursive\n",
+        "BENCH_exec — per-row workload latency (s) by query kind, |M| = {}, warm engine\n  \
+         ID     kind            auto   compiled      naive  block-tree   auto/best\n",
         cfg.m
     );
-    let mut rows = Vec::new();
-    let mut compiled_wins = 0usize;
-    for id in DatasetId::all() {
+    let corpus_queries: Vec<TwigPattern> = CORPUS_QUERIES
+        .iter()
+        .map(|p| TwigPattern::parse(p).expect("corpus twig"))
+        .collect();
+    let table2 = DatasetId::all().into_iter().map(|id| {
         let w = workload_for(id, cfg.m, &default_config());
-        let engine = w.engine();
-        let pinned: Vec<(&str, Vec<Query>)> = hints
-            .iter()
-            .map(|&(name, hint)| {
-                let qs = queries
-                    .iter()
-                    .map(|q| Query::ptq(q.clone()).with_evaluator(hint))
-                    .collect();
-                (name, qs)
-            })
-            .collect();
-        // Warm every backend before timing any of them, so each row runs
-        // against equally hot data: the compiled row measures program-cache
-        // replays, the recursive rows warm rewrite caches, and no backend
-        // pays the fresh engine's first-touch page faults inside its timing.
-        for (_, qs) in &pinned {
-            for q in qs {
-                std::hint::black_box(engine.run(q).expect("valid query").len());
+        (id.name().to_string(), w.engine(), paper_queries())
+    });
+    let corpus = std::iter::once_with(|| {
+        (
+            "corpus".to_string(),
+            crate::soak::corpus_engine(CORPUS_NODES),
+            corpus_queries.clone(),
+        )
+    });
+    let mut rows = Vec::new();
+    let mut worst_gated = 0.0f64;
+    for (name, engine, queries) in table2.chain(corpus) {
+        let mut latency = Vec::new();
+        let mut ratios = Vec::new();
+        for kind in kinds {
+            let pinned: Vec<(&str, Vec<Query>)> = hints
+                .iter()
+                .map(|&(hint_name, hint)| {
+                    let qs = queries
+                        .iter()
+                        .map(|q| make(kind, q).with_evaluator(hint))
+                        .collect();
+                    (hint_name, qs)
+                })
+                .collect();
+            // Warm every backend before timing any of them, so each cell
+            // runs against equally hot data: compiled cells measure
+            // program-cache replays, recursive cells warm rewrite caches,
+            // and no backend pays first-touch page faults inside its timing.
+            for (_, qs) in &pinned {
+                for q in qs {
+                    std::hint::black_box(engine.run(q).expect("valid query").len());
+                }
             }
-        }
-        // Interleave the timed repetitions and keep the per-backend
-        // minimum — at the microsecond scale of the small datasets one
-        // scheduler blip would otherwise decide the row. Each timed call
-        // runs the workload `INNER` times so the timer itself stays
-        // below the noise floor.
-        const INNER: usize = 16;
-        let mut cells: Vec<(&str, f64)> = pinned.iter().map(|&(n, _)| (n, f64::MAX)).collect();
-        for _ in 0..3 {
-            for (cell, (_, qs)) in cells.iter_mut().zip(&pinned) {
-                let t = time_avg(cfg.runs, || {
-                    for _ in 0..INNER {
+            // Take many short samples, interleaved across cells and
+            // rotating which cell goes first, and keep each cell's minimum:
+            // on a shared host, noise comes in episodes longer than a
+            // sample, and the minimum picks a quiet window. Each sample
+            // runs the workload `INNER` times so the timer itself stays
+            // below the noise floor.
+            const INNER: usize = 16;
+            let rounds = 5 * cfg.runs;
+            let mut cells: Vec<(&str, f64)> = pinned.iter().map(|&(n, _)| (n, f64::MAX)).collect();
+            for round in 0..rounds {
+                for i in 0..cells.len() {
+                    let c = (i + round) % cells.len();
+                    let qs = &pinned[c].1;
+                    let t = time_avg(INNER, || {
                         for q in qs {
                             std::hint::black_box(engine.run(q).expect("valid query").len());
                         }
-                    }
-                });
-                cell.1 = cell.1.min(t / INNER as f64);
+                    });
+                    cells[c].1 = cells[c].1.min(t);
+                }
             }
-        }
-        let best_recursive = cells[1].1.min(cells[2].1);
-        let wins = cells[0].1 <= best_recursive;
-        compiled_wins += wins as usize;
-        let cache = engine.exec_cache_stats();
-        let _ = writeln!(
-            out,
-            "  {:<5} {:>8.4} {:>9.4} {:>11.4}   {:.2}x {}",
-            id.name(),
-            cells[0].1,
-            cells[1].1,
-            cells[2].1,
-            best_recursive / cells[0].1.max(1e-12),
-            if wins { "(compiled wins)" } else { "" },
-        );
-        rows.push(Json::Obj(vec![
-            ("compiled_wins".into(), Json::Bool(wins)),
-            ("id".into(), Json::str(id.name())),
-            (
-                "latency_s".into(),
-                Json::Obj({
-                    let mut by_key: Vec<(String, Json)> = cells
+            let best = cells[1..].iter().map(|c| c.1).fold(f64::MAX, f64::min);
+            let ratio = cells[0].1 / best.max(1e-12);
+            if GATED.contains(&name.as_str()) {
+                worst_gated = worst_gated.max(ratio);
+            }
+            let _ = writeln!(
+                out,
+                "  {:<6} {:<9} {:>10.6} {:>10.6} {:>10.6} {:>11.6}   {:.2}x",
+                name, kind, cells[0].1, cells[1].1, cells[2].1, cells[3].1, ratio,
+            );
+            cells.sort_by(|a, b| a.0.cmp(b.0));
+            latency.push((
+                kind.to_string(),
+                Json::Obj(
+                    cells
                         .iter()
                         .map(|&(n, t)| (n.into(), Json::Num(t)))
-                        .collect();
-                    by_key.sort_by(|a, b| a.0.cmp(&b.0));
-                    by_key
-                }),
-            ),
+                        .collect(),
+                ),
+            ));
+            ratios.push((kind.to_string(), Json::Num(ratio)));
+        }
+        latency.sort_by(|a, b| a.0.cmp(&b.0));
+        ratios.sort_by(|a, b| a.0.cmp(&b.0));
+        let cache = engine.exec_cache_stats();
+        rows.push(Json::Obj(vec![
+            ("auto_over_best".into(), Json::Obj(ratios)),
+            ("id".into(), Json::str(&name)),
+            ("latency_s".into(), Json::Obj(latency)),
             (
                 "program_cache".into(),
                 Json::Obj(vec![
@@ -1039,11 +979,18 @@ pub fn bench_exec(cfg: &ReproConfig) -> String {
                     ("misses".into(), Json::uint(cache.misses)),
                 ]),
             ),
+            ("queries".into(), Json::uint(queries.len() as u64)),
         ]));
     }
     let _ = writeln!(
         out,
-        "  compiled ≤ best recursive on {compiled_wins}/10 datasets"
+        "  auto/best on {}: worst {worst_gated:.2}x ({} {AUTO_BOUND:.2}x)",
+        GATED.join(" + "),
+        if worst_gated <= AUTO_BOUND {
+            "within"
+        } else {
+            "OVER"
+        },
     );
 
     // Amortization: cumulative cost of run n on fresh engines — run 1
@@ -1052,6 +999,7 @@ pub fn bench_exec(cfg: &ReproConfig) -> String {
     // inherits the other's warmed shared caches.
     let checkpoints = [1usize, 2, 5, 10, 20, 50];
     let amort_id = DatasetId::D7;
+    let queries = paper_queries();
     let mut curves = Vec::new();
     let mut curve_text = String::new();
     for (name, hint) in [
@@ -1106,11 +1054,10 @@ pub fn bench_exec(cfg: &ReproConfig) -> String {
                 ("dataset".into(), Json::str(amort_id.name())),
             ]),
         ),
-        ("compiled_wins".into(), Json::uint(compiled_wins as u64)),
         ("datasets".into(), Json::Arr(rows)),
         ("m".into(), Json::uint(cfg.m as u64)),
-        ("queries".into(), Json::uint(queries.len() as u64)),
         ("runs".into(), Json::uint(cfg.runs as u64)),
+        ("topk_k".into(), Json::uint(TOPK as u64)),
     ]);
     let path = "BENCH_exec.json";
     match std::fs::write(path, format!("{report}\n")) {
@@ -1273,7 +1220,7 @@ pub fn bench_predicates(cfg: &ReproConfig) -> String {
 }
 
 /// All experiment ids accepted by the `repro` binary.
-pub const EXPERIMENTS: [&str; 22] = [
+pub const EXPERIMENTS: [&str; 21] = [
     "table2",
     "fig9a",
     "fig9b",
@@ -1289,7 +1236,6 @@ pub const EXPERIMENTS: [&str; 22] = [
     "fig10f",
     "serve",
     "serve-http",
-    "bench_query",
     "bench_layout",
     "bench_exec",
     "bench_predicates",
@@ -1316,7 +1262,6 @@ pub fn run_experiment(id: &str, cfg: &ReproConfig) -> Option<String> {
         "fig10f" => fig10f(cfg),
         "serve" => serve(cfg),
         "serve-http" => serve_http(cfg),
-        "bench_query" => bench_query(cfg),
         "bench_layout" => bench_layout(cfg),
         "bench_exec" => bench_exec(cfg),
         "bench_predicates" => bench_predicates(cfg),

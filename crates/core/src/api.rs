@@ -96,10 +96,11 @@ impl Granularity {
 }
 
 /// The caller's say over the [`crate::planner`]: pin an evaluator, or
-/// let engine statistics decide.
+/// take the query kind's default.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvaluatorHint {
-    /// Let the planner choose from `(|M|, block fan-out, cache warmth)`.
+    /// Run the query kind's default evaluator
+    /// ([`crate::planner::default_for`]).
     #[default]
     Auto,
     /// Pin Algorithm 3 (per-mapping evaluation).
@@ -273,6 +274,22 @@ pub enum Query {
     },
 }
 
+/// The shape of a [`Query`] without its payload — what the
+/// [`crate::planner`]'s plan table is keyed on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueryKind {
+    /// [`Query::Ptq`].
+    Ptq,
+    /// [`Query::PtqNodes`].
+    PtqNodes,
+    /// [`Query::TopK`].
+    TopK,
+    /// [`Query::Keyword`].
+    Keyword,
+    /// [`Query::Aggregate`].
+    Aggregate,
+}
+
 impl Query {
     /// A label-granularity PTQ with default options (auto plan).
     pub fn ptq(pattern: TwigPattern) -> Query {
@@ -313,6 +330,17 @@ impl Query {
             pattern,
             func,
             options: QueryOptions::default(),
+        }
+    }
+
+    /// The query's kind.
+    pub fn kind(&self) -> QueryKind {
+        match self {
+            Query::Ptq { .. } => QueryKind::Ptq,
+            Query::PtqNodes { .. } => QueryKind::PtqNodes,
+            Query::TopK { .. } => QueryKind::TopK,
+            Query::Keyword { .. } => QueryKind::Keyword,
+            Query::Aggregate { .. } => QueryKind::Aggregate,
         }
     }
 
@@ -1002,7 +1030,7 @@ mod tests {
             stats: ExecStats {
                 plan: Plan {
                     evaluator: Evaluator::BlockTree,
-                    reason: PlanReason::SharedBlocks,
+                    reason: PlanReason::KindDefault,
                 },
                 backend: Evaluator::BlockTree,
                 relevant: 7,
@@ -1018,7 +1046,7 @@ mod tests {
             text,
             "{\"answers\":[{\"mappings\":[0,3],\"matches\":[[1,4]],\"probability\":0.5}],\
              \"stats\":{\"backend\":\"block-tree\",\"elapsed_us\":123,\
-             \"evaluator\":\"block-tree\",\"plan_reason\":\"shared-blocks\",\
+             \"evaluator\":\"block-tree\",\"plan_reason\":\"kind-default\",\
              \"program_cache_hits\":0,\"program_cache_misses\":0,\"relevant\":7,\
              \"rewrite_hits\":2,\"rewrite_misses\":5}}"
         );
@@ -1042,7 +1070,7 @@ mod tests {
              \"rows\":[{\"mapping\":1,\"probability\":0.5,\"value\":2}]},\
              \"answers\":[],\
              \"stats\":{\"backend\":\"block-tree\",\"elapsed_us\":123,\
-             \"evaluator\":\"block-tree\",\"plan_reason\":\"shared-blocks\",\
+             \"evaluator\":\"block-tree\",\"plan_reason\":\"kind-default\",\
              \"program_cache_hits\":0,\"program_cache_misses\":0,\"relevant\":7,\
              \"rewrite_hits\":2,\"rewrite_misses\":5}}"
         );

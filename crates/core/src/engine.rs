@@ -31,7 +31,7 @@ use crate::error::UxmError;
 use crate::exec::{self, Explain, ProgramCache, ProgramCacheStats, SetMode};
 use crate::keyword::{KeywordAnswer, KeywordError};
 use crate::mapping::{MappingId, MappingRef, PossibleMappings};
-use crate::planner::{self, Evaluator, Plan, PlannerStats};
+use crate::planner::{self, Evaluator};
 use crate::ptq::{PtqAnswer, PtqResult};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -257,12 +257,6 @@ pub(crate) struct SessionState {
     sym_doc_label: Vec<Option<LabelId>>,
     /// Per symbol: mappings covering ≥1 target node with that label.
     relevance: RelevanceIndex,
-    /// Per symbol: the total document posting-list length of every source
-    /// label this (target) label can rewrite to under any mapping — the
-    /// measured upper bound of the candidate stream a query node with
-    /// this label feeds the twig matcher. The planner reads the minimum
-    /// over a query's nodes.
-    rewrite_postings: Vec<usize>,
     n_mappings: usize,
     rewrite_cache: Sharded<HashMap<MappingId, Option<SymbolSets>>>,
     node_rewrite_cache: Sharded<HashMap<MappingId, Option<NodeSets>>>,
@@ -308,35 +302,12 @@ impl SessionState {
             }
         }
 
-        // True per-label posting lengths: for every target symbol, the
-        // deduplicated source labels it can rewrite to, priced by their
-        // document posting lists.
-        let mut rewrite_syms: Vec<Vec<Symbol>> = vec![Vec::new(); symbols.len()];
-        for (_, m) in pm.iter() {
-            for &(s, t) in m.pairs {
-                rewrite_syms[target_syms[t.idx()].idx()].push(source_syms[s.idx()]);
-            }
-        }
-        let rewrite_postings: Vec<usize> = rewrite_syms
-            .into_iter()
-            .map(|mut v| {
-                v.sort_unstable();
-                v.dedup();
-                v.iter()
-                    .map(|sym| {
-                        sym_doc_label[sym.idx()].map_or(0, |l| doc.nodes_with_label_id(l).len())
-                    })
-                    .sum()
-            })
-            .collect();
-
         SessionState {
             symbols,
             source_syms,
             target_nodes_by_sym,
             sym_doc_label,
             relevance,
-            rewrite_postings,
             n_mappings,
             rewrite_cache: Sharded::new(),
             node_rewrite_cache: Sharded::new(),
@@ -346,13 +317,6 @@ impl SessionState {
             relevant_hits: AtomicU64::new(0),
             relevant_misses: AtomicU64::new(0),
         }
-    }
-
-    /// Whether the relevant-mapping cache already holds `qstr` — the
-    /// planner's cache-warmth signal. A pure probe: hit counters are
-    /// untouched.
-    pub(crate) fn relevant_cached(&self, qstr: &str) -> bool {
-        self.relevant_cache.read(qstr, |_| ()).is_some()
     }
 
     fn stats(&self) -> CacheStats {
@@ -370,7 +334,6 @@ impl SessionState {
     fn arena_bytes(&self) -> usize {
         use std::mem::size_of;
         self.relevance.words.len() * size_of::<u64>()
-            + self.rewrite_postings.len() * size_of::<usize>()
             + self.source_syms.len() * size_of::<Symbol>()
             + self
                 .target_nodes_by_sym
@@ -1237,9 +1200,9 @@ fn schema_bytes(s: &Schema) -> usize {
 /// Build it once, then serve any number of typed [`Query`] requests
 /// through [`QueryEngine::run`] — the one query entry point; label
 /// interning, relevance bitsets, and the rewrite cache amortize across
-/// calls. Evaluation strategy (naive vs block-tree) is chosen by the
-/// [`crate::planner`] unless the query pins it, and never affects the
-/// answers.
+/// calls. Evaluation strategy (naive, block-tree or compiled) is chosen
+/// by the [`crate::planner`] unless the query pins it, and never affects
+/// the answers.
 ///
 /// ```
 /// use uxm_core::api::Query;
@@ -1273,9 +1236,6 @@ pub struct QueryEngine {
     /// [`crate::exec`]); programs embed session symbols, so the cache
     /// lives and dies with this engine.
     exec_cache: ProgramCache,
-    /// Average mappings per c-block (the planner's fan-out statistic),
-    /// fixed at build time.
-    avg_block_fanout: f64,
 }
 
 // The registry shares one engine across many serving threads; the caches
@@ -1302,12 +1262,6 @@ impl QueryEngine {
     /// Wraps an already-built block tree.
     pub fn new(pm: PossibleMappings, doc: Document, tree: BlockTree) -> QueryEngine {
         let state = SessionState::build(&pm, &doc);
-        let blocks = tree.blocks();
-        let avg_block_fanout = if blocks.is_empty() {
-            0.0
-        } else {
-            blocks.iter().map(|b| b.mappings.len()).sum::<usize>() as f64 / blocks.len() as f64
-        };
         QueryEngine {
             pm,
             doc,
@@ -1315,7 +1269,6 @@ impl QueryEngine {
             state,
             path_index: OnceLock::new(),
             exec_cache: ProgramCache::new(),
-            avg_block_fanout,
         }
     }
 
@@ -1399,47 +1352,6 @@ impl QueryEngine {
         self.state.relevant(q, &q.to_string()).to_vec()
     }
 
-    /// The planner inputs for one query: the relevant-set size, the block
-    /// statistics fixed at build time, and the query's measured
-    /// posting-list floor.
-    fn planner_stats(&self, q: &TwigPattern, relevant: usize, cache_warm: bool) -> PlannerStats {
-        let postings = self.rewrite_postings(q);
-        PlannerStats {
-            relevant_mappings: relevant,
-            block_count: self.tree.block_count(),
-            avg_block_fanout: self.avg_block_fanout,
-            min_rewrite_postings: postings.0,
-            total_rewrite_postings: postings.1,
-            value_predicates: q.ids().map(|id| q.node(id).preds.len()).sum(),
-            wildcard_nodes: q.ids().filter(|&id| q.node(id).is_wildcard()).count(),
-            pred_selectivity: planner::estimate_selectivity(q),
-            cache_warm,
-        }
-    }
-
-    /// The `(min, total)` rewritten-label posting-list lengths over `q`'s
-    /// nodes, read off the session's per-symbol posting table (O(|q|)).
-    /// A label occurring in neither schema nor the document contributes
-    /// 0 — its candidate stream is empty. A wildcard's candidate stream
-    /// is the whole document.
-    fn rewrite_postings(&self, q: &TwigPattern) -> (usize, usize) {
-        let mut min = usize::MAX;
-        let mut total = 0usize;
-        for &qs in &self.state.query_syms(q) {
-            let p = if qs.wild {
-                self.doc.len()
-            } else {
-                match qs.sym {
-                    Some(s) => self.state.rewrite_postings[s.idx()],
-                    None => 0,
-                }
-            };
-            min = min.min(p);
-            total += p;
-        }
-        (if min == usize::MAX { 0 } else { min }, total)
-    }
-
     /// The k most-probable relevant mappings for `q` (ties by id), in
     /// evaluation order.
     fn topk_ids(&self, q: &TwigPattern, qstr: &str, k: usize) -> Vec<MappingId> {
@@ -1498,88 +1410,56 @@ impl QueryEngine {
     }
 
     /// The observability hook behind `uxm explain` and the `/query`
-    /// `explain: true` option: the plan [`Self::run`] would execute
-    /// right now, the planner statistics it would decide from, and the
-    /// compiled program listing (always included for PTQ-shaped
-    /// queries, whatever the plan picks). Like `run`, this warms the
-    /// relevant-mapping cache — so explain-then-run reports a warm
-    /// plan. The program is compiled fresh, off the cache, leaving the
-    /// program-cache counters untouched.
+    /// `explain: true` option: the plan [`Self::run`] executes for
+    /// `query`, and the compiled program listing (always included for
+    /// PTQ-shaped queries, whatever the plan picks). The program is
+    /// compiled fresh, off the cache, leaving the program-cache counters
+    /// untouched.
     pub fn explain(&self, query: &Query) -> Result<Explain, UxmError> {
         query.validate()?;
-        let hint = query.options().evaluator;
-        Ok(match query {
-            Query::Ptq { pattern, .. } => {
-                self.explain_shaped(pattern, SetMode::Symbols, None, None, hint)
-            }
-            Query::PtqNodes { pattern, .. } => {
-                self.explain_shaped(pattern, SetMode::SchemaNodes, None, None, hint)
-            }
-            Query::TopK { pattern, k, .. } => {
-                self.explain_shaped(pattern, SetMode::Symbols, Some(*k), None, hint)
-            }
+        let plan = planner::choose(query.options().evaluator, query.kind());
+        let (pattern, mode, k, agg) = match query {
+            Query::Ptq { pattern, .. } => (pattern, SetMode::Symbols, None, None),
+            Query::PtqNodes { pattern, .. } => (pattern, SetMode::SchemaNodes, None, None),
+            Query::TopK { pattern, k, .. } => (pattern, SetMode::Symbols, Some(*k), None),
             Query::Aggregate { pattern, func, .. } => {
-                self.explain_shaped(pattern, SetMode::Symbols, None, Some(*func), hint)
+                (pattern, SetMode::Symbols, None, Some(*func))
             }
-            Query::Keyword { .. } => Explain {
-                plan: Plan::only(Evaluator::Naive),
-                planner: None,
-                program: None,
-            },
-        })
-    }
-
-    /// [`Self::explain`] for the PTQ-shaped query kinds.
-    fn explain_shaped(
-        &self,
-        q: &TwigPattern,
-        mode: SetMode,
-        k: Option<usize>,
-        agg: Option<AggFunc>,
-        hint: crate::api::EvaluatorHint,
-    ) -> Explain {
-        let qstr = q.to_string();
-        let warm = self.state.relevant_cached(&qstr);
-        let relevant = self.state.relevant(q, &qstr).len();
-        let relevant = k.map_or(relevant, |k| relevant.min(k));
-        let stats = self.planner_stats(q, relevant, warm);
-        let plan = exec::apply_env(hint, planner::choose(hint, &stats));
-        Explain {
+            Query::Keyword { .. } => {
+                return Ok(Explain {
+                    plan,
+                    program: None,
+                })
+            }
+        };
+        Ok(Explain {
             plan,
-            planner: Some(stats),
-            program: Some(Arc::new(exec::compile(q, mode, k, agg, &self.state))),
-        }
+            program: Some(Arc::new(exec::compile(pattern, mode, k, agg, &self.state))),
+        })
     }
 
     /// Runs one typed [`Query`] — the single query entry point.
     ///
-    /// Parsed options are validated first; evaluation strategy is chosen
-    /// by [`crate::planner::choose`] from `(|M_q|, block fan-out, cache
-    /// warmth)` unless the query pins it. The returned
-    /// [`QueryResponse`] carries the answers (with per-answer mapping
-    /// provenance) and an [`ExecStats`] block reporting the plan, the
-    /// cache traffic, and the elapsed time. Answers are independent of
-    /// the chosen plan by construction — pinned by the planner
-    /// differential suite in `tests/engine_equivalence.rs`.
+    /// Parsed options are validated first; the evaluator comes from
+    /// [`crate::planner::choose`]'s fixed table (the pinned hint, or
+    /// the query kind's default). The returned [`QueryResponse`]
+    /// carries the answers (with per-answer mapping provenance) and an
+    /// [`ExecStats`] block reporting the plan, the cache traffic, and
+    /// the elapsed time. Answers are independent of the chosen plan by
+    /// construction — pinned by the planner differential suite in
+    /// `tests/engine_equivalence.rs`.
     pub fn run(&self, query: &Query) -> Result<QueryResponse, UxmError> {
         query.validate()?;
         let start = std::time::Instant::now();
         let (hits_before, misses_before) = rewrite_tally();
         let options = *query.options();
+        let plan = planner::choose(options.evaluator, query.kind());
         let mut aggregate = None;
         // `program` is `Some(cache_hit)` when the compiled backend ran.
-        let (answers, plan, relevant, backend, program) = match query {
+        let (answers, relevant, program) = match query {
             Query::Ptq { pattern, .. } => {
                 let qstr = pattern.to_string();
-                let warm = self.state.relevant_cached(&qstr);
                 let ids = self.state.relevant(pattern, &qstr);
-                let plan = exec::apply_env(
-                    options.evaluator,
-                    planner::choose(
-                        options.evaluator,
-                        &self.planner_stats(pattern, ids.len(), warm),
-                    ),
-                );
                 let (res, program) = match plan.evaluator {
                     Evaluator::Compiled => {
                         let (res, _, hit) =
@@ -1590,23 +1470,13 @@ impl QueryEngine {
                 };
                 (
                     crate::api::shape_ptq_answers(res.answers, &options),
-                    plan,
                     ids.len(),
-                    plan.evaluator,
                     program,
                 )
             }
             Query::PtqNodes { pattern, .. } => {
                 let qstr = pattern.to_string();
-                let warm = self.state.relevant_cached(&qstr);
                 let relevant = self.state.relevant(pattern, &qstr).len();
-                let plan = exec::apply_env(
-                    options.evaluator,
-                    planner::choose(
-                        options.evaluator,
-                        &self.planner_stats(pattern, relevant, warm),
-                    ),
-                );
                 let (res, program) = match plan.evaluator {
                     Evaluator::Naive => (
                         eval_basic_nodes(
@@ -1637,23 +1507,13 @@ impl QueryEngine {
                 };
                 (
                     crate::api::shape_ptq_answers(res.answers, &options),
-                    plan,
                     relevant,
-                    plan.evaluator,
                     program,
                 )
             }
             Query::TopK { pattern, k, .. } => {
                 let qstr = pattern.to_string();
-                let warm = self.state.relevant_cached(&qstr);
                 let ids = self.topk_ids(pattern, &qstr, *k);
-                let plan = exec::apply_env(
-                    options.evaluator,
-                    planner::choose(
-                        options.evaluator,
-                        &self.planner_stats(pattern, ids.len(), warm),
-                    ),
-                );
                 let (mut res, program) = match plan.evaluator {
                     Evaluator::Compiled => {
                         let (res, _, hit) =
@@ -1669,23 +1529,13 @@ impl QueryEngine {
                 });
                 (
                     crate::api::shape_ptq_answers(res.answers, &options),
-                    plan,
                     ids.len(),
-                    plan.evaluator,
                     program,
                 )
             }
             Query::Aggregate { pattern, func, .. } => {
                 let qstr = pattern.to_string();
-                let warm = self.state.relevant_cached(&qstr);
                 let ids = self.state.relevant(pattern, &qstr);
-                let plan = exec::apply_env(
-                    options.evaluator,
-                    planner::choose(
-                        options.evaluator,
-                        &self.planner_stats(pattern, ids.len(), warm),
-                    ),
-                );
                 // Per-mapping rows are folded from the *unfiltered* match
                 // sets (each row's value is independent of which other
                 // rows survive), so the min-probability option can prune
@@ -1709,7 +1559,7 @@ impl QueryEngine {
                     rows.retain(|r| r.probability >= options.min_probability);
                 }
                 aggregate = Some(AggregateResult::new(*func, rows));
-                (Vec::new(), plan, ids.len(), plan.evaluator, program)
+                (Vec::new(), ids.len(), program)
             }
             Query::Keyword { terms, .. } => {
                 let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
@@ -1717,9 +1567,7 @@ impl QueryEngine {
                 let relevant = raw.len();
                 (
                     crate::api::shape_keyword_answers(raw, &options),
-                    Plan::only(Evaluator::Naive),
                     relevant,
-                    Evaluator::Naive,
                     None,
                 )
             }
@@ -1730,7 +1578,7 @@ impl QueryEngine {
             aggregate,
             stats: ExecStats {
                 plan,
-                backend,
+                backend: plan.evaluator,
                 relevant,
                 program_cache_hits: u64::from(program == Some(true)),
                 program_cache_misses: u64::from(program == Some(false)),
@@ -1912,6 +1760,37 @@ mod tests {
             "second run recomputes nothing"
         );
         assert_eq!(warm.answers, pinned.answers);
+    }
+
+    #[test]
+    fn auto_runs_each_kinds_default_backend() {
+        use crate::planner::PlanReason;
+        let e = engine();
+        let q = TwigPattern::parse("//Line//No").unwrap();
+        let compiled = [
+            Query::ptq(q.clone()),
+            Query::topk(q.clone(), 3),
+            Query::aggregate(q.clone(), AggFunc::Count),
+        ];
+        for query in &compiled {
+            // Cold: the program compiles; warm: it replays from the cache.
+            for (hits, misses) in [(0, 1), (1, 0)] {
+                let stats = e.run(query).unwrap().stats;
+                assert_eq!(stats.plan.evaluator, Evaluator::Compiled, "{query}");
+                assert_eq!(stats.plan.reason, PlanReason::KindDefault, "{query}");
+                assert_eq!(stats.backend, Evaluator::Compiled, "{query}");
+                assert_eq!(
+                    (stats.program_cache_hits, stats.program_cache_misses),
+                    (hits, misses),
+                    "{query}"
+                );
+            }
+        }
+        let nodes = e.run(&Query::ptq_nodes(q)).unwrap().stats;
+        assert_eq!(nodes.plan.evaluator, Evaluator::BlockTree);
+        assert_eq!(nodes.plan.reason, PlanReason::KindDefault);
+        assert_eq!(nodes.backend, Evaluator::BlockTree);
+        assert_eq!(nodes.program_cache_hits + nodes.program_cache_misses, 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * a [`Json`] value tree (null, bool, number, string, array, object);
 //! * a strict recursive-descent parser ([`Json::parse`]) that rejects
-//!   trailing input;
+//!   trailing input and nesting deeper than [`MAX_DEPTH`];
 //! * a canonical writer ([`Json::write`] / `Display`): no whitespace,
 //!   object keys in the order the encoder emits them (every encoder in
 //!   this crate emits keys alphabetically), integers without a fraction,
@@ -19,6 +19,12 @@
 //! serializes, which `uxm batch` files and the round-trip tests rely on.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a request body of nested
+/// `[` would overflow a serving thread's stack and abort the process.
+/// No wire message comes close: a `/batch` body nests four levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -102,10 +108,13 @@ impl Json {
 
     /// Parses `input`, rejecting anything but exactly one JSON value
     /// (surrounding whitespace is allowed, trailing input is not).
+    /// Nesting deeper than [`MAX_DEPTH`] fails at the bracket that
+    /// crosses the cap.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -212,6 +221,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -252,8 +263,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'0'..=b'9' | b'-') => self.number(),
             _ => {
@@ -513,6 +535,24 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_crossing_bracket() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&nested(MAX_DEPTH + 1)),
+            Err(JsonError {
+                offset: MAX_DEPTH,
+                message: "nesting too deep",
+            })
+        );
+        // Objects count too, and a deep body fails without recursing
+        // through all of it.
+        let deep_obj = "{\"a\":".repeat(MAX_DEPTH) + "[" + &"}".repeat(MAX_DEPTH);
+        assert_eq!(Json::parse(&deep_obj).unwrap_err().offset, 5 * MAX_DEPTH);
+        assert!(Json::parse(&nested(50_000)).is_err());
     }
 
     #[test]

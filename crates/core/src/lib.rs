@@ -28,8 +28,9 @@
 //! * [`aggregate`] — COUNT/SUM/MIN/MAX aggregate answers over PTQ
 //!   matches: per-mapping rows, the probability-weighted marginal, and
 //!   the associative cross-shard merge,
-//! * [`planner`] — the cost-aware choice between naive, block-tree,
-//!   and compiled evaluation, driven by engine statistics unless a
+//! * [`planner`] — the fixed per-kind plan table choosing between
+//!   naive, block-tree, and compiled evaluation (compiled for PTQs,
+//!   top-k and aggregates, block-tree for node granularity) unless a
 //!   query pins it,
 //! * [`exec`] — compiled query execution: flat bytecode programs
 //!   lowered once per query shape, interpreted by a register VM over
@@ -131,7 +132,7 @@ pub(crate) mod sync;
 pub mod topk;
 
 pub use aggregate::{AggFunc, AggRow, AggregateResult};
-pub use api::{Answer, EvaluatorHint, Granularity, Query, QueryOptions, QueryResponse};
+pub use api::{Answer, EvaluatorHint, Granularity, Query, QueryKind, QueryOptions, QueryResponse};
 pub use block::{Block, BlockId};
 pub use block_tree::{BlockTree, BlockTreeConfig};
 pub use engine::QueryEngine;

@@ -276,8 +276,7 @@ struct EngineCounters {
     plans_naive: AtomicU64,
     plans_block_tree: AtomicU64,
     plans_compiled: AtomicU64,
-    /// The backend that actually executed (`ExecStats::backend`), which
-    /// is the planned evaluator after the `UXM_EXEC` toggle resolves.
+    /// The backend that actually executed (`ExecStats::backend`).
     backends_naive: AtomicU64,
     backends_block_tree: AtomicU64,
     backends_compiled: AtomicU64,
@@ -1215,7 +1214,7 @@ impl Handler for EngineRegistry {
 ///
 /// The body may additionally carry `"explain": true` — a serving-layer
 /// envelope option, not part of the query wire format — which adds an
-/// `"explain"` object (plan, planner inputs, compiled program listing;
+/// `"explain"` object (plan and compiled program listing;
 /// see [`crate::exec::Explain`]) to the response.
 fn handle_query(
     engines: &dyn Engines,

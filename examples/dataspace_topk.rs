@@ -50,8 +50,8 @@ fn main() {
     println!("source document: {} nodes\n", doc.len());
     let engine = QueryEngine::new(mappings, doc, tree);
 
-    // Q10, full vs top-k, through the unified entry point (the planner
-    // picks the evaluator; the response reports its choice).
+    // Q10, full vs top-k, through the unified entry point (the auto plan
+    // runs both kinds compiled; the response reports the choice).
     let q = paper_query(10);
     println!("query Q10: {q}");
 

@@ -83,8 +83,9 @@ fn main() {
         }
     }
 
-    // The planner picked an evaluation strategy; pinning either one
-    // returns identical answers — the choice is pure performance.
+    // The auto plan ran the PTQ kind's default evaluator (compiled);
+    // pinning either of the paper's algorithms returns identical
+    // answers — the choice is pure performance.
     for hint in [EvaluatorHint::Naive, EvaluatorHint::BlockTree] {
         let pinned = engine.run(&query.clone().with_evaluator(hint)).unwrap();
         assert_eq!(response.answers, pinned.answers);

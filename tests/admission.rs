@@ -19,7 +19,10 @@
 //! * an engine evicted while a caller still holds its `Arc` is real
 //!   memory the budget no longer sees — `GET /stats` surfaces it as
 //!   `unreclaimed_bytes`, and the thrash gate sheds cold hydrations
-//!   when eviction churn says the working set exceeds the budget.
+//!   when eviction churn says the working set exceeds the budget;
+//! * a deeply nested JSON body used to overflow a worker's stack and
+//!   abort the whole server — now the parser's nesting cap answers a
+//!   typed 400.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -413,4 +416,83 @@ fn stats_surfaces_eviction_drift_and_thrash_sheds() {
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `uxm serve` child process on an ephemeral port; killed on drop.
+struct ChildServer {
+    child: std::process::Child,
+    /// The banner's reader, kept open so later banner lines never hit a
+    /// closed pipe.
+    _stdout: BufReader<std::process::ChildStdout>,
+    addr: String,
+    dir: std::path::PathBuf,
+}
+
+impl ChildServer {
+    fn start() -> ChildServer {
+        let dir = std::env::temp_dir().join(format!("uxm-admission-child-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_uxm"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2", "--dir"])
+            .arg(&dir)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn uxm serve");
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        // "uxm serve on http://127.0.0.1:PORT — ..."
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).unwrap();
+        let addr = banner
+            .split("http://")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
+            .to_string();
+        ChildServer {
+            child,
+            _stdout: stdout,
+            addr,
+            dir,
+        }
+    }
+}
+
+impl Drop for ChildServer {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// A 100 KB `/batch` body of 50,000 nested `[` (a tenth of the body
+/// cap) used to overflow a worker's stack in the recursive JSON parser.
+/// A stack overflow aborts the whole process — `catch_unwind` cannot
+/// contain it. The parser's nesting cap now answers a typed 400 and
+/// the server keeps serving. The server runs as a child process, so a
+/// regression fails this test instead of aborting the test binary.
+#[test]
+fn deeply_nested_json_body_is_a_typed_400_not_an_abort() {
+    let server = ChildServer::start();
+    let body = "[".repeat(50_000) + &"]".repeat(50_000);
+    let (status, answer) = Client::connect(server.addr.as_str())
+        .unwrap()
+        .post("/batch", &body)
+        .expect("the server answers a deeply nested body");
+    assert_eq!(status, 400, "{answer}");
+    assert_eq!(error_kind(&answer), "json");
+    assert!(
+        answer.contains(&format!(
+            "nesting too deep at byte {}",
+            uxm::core::json::MAX_DEPTH
+        )),
+        "{answer}"
+    );
+
+    let (status, health) = Client::connect(server.addr.as_str())
+        .expect("the server is still listening")
+        .get("/healthz")
+        .unwrap();
+    assert_eq!((status, health.as_str()), (200, "{\"status\":\"ok\"}"));
 }

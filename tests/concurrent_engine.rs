@@ -4,8 +4,8 @@
 //! identical to the single-threaded evaluation of the same request. This
 //! is the contract the `EngineRegistry` serving layer builds on — the
 //! sharded caches may race on *computing* an entry, but never on its
-//! value, and the planner's choice (which may differ between cold and
-//! warm caches) never changes answers. Each query's own `ExecStats`
+//! value, and a cold or warm program or rewrite cache never changes
+//! answers. Each query's own `ExecStats`
 //! rewrite counters must stay exact while other queries share the engine.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -136,8 +136,8 @@ fn hammered_engine_matches_single_threaded_evaluation() {
 #[test]
 fn warm_and_cold_answers_agree_across_threads() {
     // A second shape of the race: every thread runs the SAME query; the
-    // first to finish populates the caches while the rest are mid-flight
-    // (and the auto planner may see warm caches on later runs).
+    // first to finish populates the caches (and the program cache)
+    // while the rest are mid-flight.
     let shared = Arc::new(engine(DatasetId::D7, 12, 250));
     let query = Query::ptq(paper_queries()[1].clone());
     let expected = run_request(&engine(DatasetId::D7, 12, 250), &query);

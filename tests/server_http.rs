@@ -533,13 +533,15 @@ fn graceful_shutdown_completes_in_flight_requests() {
     // A heavier engine so requests are reliably still in flight when
     // shutdown lands.
     let engine = registry.insert("d7", dataset_engine(DatasetId::D7, 30, 1500));
-    let handle = start(Arc::clone(&registry), 4);
+    const CLIENTS: usize = 4;
+    // One worker per client, plus one for the `/stats` poller below.
+    let handle = start(Arc::clone(&registry), CLIENTS + 1);
     let addr = handle.addr();
 
     let query = Query::ptq(paper_queries()[0].clone()).with_evaluator(EvaluatorHint::Naive);
     let truth = engine.run(&query).unwrap().to_json_string();
 
-    let clients: Vec<_> = (0..4)
+    let clients: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let query = query.clone();
             std::thread::spawn(move || {
@@ -548,9 +550,30 @@ fn graceful_shutdown_completes_in_flight_requests() {
             })
         })
         .collect();
-    // Let the requests reach the workers, then stop the server while
-    // they are (very likely) still evaluating.
-    std::thread::sleep(std::time::Duration::from_millis(5));
+    // Wait until the server has read every client's request, then stop
+    // it while they are (very likely) still evaluating. The server-wide
+    // counter also counts each `/stats` poll, itself included.
+    let mut poller = Client::connect(addr).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    for polls in 1.. {
+        let (status, body) = poller.get("/stats").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let read = Json::parse(&body)
+            .unwrap()
+            .get("server")
+            .and_then(|s| s.get("requests"))
+            .and_then(Json::as_usize)
+            .unwrap();
+        if read >= CLIENTS + polls {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the server never read all {CLIENTS} requests: {body}"
+        );
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    drop(poller);
     handle.shutdown();
 
     for c in clients {
