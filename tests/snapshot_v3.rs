@@ -20,6 +20,7 @@ use uxm::xml::{DocGenConfig, Document, Schema};
 
 const V1_FIXTURE: &str = "tests/fixtures/snapshot_v1.uxm";
 const V2_FIXTURE: &str = "tests/fixtures/snapshot_v2.uxm";
+const V3_FIXTURE: &str = "tests/fixtures/snapshot_v3.uxm";
 
 // ---------------------------------------------------------------------
 // v3 container geometry, mirrored from the codec for byte surgery
@@ -257,6 +258,39 @@ fn v2_golden_fixture_decodes() {
             fresh.run(&q).unwrap().answers,
             "{q}"
         );
+    }
+}
+
+/// The committed v3 golden fixture was written when sections started on
+/// 4096-byte boundaries. It still decodes, keeps that alignment on disk,
+/// and answers every fixture query exactly like a freshly built engine
+/// under every evaluator hint — so snapshot directories written before
+/// the alignment change keep loading.
+#[test]
+fn v3_golden_fixture_decodes() {
+    let bytes =
+        std::fs::read(V3_FIXTURE).expect("v3 fixture committed at tests/fixtures/snapshot_v3.uxm");
+    assert_eq!(snapshot_version(&bytes).unwrap(), 3);
+    for i in 0..SECTIONS {
+        let offset = entry_field(&bytes, i, 1);
+        assert_eq!(offset % 4096, 0, "section {i} offset {offset}");
+    }
+    let decoded = decode_engine_snapshot(&bytes).expect("4096-aligned v3 still decodes");
+    let fresh = fixture_engine();
+    for q in fixture_queries() {
+        for hint in [
+            EvaluatorHint::Auto,
+            EvaluatorHint::Naive,
+            EvaluatorHint::BlockTree,
+            EvaluatorHint::Compiled,
+        ] {
+            let q = q.clone().with_evaluator(hint);
+            assert_eq!(
+                decoded.run(&q).unwrap().answers,
+                fresh.run(&q).unwrap().answers,
+                "{q} {hint:?}"
+            );
+        }
     }
 }
 
