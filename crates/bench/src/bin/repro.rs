@@ -12,7 +12,8 @@
 //! `uxm_bench::soak::SoakConfig`). `--shards N` puts the soak corpus
 //! behind the consistent-hash router with `N` shard registries.
 //! `--assert-hydration` makes `bench_layout` exit nonzero unless v3
-//! cold hydration beats v2 on the 200k-node corpus document. The
+//! cold hydration of the 200k-node corpus engine beats rebuilding its
+//! document with `Document::from_columns`. The
 //! `shard` experiment (scatter-gather work split + tail isolation,
 //! writing `BENCH_shard.json`) shares the same corpus knobs and
 //! compares 1 vs 4 shards itself.

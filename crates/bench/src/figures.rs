@@ -20,6 +20,7 @@ use uxm_core::stats::{avg_block_size, block_size_histogram, max_block_coverage, 
 use uxm_datagen::datasets::{Dataset, DatasetId};
 use uxm_datagen::queries::paper_queries;
 use uxm_twig::TwigPattern;
+use uxm_xml::{Document, LabelId};
 /// Shared knobs for the repro run.
 #[derive(Clone, Debug)]
 pub struct ReproConfig {
@@ -30,7 +31,8 @@ pub struct ReproConfig {
     /// Knobs for the `soak` experiment.
     pub soak: crate::soak::SoakConfig,
     /// When set, `bench_layout` exits nonzero unless v3 cold hydration
-    /// beats v2 on the large `corpus` document (the CI latency gate).
+    /// of the large `corpus` engine beats rebuilding its document with
+    /// `Document::from_columns` (the CI latency gate).
     pub assert_hydration: bool,
 }
 
@@ -694,26 +696,24 @@ pub fn ablation(cfg: &ReproConfig) -> String {
 /// The columnar-layout benchmark behind `BENCH_layout.json`: for every
 /// Table II dataset plus one 200k-node `corpus` document (the soak
 /// schema family, bigger than any paper dataset), the engine's resident
-/// per-component footprint, the v1/v2/v3 snapshot sizes, hydration
-/// (decode) latency for all three versions, and the warm 10-query
-/// latency through the unified `QueryEngine::run` path. Writes
-/// `BENCH_layout.json` (canonical JSON) into the current directory and
-/// returns a printable summary. With [`ReproConfig::assert_hydration`]
-/// the run exits nonzero unless v3 cold hydration beats v2 on the
-/// `corpus` row — the `soak-smoke` CI latency gate.
+/// per-component footprint, the snapshot size, hydration (decode)
+/// latency, and the warm 10-query latency through the unified
+/// `QueryEngine::run` path. Writes `BENCH_layout.json` (canonical JSON)
+/// into the current directory and returns a printable summary. With
+/// [`ReproConfig::assert_hydration`] the run exits nonzero unless
+/// hydrating the whole `corpus` engine beats rebuilding its document
+/// alone with `Document::from_columns` — the `soak-smoke` CI latency
+/// gate.
 pub fn bench_layout(cfg: &ReproConfig) -> String {
-    use uxm_core::storage::{
-        decode_engine_snapshot, encode_engine_snapshot, encode_engine_snapshot_v1,
-        encode_engine_snapshot_v2,
-    };
+    use uxm_core::storage::{decode_engine_snapshot, encode_engine_snapshot};
     let queries = paper_queries();
     let mut out = format!(
-        "BENCH_layout — columnar arena + page-aligned snapshot v3, |M| = {}\n  \
-         ID      resident     v2 bytes   v3 bytes   v3/v2   hydr v1   hydr v2   hydr v3   v2/v3   warm 10q\n",
+        "BENCH_layout — columnar arena + snapshot v3, |M| = {}\n  \
+         ID      resident   v3 bytes   hydrate   warm 10q\n",
         cfg.m
     );
     let mut rows = Vec::new();
-    let mut corpus_hydrate = None;
+    let mut gate = None;
     let engines = DatasetId::all()
         .into_iter()
         .map(|id| {
@@ -725,23 +725,16 @@ pub fn bench_layout(cfg: &ReproConfig) -> String {
             crate::soak::corpus_engine(CORPUS_NODES),
         )));
     for (name, engine) in engines {
-        let v1 = encode_engine_snapshot_v1(&engine);
-        let v2 = encode_engine_snapshot_v2(&engine);
         let v3 = encode_engine_snapshot(&engine);
-        let hydrate = |bytes: &[u8]| {
-            time_avg(cfg.runs, || {
-                std::hint::black_box(
-                    decode_engine_snapshot(bytes)
-                        .expect("snapshot decodes")
-                        .approx_bytes(),
-                );
-            })
-        };
-        let hydrate_v1 = hydrate(&v1);
-        let hydrate_v2 = hydrate(&v2);
-        let hydrate_v3 = hydrate(&v3);
+        let hydrate = time_avg(cfg.runs, || {
+            std::hint::black_box(
+                decode_engine_snapshot(&v3)
+                    .expect("snapshot decodes")
+                    .approx_bytes(),
+            );
+        });
         if name == "corpus" {
-            corpus_hydrate = Some((hydrate_v2, hydrate_v3));
+            gate = Some((hydrate, rebuild_document_s(engine.document(), cfg.runs)));
         }
         let fp = engine.footprint();
         let typed: Vec<Query> = queries.iter().map(|q| Query::ptq(q.clone())).collect();
@@ -755,27 +748,15 @@ pub fn bench_layout(cfg: &ReproConfig) -> String {
         });
         let _ = writeln!(
             out,
-            "  {:<6} {:>9} B {:>10} {:>10} {:>7.2} {:>8.4}s {:>8.4}s {:>8.4}s {:>7.2}x {:>9.4}s",
+            "  {:<6} {:>9} B {:>10} {:>8.4}s {:>9.4}s",
             name,
             fp.total(),
-            v2.len(),
             v3.len(),
-            v3.len() as f64 / v2.len() as f64,
-            hydrate_v1,
-            hydrate_v2,
-            hydrate_v3,
-            hydrate_v2 / hydrate_v3.max(1e-12),
+            hydrate,
             warm,
         );
         rows.push(Json::Obj(vec![
-            (
-                "hydrate_s".into(),
-                Json::Obj(vec![
-                    ("v1".into(), Json::Num(hydrate_v1)),
-                    ("v2".into(), Json::Num(hydrate_v2)),
-                    ("v3".into(), Json::Num(hydrate_v3)),
-                ]),
-            ),
+            ("hydrate_s".into(), Json::Num(hydrate)),
             ("id".into(), Json::str(&name)),
             (
                 "resident_bytes".into(),
@@ -789,18 +770,13 @@ pub fn bench_layout(cfg: &ReproConfig) -> String {
                     ("total".into(), Json::uint(fp.total() as u64)),
                 ]),
             ),
-            (
-                "snapshot_bytes".into(),
-                Json::Obj(vec![
-                    ("v1".into(), Json::uint(v1.len() as u64)),
-                    ("v2".into(), Json::uint(v2.len() as u64)),
-                    ("v3".into(), Json::uint(v3.len() as u64)),
-                ]),
-            ),
+            ("snapshot_bytes".into(), Json::uint(v3.len() as u64)),
             ("warm_query_s".into(), Json::Num(warm)),
         ]));
     }
+    let (v3_s, rebuild_s) = gate.expect("corpus row ran");
     let report = Json::Obj(vec![
+        ("corpus_from_columns_s".into(), Json::Num(rebuild_s)),
         ("datasets".into(), Json::Arr(rows)),
         ("m".into(), Json::uint(cfg.m as u64)),
         ("queries".into(), Json::uint(queries.len() as u64)),
@@ -815,23 +791,39 @@ pub fn bench_layout(cfg: &ReproConfig) -> String {
             let _ = writeln!(out, "could not write {path}: {e}");
         }
     }
+    let verdict = format!("corpus v3 {v3_s:.4}s vs from_columns {rebuild_s:.4}s");
     if cfg.assert_hydration {
-        let (v2_s, v3_s) = corpus_hydrate.expect("corpus row ran");
-        if v3_s < v2_s {
-            let _ = writeln!(
-                out,
-                "hydration gate PASS: corpus v3 {:.4}s < v2 {:.4}s ({:.2}x)",
-                v3_s,
-                v2_s,
-                v2_s / v3_s.max(1e-12),
-            );
+        if v3_s < rebuild_s {
+            let _ = writeln!(out, "hydration gate PASS: {verdict}");
         } else {
             println!("{out}");
-            eprintln!("hydration gate FAIL: corpus v3 {v3_s:.4}s >= v2 {v2_s:.4}s");
+            eprintln!("hydration gate FAIL: {verdict}");
             std::process::exit(1);
         }
     }
     out
+}
+
+/// Mean seconds for `Document::from_columns` to rebuild `doc` from its
+/// primary columns, deriving post-order ranks, levels and both CSR
+/// indexes — the work a v2 snapshot decode did on top of varint
+/// parsing. Only the constructor is timed, not the input clones.
+fn rebuild_document_s(doc: &Document, runs: usize) -> f64 {
+    let c = doc.raw_columns();
+    let labels: Vec<LabelId> = c.labels.iter().map(|&l| LabelId(l)).collect();
+    let counts: Vec<u32> = c.attr_offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut total = 0.0;
+    for _ in 0..runs {
+        let (names, labels, parents) = (c.label_names.to_vec(), labels.clone(), c.parents.to_vec());
+        let (text, spans) = (c.text_buf.to_string(), c.text_spans.to_vec());
+        let (attrs, counts, aspans) = (c.attr_buf.into(), counts.clone(), c.attr_spans.to_vec());
+        let start = std::time::Instant::now();
+        let rebuilt =
+            Document::from_columns(names, labels, parents, text, spans, attrs, counts, aspans);
+        total += start.elapsed().as_secs_f64();
+        std::hint::black_box(rebuilt.expect("a live document's columns are valid").len());
+    }
+    total / runs as f64
 }
 
 /// The execution benchmark behind `BENCH_exec.json`, and the evidence

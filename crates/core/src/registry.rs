@@ -75,9 +75,7 @@ use crate::api::{Query, QueryResponse};
 use crate::engine::QueryEngine;
 use crate::error::UxmError;
 use crate::json::Json;
-use crate::storage::{
-    decode_engine_snapshot, encode_engine_snapshot, encode_engine_snapshot_as, snapshot_version,
-};
+use crate::storage::{decode_engine_snapshot, encode_engine_snapshot, snapshot_version};
 use crate::sync;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -454,7 +452,7 @@ impl EngineRegistry {
             other => other?,
         };
         let start = std::time::Instant::now();
-        let bytes = read_snapshot(&path).map_err(|e| {
+        let bytes = std::fs::read(&path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 UxmError::UnknownEngine(name.to_string())
             } else {
@@ -470,34 +468,17 @@ impl EngineRegistry {
     }
 
     /// Writes `name`'s snapshot to `<dir>/<name>.uxm` in the current
-    /// format version, creating the directory if needed. Returns the
-    /// file path.
+    /// format version ([`crate::storage::SNAPSHOT_VERSION`], the only one
+    /// written), creating the directory if needed. Returns the file path.
     pub fn save(&self, name: &str) -> Result<PathBuf, UxmError> {
         let engine = self
             .get(name)
             .ok_or_else(|| UxmError::UnknownEngine(name.to_string()))?;
-        self.write_snapshot(name, &encode_engine_snapshot(&engine))
-    }
-
-    /// Writes `name`'s snapshot in an explicitly chosen format version
-    /// (1, 2, or 3) — the CLI's `registry save --snapshot-version` path.
-    pub fn save_as(&self, name: &str, version: u64) -> Result<PathBuf, UxmError> {
-        let engine = self
-            .get(name)
-            .ok_or_else(|| UxmError::UnknownEngine(name.to_string()))?;
-        let bytes = encode_engine_snapshot_as(&engine, version).ok_or_else(|| {
-            UxmError::Input(format!(
-                "unsupported snapshot version {version} (use 1, 2, or 3)"
-            ))
-        })?;
-        self.write_snapshot(name, &bytes)
-    }
-
-    fn write_snapshot(&self, name: &str, bytes: &[u8]) -> Result<PathBuf, UxmError> {
         let path = self.snapshot_path(name)?;
         let dir = path.parent().expect("snapshot path has a directory");
         std::fs::create_dir_all(dir).map_err(|e| UxmError::io(dir.display(), e))?;
-        std::fs::write(&path, bytes).map_err(|e| UxmError::io(path.display(), e))?;
+        std::fs::write(&path, encode_engine_snapshot(&engine))
+            .map_err(|e| UxmError::io(path.display(), e))?;
         Ok(path)
     }
 
@@ -780,30 +761,6 @@ impl fmt::Debug for EngineRegistry {
             .field("snapshot_dir", &self.snapshot_dir)
             .finish()
     }
-}
-
-/// Reads a snapshot file for hydration. With the `mmap` feature on
-/// Linux the file is memory-mapped — v3 sections are page-aligned, so
-/// the decoder's bulk copies run straight out of the page cache instead
-/// of a freshly filled heap buffer.
-#[cfg(all(
-    feature = "mmap",
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn read_snapshot(path: &Path) -> std::io::Result<crate::storage::mmap::Mmap> {
-    let file = std::fs::File::open(path)?;
-    crate::storage::mmap::Mmap::map(&file)
-}
-
-/// Fallback snapshot read: one buffered `fs::read`.
-#[cfg(not(all(
-    feature = "mmap",
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-fn read_snapshot(path: &Path) -> std::io::Result<Vec<u8>> {
-    std::fs::read(path)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! section table up front, then every column of the engine — document
 //! label/parent/post/level columns, both CSR indexes, text/attr span
 //! tables and buffers, mapping score/prob columns and the flat CSR pair
-//! arena, block-tree CSR ranges — as a 4 KiB-aligned, little-endian,
+//! arena, block-tree CSR ranges — as a 64-byte-aligned, little-endian,
 //! fixed-width section with its own length and xxhash-style checksum
 //! (see `docs/wire-format.md` for the byte-level grammar):
 //!
@@ -31,7 +31,7 @@
 //! header  file_len (u64), section_count (u64), table xxh64 (u64)
 //! table   one 48-byte entry per section:
 //!         kind, offset, len, count, elem_size, xxh64 (all u64 LE)
-//! ...     each section zero-padded to the next 4096-byte boundary
+//! ...     each section zero-padded to the next 64-byte boundary
 //! ```
 //!
 //! The encoder is one `extend_from_slice` per column; the decoder
@@ -40,25 +40,25 @@
 //! [`Document::from_raw_columns`] /
 //! [`PossibleMappings::from_raw_columns`] /
 //! [`crate::block_tree::BlockTree::from_raw_columns`] — no per-element
-//! decoding, no derived-index recomputation. Behind the `mmap` feature
-//! the registry reads snapshot files through a no-libc `mmap(2)` shim
-//! (`mmap::Mmap`) instead of `read(2)`-ing them into a heap buffer.
+//! decoding, no derived-index recomputation. The registry reads a
+//! snapshot file with one `std::fs::read`.
 //!
 //! **Version history** (`SNAPSHOT_VERSION`):
 //!
 //! * **1** — initial format: schemas, a length-prefixed embedded
 //!   `encode_compressed` payload, then the document with per-node
-//!   text/attribute records. Still decoded (see
-//!   [`decode_engine_snapshot`]); [`encode_engine_snapshot_v1`] keeps
-//!   the writer alive for compatibility fixtures.
+//!   text/attribute records. Decoded, no longer written.
 //! * **2** — columnar document and mapping sections, varint-packed:
 //!   smaller files (no per-node flag bytes or length-prefixed strings)
 //!   and faster hydration than v1 (the decoder feeds
 //!   `Document::from_columns` / `PossibleMappings::from_columns`
-//!   directly). [`encode_engine_snapshot_v2`] keeps the writer alive.
-//! * **3** — page-aligned fixed-width arena sections as above: larger
-//!   files (pairs stored flat, derived columns stored rather than
-//!   recomputed, page padding) bought back as near-memcpy hydration.
+//!   directly). Decoded, no longer written.
+//! * **3** — aligned fixed-width arena sections as above: larger files
+//!   (pairs stored flat, derived columns stored rather than recomputed)
+//!   bought back as near-memcpy hydration. The only version written.
+//!   Sections were first padded to 4096-byte boundaries; the writer
+//!   now pads to [`SECTION_ALIGN`] = 64 bytes, and the decoder accepts
+//!   any multiple of 64 past the section table, so both layouts load.
 //!   Decoders reject any other version with
 //!   [`DecodeError::UnsupportedVersion`], so stale snapshot files fail
 //!   loudly instead of misparsing.
@@ -114,8 +114,8 @@ const MAGIC_BLOCK: &[u8; 4] = b"UXM1";
 const MAGIC_SNAPSHOT: &[u8; 4] = b"UXMS";
 
 /// Current engine-snapshot format version (see the module docs for the
-/// version history). Encoders write this version; decoders accept it
-/// **and** still read version-1 and version-2 files.
+/// version history). The encoder writes this version; the decoder
+/// accepts it **and** still reads version-1 and version-2 files.
 pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// Decode failures.
@@ -138,8 +138,9 @@ pub enum DecodeError {
     /// A v3 section (or the section table itself) whose stored xxh64
     /// checksum does not match its bytes.
     BadChecksum,
-    /// A v3 section offset that is not page-aligned (every section must
-    /// start on a [`SECTION_ALIGN`]-byte boundary past the header).
+    /// A v3 section offset that is not 64-byte aligned (every section
+    /// must start on a [`SECTION_ALIGN`]-byte boundary past the section
+    /// table).
     Misaligned,
 }
 
@@ -158,7 +159,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadString => write!(f, "stored string is not valid UTF-8"),
             DecodeError::Malformed => write!(f, "structurally malformed input"),
             DecodeError::BadChecksum => write!(f, "section checksum mismatch"),
-            DecodeError::Misaligned => write!(f, "section offset is not page-aligned"),
+            DecodeError::Misaligned => write!(f, "section offset is not 64-byte aligned"),
         }
     }
 }
@@ -291,83 +292,6 @@ pub fn measured_compression_ratio(pm: &PossibleMappings, tree: &BlockTree) -> f6
 // ---------------------------------------------------------------------
 // engine snapshots
 
-/// Serializes a whole engine session — schemas, block-compressed mapping
-/// set, and document — into one versioned container in the current
-/// (page-aligned sectioned, version-3) layout. See the module docs for
-/// the layout and [`encode_engine_snapshot_v1`] /
-/// [`encode_engine_snapshot_v2`] for the legacy writers.
-pub fn encode_engine_snapshot(engine: &QueryEngine) -> Vec<u8> {
-    encode_engine_snapshot_v3(engine)
-}
-
-/// Serializes an engine session in an explicitly chosen snapshot format
-/// version (1, 2, or 3); `None` for any other version. The CLI's
-/// `registry save --snapshot-version` flag routes through this.
-pub fn encode_engine_snapshot_as(engine: &QueryEngine, version: u64) -> Option<Vec<u8>> {
-    match version {
-        1 => Some(encode_engine_snapshot_v1(engine)),
-        2 => Some(encode_engine_snapshot_v2(engine)),
-        3 => Some(encode_engine_snapshot_v3(engine)),
-        _ => None,
-    }
-}
-
-/// The version-2 (varint columnar) snapshot writer, kept so
-/// compatibility tests and fixtures can still produce v2 bytes. New
-/// snapshots should use [`encode_engine_snapshot`].
-pub fn encode_engine_snapshot_v2(engine: &QueryEngine) -> Vec<u8> {
-    let pm = engine.mappings();
-    let tree = engine.tree();
-    let cm = compress(pm, tree);
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC_SNAPSHOT);
-    put_varint(&mut out, 2);
-    put_schema(&mut out, engine.source());
-    put_schema(&mut out, engine.target());
-
-    // Mapping section: blocks once, then columnar mapping columns.
-    put_varint(&mut out, tree.min_support as u64);
-    put_blocks(&mut out, tree.blocks());
-    put_varint(&mut out, pm.len() as u64);
-    for (_, m) in pm.iter() {
-        out.extend_from_slice(&m.score.to_le_bits_bytes());
-    }
-    for (_, m) in pm.iter() {
-        out.extend_from_slice(&m.prob.to_le_bits_bytes());
-    }
-    for (mid, _) in pm.iter() {
-        let c = &cm.mappings[mid.idx()];
-        put_varint(&mut out, c.blocks.len() as u64);
-        for &b in &c.blocks {
-            put_varint(&mut out, b.0 as u64);
-        }
-        put_varint(&mut out, c.residual.len() as u64);
-        for &(s, t) in &c.residual {
-            put_varint(&mut out, s.0 as u64);
-            put_varint(&mut out, t.0 as u64);
-        }
-    }
-
-    put_document_columnar(&mut out, engine.document());
-    out
-}
-
-/// The legacy (version-1) snapshot writer, kept so compatibility tests
-/// and fixtures can still produce v1 bytes. New snapshots should use
-/// [`encode_engine_snapshot`].
-pub fn encode_engine_snapshot_v1(engine: &QueryEngine) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC_SNAPSHOT);
-    put_varint(&mut out, 1);
-    put_schema(&mut out, engine.source());
-    put_schema(&mut out, engine.target());
-    let payload = encode_compressed(engine.mappings(), engine.tree());
-    put_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    put_document(&mut out, engine.document());
-    out
-}
-
 /// The decoded parts of an engine snapshot, before session-state
 /// construction.
 ///
@@ -438,12 +362,13 @@ pub fn decode_engine_snapshot(bytes: &[u8]) -> Result<QueryEngine, DecodeError> 
 }
 
 // ---------------------------------------------------------------------
-// snapshot v3: page-aligned fixed-width arena sections
+// snapshot v3: aligned fixed-width arena sections
 
-/// Every v3 section starts on a boundary of this many bytes (one page on
-/// common platforms), so an `mmap`ed snapshot exposes naturally-aligned
-/// columns.
-pub const SECTION_ALIGN: usize = 4096;
+/// Every v3 section starts on a boundary of this many bytes (one cache
+/// line, and a multiple of every column's element size). Files written
+/// with the earlier 4096-byte padding are multiples of it too, so they
+/// still decode.
+pub const SECTION_ALIGN: usize = 64;
 
 /// Byte length of the fixed v3 prelude + header: magic (4), version
 /// byte (1), pad (3), `file_len` / `section_count` / table xxh64
@@ -772,11 +697,13 @@ impl V3Writer {
     }
 }
 
-/// The version-3 snapshot writer: every resident arena column becomes
-/// one page-aligned fixed-width section (see the module docs). Encoding
-/// is `extend_from_slice` per column — no varints, no per-element work
+/// Serializes a whole engine session — schemas, mapping set, block
+/// tree, and document — into one container in the version-3 layout, the
+/// only one written: every resident arena column becomes one aligned
+/// fixed-width section (see the module docs). Encoding is
+/// `extend_from_slice` per column — no varints, no per-element work
 /// outside the small `META` section.
-fn encode_engine_snapshot_v3(engine: &QueryEngine) -> Vec<u8> {
+pub fn encode_engine_snapshot(engine: &QueryEngine) -> Vec<u8> {
     let pm = engine.mappings();
     let tree = engine.tree();
     let cols = engine.document().raw_columns();
@@ -1022,7 +949,7 @@ fn decode_engine_snapshot_v3(bytes: &[u8]) -> Result<EngineSnapshot, DecodeError
         return Err(DecodeError::BadChecksum);
     }
 
-    // Validate every table entry: canonical kind order, page alignment,
+    // Validate every table entry: canonical kind order, alignment,
     // in-bounds extent, count × elem_size == len (so a hostile count can
     // never drive an allocation past the actual file size). Section
     // *content* checksums are deferred to the reads below: each section
@@ -1040,7 +967,7 @@ fn decode_engine_snapshot_v3(bytes: &[u8]) -> Result<EngineSnapshot, DecodeError
         let offset = entry_u64(1) as usize;
         let len = entry_u64(2) as usize;
         let count = entry_u64(3);
-        if !offset.is_multiple_of(SECTION_ALIGN) || offset < SECTION_ALIGN {
+        if !offset.is_multiple_of(SECTION_ALIGN) || offset < V3_TABLE_END {
             return Err(DecodeError::Misaligned);
         }
         let end = offset.checked_add(len).ok_or(DecodeError::Truncated)?;
@@ -1240,8 +1167,8 @@ fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
     }
 }
 
-/// The shared block encoding (anchor, corrs, mapping ids) used by both
-/// the standalone "UXM1" codec and the v2 snapshot's mapping section.
+/// The block encoding (anchor, corrs, mapping ids) of the standalone
+/// "UXM1" codec.
 fn put_blocks(out: &mut Vec<u8>, blocks: &[Block]) {
     put_varint(out, blocks.len() as u64);
     for b in blocks {
@@ -1254,75 +1181,6 @@ fn put_blocks(out: &mut Vec<u8>, blocks: &[Block]) {
         put_varint(out, b.mappings.len() as u64);
         for &m in &b.mappings {
             put_varint(out, m.0 as u64);
-        }
-    }
-}
-
-/// The v2 columnar document section: label table, label/parent columns,
-/// sparse text spans with one contiguous text buffer, flat attribute
-/// spans with one contiguous attribute buffer.
-fn put_document_columnar(out: &mut Vec<u8>, doc: &Document) {
-    put_varint(out, doc.label_count() as u64);
-    for l in 0..doc.label_count() as u32 {
-        put_str(out, doc.label_name(uxm_xml::LabelId(l)));
-    }
-    put_varint(out, doc.len() as u64);
-    for id in doc.ids() {
-        put_varint(out, doc.label(id).0 as u64);
-    }
-    for id in doc.ids().skip(1) {
-        put_varint(out, doc.parent(id).expect("non-root has a parent").0 as u64);
-    }
-    // Sparse text spans in node order, then the concatenated bytes.
-    let with_text: Vec<DocNodeId> = doc.ids().filter(|&n| doc.text(n).is_some()).collect();
-    put_varint(out, with_text.len() as u64);
-    for &n in &with_text {
-        put_varint(out, n.0 as u64);
-        put_varint(out, doc.text(n).expect("filtered").len() as u64);
-    }
-    for &n in &with_text {
-        out.extend_from_slice(doc.text(n).expect("filtered").as_bytes());
-    }
-    // Flat attribute spans in node order, then the concatenated bytes.
-    let total_attrs: usize = doc.ids().map(|n| doc.attr_count(n)).sum();
-    put_varint(out, total_attrs as u64);
-    for n in doc.ids() {
-        for (name, value) in doc.attrs(n) {
-            put_varint(out, n.0 as u64);
-            put_varint(out, name.len() as u64);
-            put_varint(out, value.len() as u64);
-        }
-    }
-    for n in doc.ids() {
-        for (name, value) in doc.attrs(n) {
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(value.as_bytes());
-        }
-    }
-}
-
-fn put_document(out: &mut Vec<u8>, doc: &Document) {
-    put_varint(out, doc.label_count() as u64);
-    for l in 0..doc.label_count() as u32 {
-        put_str(out, doc.label_name(uxm_xml::LabelId(l)));
-    }
-    put_varint(out, doc.len() as u64);
-    for id in doc.ids() {
-        put_varint(out, doc.label(id).0 as u64);
-        if let Some(p) = doc.parent(id) {
-            put_varint(out, p.0 as u64);
-        }
-        match doc.text(id) {
-            Some(t) => {
-                out.push(1);
-                put_str(out, t);
-            }
-            None => out.push(0),
-        }
-        put_varint(out, doc.attr_count(id) as u64);
-        for (name, value) in doc.attrs(id) {
-            put_str(out, name);
-            put_str(out, value);
         }
     }
 }
@@ -1683,232 +1541,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A minimal, libc-free `mmap(2)` wrapper for reading snapshot files
-/// without copying them through a heap buffer first.
-///
-/// v3 snapshots are page-aligned precisely so a mapping exposes every
-/// column at its natural alignment; the registry's hydration path uses
-/// this module (instead of `std::fs::read`) when the `mmap` feature is
-/// enabled. Raw `syscall`/`svc` instructions keep the workspace free of
-/// a libc binding dependency.
-#[cfg(all(
-    feature = "mmap",
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-pub mod mmap {
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: usize = 1;
-    const MAP_PRIVATE: usize = 2;
-
-    /// A read-only, private memory mapping of an entire file, unmapped
-    /// on drop. Derefs to `&[u8]`.
-    pub struct Mmap {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is read-only (PROT_READ, MAP_PRIVATE), owned
-    // exclusively by this value, and unmapped only in Drop — shared
-    // references to its bytes are sound from any thread.
-    unsafe impl Send for Mmap {}
-    // SAFETY: as above — no interior mutability, reads only.
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        /// Maps `file` read-only in its entirety. A zero-length file
-        /// yields an empty mapping without a syscall (the kernel rejects
-        /// `mmap` with length 0).
-        pub fn map(file: &File) -> io::Result<Mmap> {
-            let len = file.metadata()?.len();
-            let len = usize::try_from(len)
-                .map_err(|_| io::Error::new(io::ErrorKind::OutOfMemory, "file exceeds usize"))?;
-            if len == 0 {
-                return Ok(Mmap {
-                    ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
-                    len: 0,
-                });
-            }
-            let fd = file.as_raw_fd();
-            // SAFETY: all arguments are well-formed (len > 0, live fd);
-            // a PROT_READ | MAP_PRIVATE mapping of a file we own a
-            // handle to cannot alias any Rust-managed memory.
-            let ret = unsafe { sys_mmap(0, len, PROT_READ, MAP_PRIVATE, fd as usize, 0) };
-            // Raw syscalls report errors as -errno in [-4095, -1].
-            if ret > usize::MAX - 4095 {
-                return Err(io::Error::from_raw_os_error(ret.wrapping_neg() as i32));
-            }
-            Ok(Mmap {
-                ptr: ret as *const u8,
-                len,
-            })
-        }
-
-        /// Length of the mapping in bytes.
-        pub fn len(&self) -> usize {
-            self.len
-        }
-
-        /// True for a zero-length mapping.
-        pub fn is_empty(&self) -> bool {
-            self.len == 0
-        }
-    }
-
-    impl std::ops::Deref for Mmap {
-        type Target = [u8];
-
-        fn deref(&self) -> &[u8] {
-            // SAFETY: `ptr`/`len` denote a live PROT_READ mapping made
-            // in `map` (or a dangling-but-valid empty slice), unmapped
-            // only when `self` drops.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            if self.len != 0 {
-                // SAFETY: unmaps exactly the region `map` created; the
-                // pointer is never used again.
-                unsafe {
-                    sys_munmap(self.ptr as usize, self.len);
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn sys_mmap(
-        addr: usize,
-        len: usize,
-        prot: usize,
-        flags: usize,
-        fd: usize,
-        off: usize,
-    ) -> usize {
-        let ret: usize;
-        // SAFETY: caller upholds the mmap(2) contract; rcx/r11 are
-        // clobbered by `syscall` and declared as such.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 9usize => ret, // __NR_mmap
-                in("rdi") addr,
-                in("rsi") len,
-                in("rdx") prot,
-                in("r10") flags,
-                in("r8") fd,
-                in("r9") off,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn sys_munmap(addr: usize, len: usize) -> usize {
-        let ret: usize;
-        // SAFETY: caller passes a region previously returned by mmap.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 11usize => ret, // __NR_munmap
-                in("rdi") addr,
-                in("rsi") len,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn sys_mmap(
-        addr: usize,
-        len: usize,
-        prot: usize,
-        flags: usize,
-        fd: usize,
-        off: usize,
-    ) -> usize {
-        let ret: usize;
-        // SAFETY: caller upholds the mmap(2) contract.
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                inlateout("x0") addr => ret,
-                in("x1") len,
-                in("x2") prot,
-                in("x3") flags,
-                in("x4") fd,
-                in("x5") off,
-                in("x8") 222usize, // __NR_mmap
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn sys_munmap(addr: usize, len: usize) -> usize {
-        let ret: usize;
-        // SAFETY: caller passes a region previously returned by mmap.
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                inlateout("x0") addr => ret,
-                in("x1") len,
-                in("x8") 215usize, // __NR_munmap
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::io::Write;
-
-        #[test]
-        fn maps_whole_file() {
-            let dir = std::env::temp_dir().join("uxm-mmap-test");
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join(format!("probe-{}.bin", std::process::id()));
-            let payload: Vec<u8> = (0..10_000u32).flat_map(|v| v.to_le_bytes()).collect();
-            std::fs::File::create(&path)
-                .unwrap()
-                .write_all(&payload)
-                .unwrap();
-            let file = std::fs::File::open(&path).unwrap();
-            let map = Mmap::map(&file).unwrap();
-            assert_eq!(&*map, &payload[..]);
-            assert_eq!(map.len(), payload.len());
-            drop(map);
-            std::fs::remove_file(&path).unwrap();
-        }
-
-        #[test]
-        fn empty_file_maps_empty() {
-            let dir = std::env::temp_dir().join("uxm-mmap-test");
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join(format!("empty-{}.bin", std::process::id()));
-            std::fs::File::create(&path).unwrap();
-            let file = std::fs::File::open(&path).unwrap();
-            let map = Mmap::map(&file).unwrap();
-            assert!(map.is_empty());
-            std::fs::remove_file(&path).unwrap();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2207,7 +1839,7 @@ mod tests {
             assert_eq!(u64_at(e), kind, "kind order");
             let offset = u64_at(e + 8) as usize;
             assert_eq!(offset % SECTION_ALIGN, 0, "section {i} aligned");
-            assert!(offset >= SECTION_ALIGN);
+            assert!(offset >= V3_TABLE_END, "section {i} inside the table");
         }
         // Canonical re-encode is byte-identical: every column is stored
         // verbatim, so decode → encode must be a fixed point.
@@ -2230,7 +1862,12 @@ mod tests {
         );
         // Flip one content byte in the first section: section checksum.
         let mut c = bytes.clone();
-        c[SECTION_ALIGN] ^= 1;
+        let first = u64::from_le_bytes(
+            bytes[V3_HEADER_LEN + 8..V3_HEADER_LEN + 16]
+                .try_into()
+                .unwrap(),
+        );
+        c[first as usize] ^= 1;
         assert_eq!(
             decode_engine_snapshot(&c).unwrap_err(),
             DecodeError::BadChecksum

@@ -22,6 +22,10 @@
 //! `Order//UP[.>=10]`, `//*[@id='b7']/Quantity`,
 //! `Order//City[contains(.,'Ber')]`.
 //!
+//! A parsed pattern is at most [`MAX_DEPTH`] nodes deep on any
+//! root-to-leaf path; deeper input fails with
+//! [`TwigParseError::TooDeep`].
+//!
 //! `text()` is a synonym for `.`; the canonical rendering (what
 //! [`TwigPattern`]'s `Display` emits) always uses `.`. Numeric literals
 //! render via Rust's shortest-round-trip `f64` formatting, so one
@@ -29,6 +33,14 @@
 //! `[.<3.5]` and stays there).
 
 use std::fmt;
+
+/// Deepest pattern [`TwigPattern::parse`] accepts: the most nodes on any
+/// root-to-leaf path, counting spine steps (`a/b`) and predicate branch
+/// levels (`a[./b]`) alike. Rendering, resolution, compilation and the
+/// recursive evaluators all recurse once per level, so this cap bounds
+/// their stack use too. It matches the JSON nesting cap of the query
+/// wire format; the deepest paper query is 4 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Index of a node within a [`TwigPattern`]; the root is 0.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -389,6 +401,9 @@ pub enum TwigParseError {
     Trailing(usize),
     /// The query string was empty.
     Empty,
+    /// The step starting at the given byte offset would make the pattern
+    /// deeper than [`MAX_DEPTH`].
+    TooDeep(usize),
 }
 
 impl fmt::Display for TwigParseError {
@@ -399,6 +414,9 @@ impl fmt::Display for TwigParseError {
             TwigParseError::BadPredicate(p) => write!(f, "malformed predicate at byte {p}"),
             TwigParseError::Trailing(p) => write!(f, "trailing input at byte {p}"),
             TwigParseError::Empty => write!(f, "empty query"),
+            TwigParseError::TooDeep(p) => {
+                write!(f, "pattern deeper than {MAX_DEPTH} levels at byte {p}")
+            }
         }
     }
 }
@@ -426,12 +444,16 @@ impl<'a> PatternParser<'a> {
         q: &mut TwigPattern,
         mut at: PatternNodeId,
     ) -> Result<(), TwigParseError> {
-        while let Some(axis) = self.read_axis() {
+        loop {
+            let start = self.pos;
+            let Some(axis) = self.read_axis() else {
+                return Ok(());
+            };
+            check_depth(q, at, start)?;
             let label = self.read_label()?;
             at = q.add_child(at, label, axis);
             self.parse_step_suffix(q, at)?;
         }
-        Ok(())
     }
 
     /// Parses zero or more `[...]` predicates attached to `at`.
@@ -484,6 +506,7 @@ impl<'a> PatternParser<'a> {
             return Ok(());
         }
         // relative path: ./step...  or  .//step...  or  //step  or  step
+        let start = self.pos;
         let axis = if self.try_consume(".//") || self.try_consume("//") {
             Axis::Descendant
         } else if self.try_consume("./")
@@ -495,6 +518,7 @@ impl<'a> PatternParser<'a> {
         } else {
             return Err(TwigParseError::BadPredicate(self.pos));
         };
+        check_depth(q, at, start)?;
         let label = self.read_label()?;
         let child = q.add_child(at, label, axis);
         self.parse_step_suffix(q, child)?;
@@ -626,6 +650,23 @@ impl<'a> PatternParser<'a> {
             self.pos += 1;
         }
         Err(TwigParseError::BadPredicate(start))
+    }
+}
+
+/// Fails with [`TwigParseError::TooDeep`] at `start` when a child of `at`
+/// would lie deeper than [`MAX_DEPTH`]. Walks at most `MAX_DEPTH` parent
+/// links, since every node already in `q` passed this check.
+fn check_depth(q: &TwigPattern, at: PatternNodeId, start: usize) -> Result<(), TwigParseError> {
+    let mut depth = 1;
+    let mut n = at;
+    while let Some(p) = q.node(n).parent {
+        depth += 1;
+        n = p;
+    }
+    if depth < MAX_DEPTH {
+        Ok(())
+    } else {
+        Err(TwigParseError::TooDeep(start))
     }
 }
 
@@ -834,6 +875,45 @@ mod tests {
         assert_eq!(q.node(q.spine_leaf()).label, "C");
         let q = TwigPattern::parse("A").unwrap();
         assert_eq!(q.spine_leaf(), q.root());
+    }
+
+    #[test]
+    fn depth_cap_counts_spine_steps() {
+        let at_cap = "a".to_string() + &"/a".repeat(MAX_DEPTH - 1);
+        let q = TwigPattern::parse(&at_cap).unwrap();
+        assert_eq!(q.len(), MAX_DEPTH);
+        assert_eq!(TwigPattern::parse(&q.to_string()).unwrap(), q);
+        // The step that crosses the cap starts at its '/'.
+        let past = at_cap.clone() + "/a";
+        assert_eq!(
+            TwigPattern::parse(&past),
+            Err(TwigParseError::TooDeep(at_cap.len()))
+        );
+    }
+
+    #[test]
+    fn depth_cap_counts_branch_levels() {
+        let nested = |levels: usize| "a".to_string() + &"[./a".repeat(levels) + &"]".repeat(levels);
+        let q = TwigPattern::parse(&nested(MAX_DEPTH - 1)).unwrap();
+        assert_eq!(q.len(), MAX_DEPTH);
+        assert_eq!(TwigPattern::parse(&q.to_string()).unwrap(), q);
+        // The branch that crosses the cap starts right after its '['.
+        let err = TwigPattern::parse(&nested(MAX_DEPTH)).unwrap_err();
+        assert_eq!(err, TwigParseError::TooDeep(4 * MAX_DEPTH - 2));
+        assert!(err.to_string().contains("deeper than 128 levels"), "{err}");
+        // Spine steps and branch levels add up on one path.
+        let half = MAX_DEPTH / 2;
+        let mixed = |spine: usize| {
+            "a".to_string() + &"[./a".repeat(half) + &"/a".repeat(spine) + &"]".repeat(half)
+        };
+        assert!(TwigPattern::parse(&mixed(half - 1)).is_ok());
+        assert!(matches!(
+            TwigPattern::parse(&mixed(half)),
+            Err(TwigParseError::TooDeep(_))
+        ));
+        // Wide is fine: many shallow branches stay under the cap.
+        let wide = "a".to_string() + &"[./b]".repeat(4 * MAX_DEPTH);
+        assert_eq!(TwigPattern::parse(&wide).unwrap().len(), 4 * MAX_DEPTH + 1);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //!               [--hint auto|naive|block-tree|compiled] [--json]
 //! uxm keyword   <source.outline> <target.outline> <doc.xml> <term...> [--h N] [--tau X] [--json]
 //! uxm registry  save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N] [--tau X]
-//!               [--snapshot-version 1|2|3]
 //! uxm registry  list --dir D
 //! uxm stats     <engine> --dir D
 //! uxm batch     <requests.txt> --dir D [--budget BYTES] [--json]
@@ -101,8 +100,7 @@ fn usage() {
          uxm explain  <source.outline> <target.outline> <doc.xml> <twig> [--h N] [--k N] [--tau X]\n               \
          [--mode label|node] [--hint auto|naive|block-tree|compiled] [--json]\n  \
          uxm keyword  <source.outline> <target.outline> <doc.xml> <term...> [--h N] [--tau X] [--json]\n  \
-         uxm registry save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N] [--tau X]\n               \
-         [--snapshot-version 1|2|3]\n  \
+         uxm registry save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N] [--tau X]\n  \
          uxm registry list --dir D\n  \
          uxm stats    <engine> --dir D\n  \
          uxm batch    <requests.txt> --dir D [--budget BYTES] [--json]\n  \
@@ -455,19 +453,14 @@ fn cmd_registry(args: &[String]) -> Result<(), UxmError> {
         .ok_or_else(|| UxmError::Usage("registry needs --dir <snapshot-dir>".into()))?;
     match pos.as_slice() {
         ["save", name, src, tgt, doc_path] => {
-            let version = match flag(&flags, "snapshot-version") {
-                Some(v) => v.parse::<u64>().map_err(|_| {
-                    UxmError::Usage(format!("--snapshot-version must be 1, 2, or 3, got {v:?}"))
-                })?,
-                None => uxm::core::storage::SNAPSHOT_VERSION,
-            };
             let registry = EngineRegistry::new().snapshot_dir(dir);
             let engine = registry.insert(*name, engine_from(&flags, src, tgt, doc_path)?);
-            let path = registry.save_as(name, version)?;
+            let path = registry.save(name)?;
             println!(
-                "saved {name:?} to {} (snapshot v{version}, {} bytes on disk, ~{} KiB resident): \
+                "saved {name:?} to {} (snapshot v{}, {} bytes on disk, ~{} KiB resident): \
                  |M|={}, {} doc nodes, {} c-blocks",
                 path.display(),
+                uxm::core::storage::SNAPSHOT_VERSION,
                 std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
                 engine.approx_bytes() / 1024,
                 engine.mappings().len(),
@@ -506,8 +499,8 @@ fn cmd_registry(args: &[String]) -> Result<(), UxmError> {
             Ok(())
         }
         _ => Err(UxmError::Usage(
-            "registry needs: save <name> <source> <target> <doc.xml> --dir D \
-             [--snapshot-version 1|2|3], or list --dir D"
+            "registry needs: save <name> <source> <target> <doc.xml> --dir D, \
+             or list --dir D"
                 .into(),
         )),
     }

@@ -20,9 +20,10 @@
 //!   memory the budget no longer sees — `GET /stats` surfaces it as
 //!   `unreclaimed_bytes`, and the thrash gate sheds cold hydrations
 //!   when eviction churn says the working set exceeds the budget;
-//! * a deeply nested JSON body used to overflow a worker's stack and
-//!   abort the whole server — now the parser's nesting cap answers a
-//!   typed 400.
+//! * a deeply nested JSON body, or a deeply nested twig pattern inside
+//!   a valid one, used to overflow a worker's stack and abort the whole
+//!   server — now the JSON and twig parsers' depth caps answer a typed
+//!   400.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -489,6 +490,48 @@ fn deeply_nested_json_body_is_a_typed_400_not_an_abort() {
         )),
         "{answer}"
     );
+
+    let (status, health) = Client::connect(server.addr.as_str())
+        .expect("the server is still listening")
+        .get("/healthz")
+        .unwrap();
+    assert_eq!((status, health.as_str()), (200, "{\"status\":\"ok\"}"));
+}
+
+/// A twig pattern nested 50,000 levels deep — as predicate branches
+/// (`a[./a[./…]]`, 250 KB) or as a spine (`a/a/…/a`, 100 KB), both under
+/// the 1 MiB body cap — fails to parse with a typed 400 at the step
+/// that crosses `pattern::MAX_DEPTH`, and the server keeps serving. The
+/// pattern parses before any engine lookup, so no engine is loaded.
+/// Before the cap, recursion on such a pattern overflowed a worker's
+/// stack and aborted the process; the server runs as a child process so
+/// a regression fails this test instead of aborting the test binary.
+#[test]
+fn deeply_nested_twig_pattern_is_a_typed_400_not_an_abort() {
+    use uxm::twig::pattern::MAX_DEPTH;
+    const LEVELS: usize = 50_000;
+    let branches = "a".to_string() + &"[./a".repeat(LEVELS) + &"]".repeat(LEVELS);
+    let spine = "a".to_string() + &"/a".repeat(LEVELS);
+    let server = ChildServer::start();
+    // Byte offsets of the step that crosses the cap: the branch right
+    // after its '[', the spine step at its '/'.
+    for (pattern, offset) in [(branches, 4 * MAX_DEPTH - 2), (spine, 2 * MAX_DEPTH - 1)] {
+        let body = Json::Obj(vec![
+            ("pattern".into(), Json::str(&pattern)),
+            ("type".into(), Json::str("ptq")),
+        ])
+        .to_string();
+        let (status, answer) = Client::connect(server.addr.as_str())
+            .expect("the server is still listening")
+            .post("/query/x", &body)
+            .expect("the server answers a deeply nested pattern");
+        assert_eq!(status, 400, "{answer}");
+        assert_eq!(error_kind(&answer), "parse");
+        assert!(
+            answer.contains(&format!("deeper than {MAX_DEPTH} levels at byte {offset}")),
+            "{answer}"
+        );
+    }
 
     let (status, health) = Client::connect(server.addr.as_str())
         .expect("the server is still listening")

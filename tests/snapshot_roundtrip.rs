@@ -228,18 +228,19 @@ fn bad_magic_and_truncated_variants() {
 #[test]
 fn id_out_of_range_variant_through_embedded_payload() {
     // Corrupt the embedded block-compressed payload: find the "UXM1"
-    // magic inside the snapshot and bump a stored anchor id to the
-    // target-schema length, which the inner decoder must reject. Only
-    // v1 snapshots embed the "UXM1" payload (v2 inlines the block
+    // magic inside the committed v1 fixture and bump a stored anchor id
+    // to the target-schema length, which the inner decoder must reject.
+    // Only v1 snapshots embed the "UXM1" payload (v2 inlines the block
     // section), so this pins the legacy decode path.
-    let e = engine(DatasetId::D1, 4, 80);
-    let bytes = uxm::core::storage::encode_engine_snapshot_v1(&e);
+    let bytes = std::fs::read("tests/fixtures/snapshot_v1.uxm").expect("v1 fixture committed");
+    let e = decode_engine_snapshot(&bytes).expect("v1 fixture decodes");
+    assert!(e.tree().block_count() > 0, "fixture has a first block");
     let inner = bytes
         .windows(4)
         .position(|w| w == b"UXM1")
-        .expect("embedded payload magic");
+        .expect("v1 fixture carries the embedded UXM1 payload");
     // Layout after the inner magic: varint min_support, varint n_blocks,
-    // varint anchor-of-first-block. For small datasets each fits one byte.
+    // varint anchor-of-first-block. For the fixture each fits one byte.
     let anchor_pos = inner + 6;
     let mut corrupt = bytes.clone();
     corrupt[anchor_pos] = e.target().len() as u8; // one past the last id

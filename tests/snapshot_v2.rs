@@ -1,41 +1,26 @@
-//! Snapshot format v2: columnar encode/decode must preserve answers on
-//! every Table II dataset, re-encode byte-stably, keep decoding the
-//! committed v1 golden fixture, and survive arbitrary corruption of the
-//! new decode paths without panicking.
+//! Legacy snapshot formats v1 and v2: nothing writes them any more, but
+//! the decoders stay. The committed golden fixtures must keep decoding
+//! to engines that agree with each other and with a freshly built
+//! engine, and arbitrary corruption of the v2 fixture's bytes must never
+//! panic the columnar decode paths.
 
 use proptest::prelude::*;
 use uxm::core::api::{EvaluatorHint, Query};
-use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
+use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::mapping::PossibleMappings;
 use uxm::core::storage::{
-    decode_engine_snapshot, encode_engine_snapshot, encode_engine_snapshot_v1,
-    encode_engine_snapshot_v2, snapshot_version, DecodeError,
+    decode_engine_snapshot, encode_engine_snapshot, snapshot_version, DecodeError,
 };
-use uxm::datagen::datasets::{Dataset, DatasetId};
-use uxm::datagen::queries::paper_queries;
 use uxm::twig::TwigPattern;
-use uxm::xml::{DocGenConfig, Document, Schema};
+use uxm::xml::writer::to_xml;
+use uxm::xml::{Document, Schema};
 
-const FIXTURE_PATH: &str = "tests/fixtures/snapshot_v1.uxm";
+const V1_FIXTURE: &str = "tests/fixtures/snapshot_v1.uxm";
+const V2_FIXTURE: &str = "tests/fixtures/snapshot_v2.uxm";
+const V3_FIXTURE: &str = "tests/fixtures/snapshot_v3.uxm";
 
-fn engine(id: DatasetId, m: usize, nodes: usize) -> QueryEngine {
-    let d = Dataset::load(id);
-    let pm = PossibleMappings::top_h(&d.matching, m);
-    let doc = Document::generate(
-        &d.matching.source,
-        &DocGenConfig {
-            target_nodes: nodes,
-            max_repeat: 3,
-            text_prob: 0.7,
-        },
-        0x5EED,
-    );
-    let tree = BlockTree::build(&d.matching.target, &pm, &BlockTreeConfig::default());
-    QueryEngine::new(pm, doc, tree)
-}
-
-/// The fully deterministic engine behind the committed v1 fixture: no
+/// The fully deterministic engine behind the committed golden fixtures: no
 /// matcher, no generator — explicit mappings over a hand-built document,
 /// so any build of this repository reproduces it bit for bit.
 fn fixture_engine() -> QueryEngine {
@@ -118,90 +103,16 @@ fn fixture_queries() -> Vec<Query> {
         .collect()
 }
 
-/// A v2 snapshot round trip preserves `QueryResponse` answers
-/// byte-for-byte on every Table II dataset, under every evaluator hint,
-/// and the re-encode is byte-stable. (Snapshots now default to v3 — see
-/// `tests/snapshot_v3.rs` — but the v2 encoder stays pinned here so the
-/// committed v2 fixture remains regenerable.)
-#[test]
-fn v2_roundtrip_all_datasets() {
-    let queries = paper_queries();
-    for id in DatasetId::all() {
-        let original = engine(id, 12, 250);
-        let bytes = encode_engine_snapshot_v2(&original);
-        assert_eq!(
-            snapshot_version(&bytes).unwrap(),
-            2,
-            "{}: explicit v2 encode pins version 2",
-            id.name()
-        );
-        let back = decode_engine_snapshot(&bytes).expect("v2 decodes");
-        assert_eq!(back.source(), original.source(), "{}: source", id.name());
-        assert_eq!(back.target(), original.target(), "{}: target", id.name());
-        assert_eq!(
-            back.tree().blocks(),
-            original.tree().blocks(),
-            "{}: blocks",
-            id.name()
-        );
-        for (a, b) in back.mappings().iter().zip(original.mappings().iter()) {
-            assert_eq!(a, b, "{}: mapping", id.name());
-        }
-        for qi in [2usize, 7, 10] {
-            for hint in [EvaluatorHint::Naive, EvaluatorHint::BlockTree] {
-                let q = Query::ptq(queries[qi - 1].clone()).with_evaluator(hint);
-                assert_eq!(
-                    back.run(&q).unwrap().answers,
-                    original.run(&q).unwrap().answers,
-                    "{} Q{qi} {hint:?}",
-                    id.name()
-                );
-            }
-        }
-        assert_eq!(
-            encode_engine_snapshot_v2(&back),
-            bytes,
-            "{}: byte-stable re-encode",
-            id.name()
-        );
-    }
-}
-
-/// v2 files are no larger than the v1 encoding of the same engine (the
-/// columnar document section drops per-node flag bytes).
-#[test]
-fn v2_not_larger_than_v1() {
-    for id in [DatasetId::D1, DatasetId::D7] {
-        let e = engine(id, 12, 250);
-        let v1 = encode_engine_snapshot_v1(&e);
-        let v2 = encode_engine_snapshot_v2(&e);
-        assert!(
-            v2.len() <= v1.len(),
-            "{}: v2 {} bytes > v1 {} bytes",
-            id.name(),
-            v2.len(),
-            v1.len()
-        );
-    }
-}
-
 /// The committed v1 golden fixture still decodes, reports version 1, and
 /// answers queries identically to a freshly built engine — the backwards
 /// compatibility contract CI pins on every push.
 #[test]
 fn v1_golden_fixture_decodes() {
-    let bytes = std::fs::read(FIXTURE_PATH)
-        .expect("v1 fixture committed at tests/fixtures/snapshot_v1.uxm");
+    let bytes =
+        std::fs::read(V1_FIXTURE).expect("v1 fixture committed at tests/fixtures/snapshot_v1.uxm");
     assert_eq!(snapshot_version(&bytes).unwrap(), 1);
     let decoded = decode_engine_snapshot(&bytes).expect("v1 still decodes");
     let fresh = fixture_engine();
-    // The fixture is regenerable bit-for-bit from this repository.
-    assert_eq!(
-        encode_engine_snapshot_v1(&fresh),
-        bytes,
-        "fixture drifted — regenerate with `cargo test --test snapshot_v2 \
-         regenerate_v1_fixture -- --ignored`"
-    );
     for q in fixture_queries() {
         assert_eq!(
             decoded.run(&q).unwrap().answers,
@@ -220,38 +131,59 @@ fn v1_golden_fixture_decodes() {
     }
 }
 
-/// A v1 and a v2 snapshot of the same engine hydrate to engines with
-/// identical answers (the two decode paths agree).
+/// The three committed golden fixtures (v1, v2, and the 4096-aligned
+/// v3) decode to the same schemas, mappings, block tree, and document,
+/// and answer every fixture query like a freshly built engine under
+/// every evaluator hint (the legacy decode paths agree).
 #[test]
 fn v1_and_v2_decoders_agree() {
-    let e = engine(DatasetId::D7, 12, 250);
-    let from_v1 = decode_engine_snapshot(&encode_engine_snapshot_v1(&e)).unwrap();
-    let from_v2 = decode_engine_snapshot(&encode_engine_snapshot_v2(&e)).unwrap();
-    let queries = paper_queries();
-    for qi in [1usize, 4, 7, 10] {
-        let q = Query::ptq(queries[qi - 1].clone());
+    let fresh = fixture_engine();
+    let decoded: Vec<QueryEngine> = [V1_FIXTURE, V2_FIXTURE, V3_FIXTURE]
+        .iter()
+        .map(|path| {
+            let bytes = std::fs::read(path).expect("fixture committed");
+            decode_engine_snapshot(&bytes).expect("fixture decodes")
+        })
+        .collect();
+    for (e, path) in decoded.iter().zip([V1_FIXTURE, V2_FIXTURE, V3_FIXTURE]) {
+        assert_eq!(e.source(), fresh.source(), "{path}: source");
+        assert_eq!(e.target(), fresh.target(), "{path}: target");
+        assert_eq!(e.tree().blocks(), fresh.tree().blocks(), "{path}: blocks");
+        assert_eq!(e.mappings().len(), fresh.mappings().len(), "{path}: |M|");
+        for (a, b) in e.mappings().iter().zip(fresh.mappings().iter()) {
+            assert_eq!(a, b, "{path}: mapping");
+        }
         assert_eq!(
-            from_v1.run(&q).unwrap().answers,
-            from_v2.run(&q).unwrap().answers,
-            "Q{qi}"
+            to_xml(e.document()),
+            to_xml(fresh.document()),
+            "{path}: document"
         );
+        for q in fixture_queries() {
+            for hint in [
+                EvaluatorHint::Auto,
+                EvaluatorHint::Naive,
+                EvaluatorHint::BlockTree,
+                EvaluatorHint::Compiled,
+            ] {
+                let q = q.clone().with_evaluator(hint);
+                assert_eq!(
+                    e.run(&q).unwrap().answers,
+                    fresh.run(&q).unwrap().answers,
+                    "{path}: {q} {hint:?}"
+                );
+            }
+        }
     }
 }
 
-/// Writes the golden fixture. Run once when the fixture legitimately
-/// needs regenerating:
-/// `cargo test --test snapshot_v2 regenerate_v1_fixture -- --ignored`
-#[test]
-#[ignore = "writes tests/fixtures/snapshot_v1.uxm"]
-fn regenerate_v1_fixture() {
-    std::fs::create_dir_all("tests/fixtures").unwrap();
-    std::fs::write(FIXTURE_PATH, encode_engine_snapshot_v1(&fixture_engine())).unwrap();
-}
-
-/// One valid v2 snapshot, built once and shared by all property cases.
+/// The committed v2 fixture's bytes, shared by all corruption cases.
 fn valid_v2_snapshot() -> &'static [u8] {
     static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
-    BYTES.get_or_init(|| encode_engine_snapshot_v2(&engine(DatasetId::D2, 6, 120)))
+    BYTES.get_or_init(|| {
+        let bytes = std::fs::read(V2_FIXTURE).expect("v2 fixture committed");
+        assert_eq!(snapshot_version(&bytes).unwrap(), 2);
+        bytes
+    })
 }
 
 proptest! {

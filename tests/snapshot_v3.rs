@@ -1,6 +1,7 @@
-//! Snapshot format v3: page-aligned fixed-width sections must round-trip
-//! answers byte-stably on every Table II dataset, agree with the v1 and
-//! v2 decoders on the committed golden fixtures, and turn every header,
+//! Snapshot format v3: 64-byte-aligned fixed-width sections must
+//! round-trip answers byte-stably on every Table II dataset, agree with
+//! the v1 and v2 decoders on the committed golden fixtures, keep
+//! decoding the 4096-aligned v3 fixture, and turn every header,
 //! table, and column corruption into a typed `DecodeError` — never a
 //! panic, never a hostile-length allocation.
 
@@ -10,8 +11,8 @@ use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::mapping::PossibleMappings;
 use uxm::core::storage::{
-    decode_engine_snapshot, encode_engine_snapshot, encode_engine_snapshot_v2, snapshot_version,
-    xxh64, DecodeError, SECTION_ALIGN, SNAPSHOT_VERSION,
+    decode_engine_snapshot, encode_engine_snapshot, snapshot_version, xxh64, DecodeError,
+    SECTION_ALIGN, SNAPSHOT_VERSION,
 };
 use uxm::datagen::datasets::{Dataset, DatasetId};
 use uxm::datagen::queries::paper_queries;
@@ -207,11 +208,12 @@ fn v3_roundtrip_all_datasets() {
     }
 }
 
-/// Every section in a canonical v3 file starts on a page boundary, sits
-/// fully inside the file, and the header's `file_len` pins the exact
-/// size — the invariants the zero-copy `mmap` path relies on.
+/// Every section in a freshly written v3 file starts on a 64-byte
+/// boundary past the section table, sits fully inside the file, and the
+/// header's `file_len` pins the exact size.
 #[test]
-fn v3_sections_are_page_aligned() {
+fn v3_sections_are_64_byte_aligned() {
+    assert_eq!(SECTION_ALIGN, 64);
     let bytes = encode_engine_snapshot(&engine(DatasetId::D4, 10, 200));
     let file_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     assert_eq!(file_len as usize, bytes.len());
@@ -223,7 +225,7 @@ fn v3_sections_are_page_aligned() {
         let count = entry_field(&bytes, i, 3);
         let elem = entry_field(&bytes, i, 4);
         assert_eq!(offset % SECTION_ALIGN, 0, "section {i} offset {offset}");
-        assert!(offset >= SECTION_ALIGN, "section {i} inside header");
+        assert!(offset >= TABLE_END, "section {i} inside the table");
         assert!(offset + len <= bytes.len(), "section {i} extent");
         assert_eq!(count * elem, len as u64, "section {i} count×elem");
         assert_eq!(
@@ -237,8 +239,8 @@ fn v3_sections_are_page_aligned() {
 // ---------------------------------------------------------------------
 // cross-version agreement on the committed golden fixtures
 
-/// The committed v2 golden fixture decodes, reports version 2, and is
-/// regenerable bit-for-bit from this repository.
+/// The committed v2 golden fixture decodes, reports version 2, and
+/// answers like a freshly built engine.
 #[test]
 fn v2_golden_fixture_decodes() {
     let bytes =
@@ -246,12 +248,6 @@ fn v2_golden_fixture_decodes() {
     assert_eq!(snapshot_version(&bytes).unwrap(), 2);
     let decoded = decode_engine_snapshot(&bytes).expect("v2 still decodes");
     let fresh = fixture_engine();
-    assert_eq!(
-        encode_engine_snapshot_v2(&fresh),
-        bytes,
-        "fixture drifted — regenerate with `cargo test --test snapshot_v3 \
-         regenerate_v2_fixture -- --ignored`"
-    );
     for q in fixture_queries() {
         assert_eq!(
             decoded.run(&q).unwrap().answers,
@@ -294,16 +290,19 @@ fn v3_golden_fixture_decodes() {
     }
 }
 
-/// The compatibility contract CI pins on every push: the v1 fixture, the
-/// v2 fixture, and a freshly written v3 file of the same engine all
-/// hydrate to engines with byte-identical answers.
+/// The compatibility contract CI pins on every push: the committed v1,
+/// v2, and 4096-aligned v3 fixtures and a freshly written (64-aligned)
+/// v3 file of the same engine all hydrate to engines with
+/// byte-identical answers.
 #[test]
 fn v1_v2_v3_decoders_agree() {
     let fresh = fixture_engine();
-    let from_v1 = decode_engine_snapshot(&std::fs::read(V1_FIXTURE).expect("v1 fixture"))
-        .expect("v1 decodes");
-    let from_v2 = decode_engine_snapshot(&std::fs::read(V2_FIXTURE).expect("v2 fixture"))
-        .expect("v2 decodes");
+    let from = |path: &str| {
+        decode_engine_snapshot(&std::fs::read(path).expect("fixture committed"))
+            .expect("fixture decodes")
+    };
+    let (from_v1, from_v2, from_v3_fixture) =
+        (from(V1_FIXTURE), from(V2_FIXTURE), from(V3_FIXTURE));
     let v3_bytes = encode_engine_snapshot(&fresh);
     assert_eq!(snapshot_version(&v3_bytes).unwrap(), 3);
     let from_v3 = decode_engine_snapshot(&v3_bytes).expect("v3 decodes");
@@ -311,18 +310,13 @@ fn v1_v2_v3_decoders_agree() {
         let want = fresh.run(&q).unwrap().answers;
         assert_eq!(from_v1.run(&q).unwrap().answers, want, "v1 {q}");
         assert_eq!(from_v2.run(&q).unwrap().answers, want, "v2 {q}");
+        assert_eq!(
+            from_v3_fixture.run(&q).unwrap().answers,
+            want,
+            "v3 fixture {q}"
+        );
         assert_eq!(from_v3.run(&q).unwrap().answers, want, "v3 {q}");
     }
-}
-
-/// Writes the v2 golden fixture. Run once when the fixture legitimately
-/// needs regenerating:
-/// `cargo test --test snapshot_v3 regenerate_v2_fixture -- --ignored`
-#[test]
-#[ignore = "writes tests/fixtures/snapshot_v2.uxm"]
-fn regenerate_v2_fixture() {
-    std::fs::create_dir_all("tests/fixtures").unwrap();
-    std::fs::write(V2_FIXTURE, encode_engine_snapshot_v2(&fixture_engine())).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -379,14 +373,25 @@ fn v3_header_corruption_is_typed() {
     );
 }
 
-/// A section offset nudged off its page boundary (with the table
-/// checksum recomputed, so the edit is otherwise "valid") is rejected as
-/// `Misaligned` — the mmap path must never borrow unaligned columns.
+/// A section offset nudged off its 64-byte boundary, or pointing back
+/// into the section table (with the table checksum recomputed, so the
+/// edit is otherwise "valid"), is rejected as `Misaligned`.
 #[test]
 fn v3_misaligned_section_offset() {
     let mut bytes = valid_v3_snapshot().to_vec();
     let offset = entry_field(&bytes, 0, 1);
     set_entry_field(&mut bytes, 0, 1, offset + 8);
+    reseal_table(&mut bytes);
+    assert_eq!(
+        decode_engine_snapshot(&bytes).unwrap_err(),
+        DecodeError::Misaligned
+    );
+
+    // 64-byte aligned, but below the end of the table: inside it.
+    let inside = (TABLE_END / 64 * 64) as u64;
+    assert!(inside > 0 && (inside as usize) < TABLE_END);
+    let mut bytes = valid_v3_snapshot().to_vec();
+    set_entry_field(&mut bytes, 0, 1, inside);
     reseal_table(&mut bytes);
     assert_eq!(
         decode_engine_snapshot(&bytes).unwrap_err(),
