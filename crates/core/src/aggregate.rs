@@ -26,7 +26,7 @@
 //! router merging shards — produce byte-identical canonical JSON.
 
 use crate::api::Answer;
-use crate::json::Json;
+use crate::json::{Json, Writer};
 use crate::mapping::MappingId;
 use std::fmt;
 use uxm_twig::resolve::numeric;
@@ -120,8 +120,38 @@ impl AggregateResult {
         ])
     }
 
-    /// The rows alone as a canonical JSON array — the `/aggregate`
-    /// endpoint embeds this in its per-engine entries.
+    /// Streams the canonical form into `w`: the bytes of
+    /// [`AggregateResult::to_json`], with no tree in between.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.begin_obj();
+        w.key("func");
+        w.str(self.func.wire_name());
+        w.key("marginal");
+        w.opt_num(self.marginal);
+        w.key("rows");
+        self.write_rows(w);
+        w.end_obj();
+    }
+
+    /// Streams [`AggregateResult::rows_json`] into `w`.
+    pub fn write_rows(&self, w: &mut Writer<'_>) {
+        w.begin_arr();
+        for r in &self.rows {
+            w.begin_obj();
+            w.key("mapping");
+            w.uint(u64::from(r.mapping.0));
+            w.key("probability");
+            w.num(r.probability);
+            w.key("value");
+            w.opt_num(r.value);
+            w.end_obj();
+        }
+        w.end_arr();
+    }
+
+    /// The rows alone as a canonical JSON array — the reference form of
+    /// what [`AggregateResult::write_rows`] streams into the per-engine
+    /// entries of an `/aggregate` body.
     pub fn rows_json(&self) -> Json {
         Json::Arr(
             self.rows

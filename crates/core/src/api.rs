@@ -59,7 +59,7 @@
 
 use crate::aggregate::{AggFunc, AggregateResult};
 use crate::error::UxmError;
-use crate::json::Json;
+use crate::json::{Json, Writer};
 use crate::keyword::{KeywordAnswer, KeywordError};
 use crate::mapping::MappingId;
 use crate::planner::{Evaluator, Plan};
@@ -785,10 +785,104 @@ impl QueryResponse {
         Json::Obj(members)
     }
 
-    /// [`QueryResponse::to_json`] rendered canonically.
+    /// The canonical JSON text: the bytes of [`QueryResponse::to_json`],
+    /// rendered by [`QueryResponse::write_json`] without building the
+    /// tree.
     pub fn to_json_string(&self) -> String {
-        self.to_json().to_string()
+        let mut out = String::with_capacity(self.json_size_hint());
+        self.write_json(&mut Writer::new(&mut out));
+        out
     }
+
+    /// Streams the canonical form into `w`: the same bytes as
+    /// [`QueryResponse::to_json`], with no tree in between.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        self.write_json_with(w, None);
+    }
+
+    /// [`QueryResponse::write_json`] with an optional `explain` member,
+    /// as `POST /query` serves it. `explain` goes second, right after
+    /// the first member (`answers`, or `aggregate` when present).
+    pub(crate) fn write_json_with(&self, w: &mut Writer<'_>, explain: Option<&Json>) {
+        let write_explain = |w: &mut Writer<'_>| {
+            if let Some(explain) = explain {
+                w.key("explain");
+                w.value(explain);
+            }
+        };
+        w.begin_obj();
+        if let Some(aggregate) = &self.aggregate {
+            w.key("aggregate");
+            aggregate.write_json(w);
+            write_explain(w);
+        }
+        w.key("answers");
+        w.begin_arr();
+        for a in &self.answers {
+            w.begin_obj();
+            write_provenance(w, &a.mappings, &a.matches);
+            w.key("probability");
+            w.num(a.probability);
+            w.end_obj();
+        }
+        w.end_arr();
+        if self.aggregate.is_none() {
+            write_explain(w);
+        }
+        let stats = &self.stats;
+        w.key("stats");
+        w.begin_obj();
+        w.key("backend");
+        w.str(stats.backend.wire_name());
+        w.key("elapsed_us");
+        w.uint(stats.elapsed_us);
+        w.key("evaluator");
+        w.str(stats.plan.evaluator.wire_name());
+        w.key("plan_reason");
+        w.str(stats.plan.reason.wire_name());
+        w.key("program_cache_hits");
+        w.uint(stats.program_cache_hits);
+        w.key("program_cache_misses");
+        w.uint(stats.program_cache_misses);
+        w.key("relevant");
+        w.uint(stats.relevant as u64);
+        w.key("rewrite_hits");
+        w.uint(stats.rewrite_hits);
+        w.key("rewrite_misses");
+        w.uint(stats.rewrite_misses);
+        w.end_obj();
+        w.end_obj();
+    }
+
+    /// A rough byte count of the canonical form, to size its buffer once.
+    pub(crate) fn json_size_hint(&self) -> usize {
+        let answers: usize = self
+            .answers
+            .iter()
+            .map(|a| {
+                64 + 6 * a.mappings.len()
+                    + a.matches
+                        .iter()
+                        .map(|m| 2 + 7 * m.nodes.len())
+                        .sum::<usize>()
+            })
+            .sum();
+        let rows = self.aggregate.as_ref().map_or(0, |a| 64 * a.rows.len());
+        256 + answers + rows
+    }
+}
+
+/// Writes the `"mappings"` and `"matches"` members of an answer: the
+/// contributing mapping ids, then each match as its node ids.
+pub(crate) fn write_provenance(w: &mut Writer<'_>, mappings: &[MappingId], matches: &[TwigMatch]) {
+    w.key("mappings");
+    w.uints(mappings.iter().map(|m| u64::from(m.0)));
+    w.key("matches");
+    w.begin_arr();
+    for m in matches {
+        w.uints(m.nodes.iter().map(|n| u64::from(n.0)));
+    }
+    w.end_arr();
 }
 
 // ---------------------------------------------------------------------

@@ -9,10 +9,14 @@
 //! * a [`Json`] value tree (null, bool, number, string, array, object);
 //! * a strict recursive-descent parser ([`Json::parse`]) that rejects
 //!   trailing input and nesting deeper than [`MAX_DEPTH`];
-//! * a canonical writer ([`Json::write`] / `Display`): no whitespace,
-//!   object keys in the order the encoder emits them (every encoder in
-//!   this crate emits keys alphabetically), integers without a fraction,
-//!   and floats in Rust's shortest round-trip form.
+//! * a canonical writer: no whitespace, object keys in the order the
+//!   encoder emits them (every encoder in this crate emits keys
+//!   alphabetically), integers without a fraction, and floats in Rust's
+//!   shortest round-trip form. [`Writer`] streams it straight into a
+//!   `String` and renders every served response; [`Json::write`] /
+//!   `Display` print a tree through the same writer, and the trees the
+//!   `to_json` methods build are the reference form tests compare
+//!   served bytes against.
 //!
 //! Canonical output is what makes the wire format *byte-stable*:
 //! `write(parse(write(x))) == write(x)` for every value this crate
@@ -25,6 +29,10 @@ use std::fmt;
 /// `[` would overflow a serving thread's stack and abort the process.
 /// No wire message comes close: a `/batch` body nests four levels.
 pub const MAX_DEPTH: usize = 128;
+
+/// 2^53: every whole number up to it is exact in an `f64` and prints
+/// without a fraction.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,7 +91,7 @@ impl Json {
     /// `usize` range.
     pub fn as_usize(&self) -> Option<usize> {
         let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n) {
+        if n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&n) {
             Some(n as usize)
         } else {
             None
@@ -127,35 +135,7 @@ impl Json {
 
     /// Appends the canonical encoding to `out`.
     pub fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_number(*n, out),
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
+        Writer::new(out).value(self);
     }
 }
 
@@ -167,37 +147,228 @@ impl fmt::Display for Json {
     }
 }
 
+/// A canonical streaming writer: appends JSON to a `String` as values
+/// are pushed, with no [`Json`] tree in between. It places commas and
+/// colons itself; callers push keys in the order the canonical form
+/// wants them (alphabetical, for every encoder in this crate). Numbers
+/// and strings go through the same primitives as [`Json::write`], so a
+/// writer-built document and the equivalent tree print the same bytes.
+///
+/// ```
+/// use uxm_core::json::{Json, Writer};
+///
+/// let mut out = String::new();
+/// let mut w = Writer::new(&mut out);
+/// w.begin_obj();
+/// w.key("ids");
+/// w.begin_arr();
+/// w.uint(3);
+/// w.uint(14);
+/// w.end_arr();
+/// w.key("p");
+/// w.num(0.25);
+/// w.end_obj();
+/// assert_eq!(out, r#"{"ids":[3,14],"p":0.25}"#);
+/// assert_eq!(Json::parse(&out).unwrap().to_string(), out);
+/// ```
+pub struct Writer<'a> {
+    out: &'a mut String,
+    /// The next key or value follows a sibling, so a `,` goes first.
+    comma: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Writer<'a> {
+        Writer { out, comma: false }
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// Opens an object.
+    pub fn begin_obj(&mut self) {
+        self.separate();
+        self.out.push('{');
+        self.comma = false;
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) {
+        self.out.push('}');
+        self.comma = true;
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) {
+        self.separate();
+        self.out.push('[');
+        self.comma = false;
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) {
+        self.out.push(']');
+        self.comma = true;
+    }
+
+    /// Writes an object key; the next value pushed is its member value.
+    pub fn key(&mut self, key: &str) {
+        self.separate();
+        write_string(key, self.out);
+        self.out.push(':');
+        self.comma = false;
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.separate();
+        self.out.push_str("null");
+        self.comma = true;
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.separate();
+        self.out.push_str(if b { "true" } else { "false" });
+        self.comma = true;
+    }
+
+    /// Writes an unsigned integer, digit by digit. Past 2^53 it prints
+    /// like [`Json::uint`], which holds it as an `f64`.
+    pub fn uint(&mut self, n: u64) {
+        self.separate();
+        if n <= MAX_EXACT as u64 {
+            write_uint(n, self.out);
+        } else {
+            write_number(n as f64, self.out);
+        }
+        self.comma = true;
+    }
+
+    /// Writes a number in canonical form ([`Json::Num`]'s rules).
+    pub fn num(&mut self, n: f64) {
+        self.separate();
+        write_number(n, self.out);
+        self.comma = true;
+    }
+
+    /// Writes a number, or `null` for `None`.
+    pub fn opt_num(&mut self, v: Option<f64>) {
+        match v {
+            Some(n) => self.num(n),
+            None => self.null(),
+        }
+    }
+
+    /// Writes an escaped string.
+    pub fn str(&mut self, s: &str) {
+        self.separate();
+        write_string(s, self.out);
+        self.comma = true;
+    }
+
+    /// Writes an array of unsigned integers.
+    pub fn uints(&mut self, items: impl IntoIterator<Item = u64>) {
+        self.begin_arr();
+        for n in items {
+            self.uint(n);
+        }
+        self.end_arr();
+    }
+
+    /// Writes a whole [`Json`] tree.
+    pub fn value(&mut self, v: &Json) {
+        match v {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Num(n) => self.num(*n),
+            Json::Str(s) => self.str(s),
+            Json::Arr(items) => {
+                self.begin_arr();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_arr();
+            }
+            Json::Obj(members) => {
+                self.begin_obj();
+                for (k, item) in members {
+                    self.key(k);
+                    self.value(item);
+                }
+                self.end_obj();
+            }
+        }
+    }
+}
+
 /// Whole numbers up to 2^53 print without a fraction; everything else
 /// uses Rust's shortest round-trip `f64` form (also stable under
 /// re-parsing). Non-finite values have no JSON encoding and become
 /// `null`.
 fn write_number(n: f64, out: &mut String) {
-    use std::fmt::Write as _;
     if !n.is_finite() {
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
-        let _ = write!(out, "{}", n as i64);
+    } else if n.fract() == 0.0 && n.abs() <= MAX_EXACT {
+        // `-0.0` prints as `0`.
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_uint(n.abs() as u64, out);
     } else {
+        use std::fmt::Write as _;
         let _ = write!(out, "{n}");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Decimal digits of `n`, filled from the right of a stack buffer.
+fn write_uint(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Quotes and escapes `s`: `"`, `\`, `\n`, `\r` and `\t` get their short
+/// escapes, other control characters `\u00xx`. Runs of bytes that need
+/// no escape are copied in one piece.
+fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(short);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -567,6 +738,80 @@ mod tests {
         assert_eq!(v.get("f").and_then(Json::as_usize), None, "non-integer");
         assert_eq!(v.get("missing"), None);
         assert_eq!(v.as_obj().map(<[(String, Json)]>::len), Some(4));
+    }
+
+    #[test]
+    fn writer_matches_the_tree_form() {
+        let text = "q\"\\\n\r\t\u{0}\u{1f}\u{7f} é✓ \u{1F600} plain";
+        let tree = Json::Obj(vec![
+            (
+                "a\"k".into(),
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Bool(false)]),
+            ),
+            (
+                "n".into(),
+                Json::Arr(
+                    [
+                        0.0,
+                        -0.0,
+                        -7.0,
+                        0.1,
+                        1e300,
+                        -2.5e-8,
+                        MAX_EXACT,
+                        -MAX_EXACT,
+                        MAX_EXACT * 2.0,
+                        f64::NAN,
+                        f64::NEG_INFINITY,
+                    ]
+                    .into_iter()
+                    .map(Json::Num)
+                    .collect(),
+                ),
+            ),
+            (
+                "u".into(),
+                Json::Arr(
+                    [0, 9, 10, 1 << 53, (1 << 53) + 1, u64::MAX]
+                        .into_iter()
+                        .map(Json::uint)
+                        .collect(),
+                ),
+            ),
+            ("s".into(), Json::str(text)),
+            ("e".into(), Json::Obj(vec![])),
+            ("x".into(), Json::Arr(vec![Json::Arr(vec![])])),
+        ]);
+
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_obj();
+        w.key("a\"k");
+        w.begin_arr();
+        w.null();
+        w.bool(true);
+        w.bool(false);
+        w.end_arr();
+        w.key("n");
+        w.value(&tree.get("n").unwrap().clone());
+        w.key("u");
+        w.uints([0, 9, 10, 1 << 53, (1 << 53) + 1, u64::MAX]);
+        w.key("s");
+        w.str(text);
+        w.key("e");
+        w.begin_obj();
+        w.end_obj();
+        w.key("x");
+        w.begin_arr();
+        w.begin_arr();
+        w.end_arr();
+        w.end_arr();
+        w.end_obj();
+        assert_eq!(out, tree.to_string());
+        assert!(out.contains("\"q\\\"\\\\\\n\\r\\t\\u0000\\u001f\u{7f} é✓ \u{1F600} plain\""));
+        assert!(out.contains("\"n\":[0,0,-7,0.1,"), "{out}");
+        assert!(out.contains(",9007199254740992,-9007199254740992,18014398509481984,null,null]"));
+        assert_eq!(Json::parse(&out).unwrap().to_string(), out);
     }
 
     #[test]

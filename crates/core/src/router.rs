@@ -62,11 +62,11 @@
 
 #![deny(missing_docs)]
 
-use crate::aggregate::{merge_marginals, opt_num};
-use crate::api::{Query, QueryResponse};
+use crate::aggregate::{merge_marginals, AggFunc, AggregateResult};
+use crate::api::{write_provenance, Query, QueryResponse};
 use crate::engine::QueryEngine;
 use crate::error::UxmError;
-use crate::json::Json;
+use crate::json::{Json, Writer};
 use crate::mapping::MappingId;
 use crate::registry::{BatchQuery, EngineRegistry, RegistryConfig, RegistryStats};
 use crate::server::{
@@ -201,6 +201,18 @@ impl TopKAnswer {
             ("probability".into(), Json::Num(self.probability)),
         ])
     }
+
+    /// Streams the canonical form into `w`: the bytes of
+    /// [`TopKAnswer::to_json`], with no tree in between.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.begin_obj();
+        w.key("engine");
+        w.str(&self.engine);
+        write_provenance(w, &self.mappings, &self.matches);
+        w.key("probability");
+        w.num(self.probability);
+        w.end_obj();
+    }
 }
 
 /// Sorts `answers` by the **pinned cross-engine total order** and keeps
@@ -303,14 +315,25 @@ pub(crate) fn topk(engines: &dyn Engines, body: &str) -> Result<String, UxmError
             matches: a.matches,
         }));
     }
-    Ok(Json::Obj(vec![
-        (
-            "answers".into(),
-            Json::Arr(merge_topk(all, k).iter().map(TopKAnswer::to_json).collect()),
-        ),
-        ("k".into(), Json::uint(k as u64)),
-    ])
-    .to_string())
+    Ok(topk_body(&merge_topk(all, k), k))
+}
+
+/// The `/topk` response body, `{"answers":[…],"k":…}`, for answers
+/// already ordered and cut by [`merge_topk`].
+pub fn topk_body(answers: &[TopKAnswer], k: usize) -> String {
+    let mut out = String::with_capacity(64 + 128 * answers.len());
+    let mut w = Writer::new(&mut out);
+    w.begin_obj();
+    w.key("answers");
+    w.begin_arr();
+    for a in answers {
+        a.write_json(&mut w);
+    }
+    w.end_arr();
+    w.key("k");
+    w.uint(k as u64);
+    w.end_obj();
+    out
 }
 
 /// `POST /aggregate`: runs one aggregate query on every requested
@@ -325,26 +348,48 @@ pub(crate) fn aggregate(engines: &dyn Engines, body: &str) -> Result<String, Uxm
             "the /aggregate endpoint needs an aggregate query (kind \"aggregate\")".into(),
         ));
     };
-    let mut marginals = Vec::new();
     let mut entries = Vec::new();
     for name in fan_out_names(engines, names) {
         let response = engines.fetch(&name)?.run(&query)?;
         let agg = response.aggregate.ok_or_else(|| {
             UxmError::Internal("aggregate query returned no aggregate block".into())
         })?;
-        marginals.push(agg.marginal);
-        entries.push(Json::Obj(vec![
-            ("engine".into(), Json::str(name)),
-            ("marginal".into(), opt_num(agg.marginal)),
-            ("rows".into(), agg.rows_json()),
-        ]));
+        entries.push((name, agg));
     }
-    Ok(Json::Obj(vec![
-        ("engines".into(), Json::Arr(entries)),
-        ("func".into(), Json::str(func.wire_name())),
-        ("value".into(), opt_num(merge_marginals(func, marginals))),
-    ])
-    .to_string())
+    Ok(aggregate_body(func, &entries))
+}
+
+/// The `/aggregate` response body, `{"engines":[…],"func":…,"value":…}`:
+/// one `{"engine":…,"marginal":…,"rows":[…]}` entry per `(name, result)`
+/// in the given order, and the fleet value [`merge_marginals`] folds
+/// over the entries' marginals in that order.
+pub fn aggregate_body(func: AggFunc, entries: &[(String, AggregateResult)]) -> String {
+    let rows: usize = entries.iter().map(|(_, a)| a.rows.len()).sum();
+    let mut out = String::with_capacity(64 + 64 * entries.len() + 64 * rows);
+    let mut w = Writer::new(&mut out);
+    w.begin_obj();
+    w.key("engines");
+    w.begin_arr();
+    for (name, agg) in entries {
+        w.begin_obj();
+        w.key("engine");
+        w.str(name);
+        w.key("marginal");
+        w.opt_num(agg.marginal);
+        w.key("rows");
+        agg.write_rows(&mut w);
+        w.end_obj();
+    }
+    w.end_arr();
+    w.key("func");
+    w.str(func.wire_name());
+    w.key("value");
+    w.opt_num(merge_marginals(
+        func,
+        entries.iter().map(|(_, a)| a.marginal),
+    ));
+    w.end_obj();
+    out
 }
 
 // ---------------------------------------------------------------------

@@ -116,7 +116,8 @@
 use crate::api::{Query, QueryResponse};
 use crate::engine::QueryEngine;
 use crate::error::UxmError;
-use crate::json::Json;
+use crate::exec::Explain;
+use crate::json::{Json, Writer};
 use crate::planner::Evaluator;
 use crate::registry::{BatchQuery, EngineRegistry};
 use crate::sync;
@@ -1018,10 +1019,26 @@ fn read_request(
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            match value.parse::<usize>() {
-                Ok(len) => content_length = Some(len),
-                Err(_) => return reject(400, format!("bad content-length {value:?}")),
+            // `1*DIGIT` only: `usize::from_str` would also take a `+`.
+            let len = match value.parse::<usize>() {
+                Ok(len) if value.bytes().all(|b| b.is_ascii_digit()) => len,
+                _ => return reject(400, format!("bad content-length {value:?}")),
+            };
+            if content_length.is_some_and(|first| first != len) {
+                return reject(
+                    400,
+                    format!("conflicting content-length headers ({value:?})"),
+                );
             }
+            content_length = Some(len);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // Only content-length framing is implemented. Reading on
+            // would take the chunk lines for the next request, so the
+            // connection closes after this one answer.
+            return reject(
+                501,
+                format!("transfer-encoding {value:?} is not supported; send a content-length body"),
+            );
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
@@ -1042,6 +1059,7 @@ fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "",
     }
@@ -1084,15 +1102,58 @@ fn write_response_with(
 // routing
 
 /// The canonical error body: `{"error":{"kind":…,"message":…}}`.
-pub(crate) fn error_body(e: &UxmError) -> String {
-    Json::Obj(vec![(
-        "error".into(),
-        Json::Obj(vec![
-            ("kind".into(), Json::str(e.kind())),
-            ("message".into(), Json::str(e.to_string())),
-        ]),
-    )])
-    .to_string()
+pub fn error_body(e: &UxmError) -> String {
+    let mut out = String::with_capacity(128);
+    write_error(&mut Writer::new(&mut out), e);
+    out
+}
+
+/// Writes `{"error":{"kind":…,"message":…}}` — an error body, or an
+/// inline `/batch` item.
+fn write_error(w: &mut Writer<'_>, e: &UxmError) {
+    w.begin_obj();
+    w.key("error");
+    w.begin_obj();
+    w.key("kind");
+    w.str(e.kind());
+    w.key("message");
+    w.str(&e.to_string());
+    w.end_obj();
+    w.end_obj();
+}
+
+/// The `POST /query` response body: the response's canonical form,
+/// plus an `"explain"` member when `explain` is given (see
+/// [`QueryResponse::to_json_string`]).
+pub fn query_body(response: &QueryResponse, explain: Option<&Explain>) -> String {
+    let explain = explain.map(Explain::to_json);
+    let mut out = String::with_capacity(response.json_size_hint());
+    response.write_json_with(&mut Writer::new(&mut out), explain.as_ref());
+    out
+}
+
+/// The `POST /batch` response body, `{"results":[…]}`: per item the
+/// response's canonical form or an inline `{"error":…}` object, in
+/// order.
+pub fn batch_body(results: &[Result<QueryResponse, UxmError>]) -> String {
+    let size: usize = results
+        .iter()
+        .map(|r| r.as_ref().map_or(128, QueryResponse::json_size_hint))
+        .sum();
+    let mut out = String::with_capacity(16 + size);
+    let mut w = Writer::new(&mut out);
+    w.begin_obj();
+    w.key("results");
+    w.begin_arr();
+    for outcome in results {
+        match outcome {
+            Ok(response) => response.write_json(&mut w),
+            Err(e) => write_error(&mut w, e),
+        }
+    }
+    w.end_arr();
+    w.end_obj();
+    out
 }
 
 /// The HTTP status carrying `e`: bad inputs are the client's fault
@@ -1247,16 +1308,8 @@ fn handle_query(
     let outcome = engine.run(&query);
     stats.record(name, &outcome);
     let response = outcome?;
-    if !explain {
-        return Ok(response.to_json_string());
-    }
-    let explanation = engine.explain(&query)?;
-    let Json::Obj(mut members) = response.to_json() else {
-        unreachable!("QueryResponse::to_json is an object");
-    };
-    // Keys stay alphabetical: answers < explain < stats.
-    members.insert(1, ("explain".into(), explanation.to_json()));
-    Ok(Json::Obj(members).to_string())
+    let explanation = explain.then(|| engine.explain(&query)).transpose()?;
+    Ok(query_body(&response, explanation.as_ref()))
 }
 
 /// `POST /batch`: a JSON array of `{"engine":…,"query":…}` objects in,
@@ -1277,27 +1330,13 @@ fn handle_batch(
         .map(BatchQuery::from_json)
         .collect::<Result<Vec<_>, _>>()?;
     let answers = engines.batch(&queries);
-    let results = queries
-        .iter()
-        .zip(&answers)
-        .map(|(q, outcome)| {
-            // Unknown-engine failures stay server-level (see ServerStats).
-            if !matches!(outcome, Err(UxmError::UnknownEngine(_))) {
-                stats.record(&q.engine, outcome);
-            }
-            match outcome {
-                Ok(response) => response.to_json(),
-                Err(e) => Json::Obj(vec![(
-                    "error".into(),
-                    Json::Obj(vec![
-                        ("kind".into(), Json::str(e.kind())),
-                        ("message".into(), Json::str(e.to_string())),
-                    ]),
-                )]),
-            }
-        })
-        .collect();
-    Ok(Json::Obj(vec![("results".into(), Json::Arr(results))]).to_string())
+    for (q, outcome) in queries.iter().zip(&answers) {
+        // Unknown-engine failures stay server-level (see ServerStats).
+        if !matches!(outcome, Err(UxmError::UnknownEngine(_))) {
+            stats.record(&q.engine, outcome);
+        }
+    }
+    Ok(batch_body(&answers))
 }
 
 /// `GET /engines`: resident engines with sizes, plus what could be

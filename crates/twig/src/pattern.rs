@@ -23,8 +23,9 @@
 //! `Order//City[contains(.,'Ber')]`.
 //!
 //! A parsed pattern is at most [`MAX_DEPTH`] nodes deep on any
-//! root-to-leaf path; deeper input fails with
-//! [`TwigParseError::TooDeep`].
+//! root-to-leaf path and has at most [`MAX_NODES`] nodes; deeper input
+//! fails with [`TwigParseError::TooDeep`], larger input with
+//! [`TwigParseError::TooManyNodes`].
 //!
 //! `text()` is a synonym for `.`; the canonical rendering (what
 //! [`TwigPattern`]'s `Display` emits) always uses `.`. Numeric literals
@@ -41,6 +42,13 @@ use std::fmt;
 /// their stack use too. It matches the JSON nesting cap of the query
 /// wire format; the deepest paper query is 4 levels.
 pub const MAX_DEPTH: usize = 128;
+
+/// Most nodes [`TwigPattern::parse`] accepts in one pattern, spine steps
+/// and predicate branches together. Rewriting, compilation and
+/// evaluation do work per node for every relevant mapping, so this cap
+/// bounds them where [`MAX_DEPTH`] alone leaves breadth to the request
+/// body cap. The largest paper query (Table III) has 7 nodes.
+pub const MAX_NODES: usize = 1024;
 
 /// Index of a node within a [`TwigPattern`]; the root is 0.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -404,6 +412,9 @@ pub enum TwigParseError {
     /// The step starting at the given byte offset would make the pattern
     /// deeper than [`MAX_DEPTH`].
     TooDeep(usize),
+    /// The step starting at the given byte offset would give the pattern
+    /// more than [`MAX_NODES`] nodes.
+    TooManyNodes(usize),
 }
 
 impl fmt::Display for TwigParseError {
@@ -416,6 +427,9 @@ impl fmt::Display for TwigParseError {
             TwigParseError::Empty => write!(f, "empty query"),
             TwigParseError::TooDeep(p) => {
                 write!(f, "pattern deeper than {MAX_DEPTH} levels at byte {p}")
+            }
+            TwigParseError::TooManyNodes(p) => {
+                write!(f, "pattern has more than {MAX_NODES} nodes at byte {p}")
             }
         }
     }
@@ -449,7 +463,7 @@ impl<'a> PatternParser<'a> {
             let Some(axis) = self.read_axis() else {
                 return Ok(());
             };
-            check_depth(q, at, start)?;
+            check_caps(q, at, start)?;
             let label = self.read_label()?;
             at = q.add_child(at, label, axis);
             self.parse_step_suffix(q, at)?;
@@ -518,7 +532,7 @@ impl<'a> PatternParser<'a> {
         } else {
             return Err(TwigParseError::BadPredicate(self.pos));
         };
-        check_depth(q, at, start)?;
+        check_caps(q, at, start)?;
         let label = self.read_label()?;
         let child = q.add_child(at, label, axis);
         self.parse_step_suffix(q, child)?;
@@ -653,10 +667,15 @@ impl<'a> PatternParser<'a> {
     }
 }
 
-/// Fails with [`TwigParseError::TooDeep`] at `start` when a child of `at`
-/// would lie deeper than [`MAX_DEPTH`]. Walks at most `MAX_DEPTH` parent
-/// links, since every node already in `q` passed this check.
-fn check_depth(q: &TwigPattern, at: PatternNodeId, start: usize) -> Result<(), TwigParseError> {
+/// Fails at `start` when a new child of `at` would cross a cap: with
+/// [`TwigParseError::TooManyNodes`] when `q` already holds [`MAX_NODES`]
+/// nodes, with [`TwigParseError::TooDeep`] when the child would lie
+/// deeper than [`MAX_DEPTH`]. Walks at most `MAX_DEPTH` parent links,
+/// since every node already in `q` passed this check.
+fn check_caps(q: &TwigPattern, at: PatternNodeId, start: usize) -> Result<(), TwigParseError> {
+    if q.len() >= MAX_NODES {
+        return Err(TwigParseError::TooManyNodes(start));
+    }
     let mut depth = 1;
     let mut n = at;
     while let Some(p) = q.node(n).parent {
@@ -914,6 +933,38 @@ mod tests {
         // Wide is fine: many shallow branches stay under the cap.
         let wide = "a".to_string() + &"[./b]".repeat(4 * MAX_DEPTH);
         assert_eq!(TwigPattern::parse(&wide).unwrap().len(), 4 * MAX_DEPTH + 1);
+    }
+
+    #[test]
+    fn node_cap_counts_every_node() {
+        // `a[./b]…`: the root plus one node per 5-byte branch.
+        let wide = |branches: usize| "a".to_string() + &"[./b]".repeat(branches);
+        let q = TwigPattern::parse(&wide(MAX_NODES - 1)).unwrap();
+        assert_eq!(q.len(), MAX_NODES);
+        assert_eq!(TwigPattern::parse(&q.to_string()).unwrap(), q);
+        // The branch that crosses the cap starts right after its '['.
+        let err = TwigPattern::parse(&wide(MAX_NODES)).unwrap_err();
+        assert_eq!(err, TwigParseError::TooManyNodes(5 * MAX_NODES - 3));
+        assert!(
+            err.to_string()
+                .contains("more than 1024 nodes at byte 5117"),
+            "{err}"
+        );
+        // Spine steps count too: a chain of short branches, each under
+        // the depth cap, crosses at the step's '/'.
+        let branch = "[./b/c/d/e]";
+        let steps = "a".to_string() + &branch.repeat((MAX_NODES - 1) / 4);
+        let q = TwigPattern::parse(&(steps.clone() + "/f/g/h")).unwrap();
+        assert_eq!(q.len(), MAX_NODES);
+        assert_eq!(
+            TwigPattern::parse(&(steps.clone() + "/f/g/h/i")),
+            Err(TwigParseError::TooManyNodes(steps.len() + 6))
+        );
+        // A huge body fails without building all of it.
+        assert!(matches!(
+            TwigPattern::parse(&wide(200_000)),
+            Err(TwigParseError::TooManyNodes(_))
+        ));
     }
 
     #[test]

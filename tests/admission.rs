@@ -23,7 +23,10 @@
 //! * a deeply nested JSON body, or a deeply nested twig pattern inside
 //!   a valid one, used to overflow a worker's stack and abort the whole
 //!   server — now the JSON and twig parsers' depth caps answer a typed
-//!   400.
+//!   400, and the twig node-count cap bounds a pattern's breadth;
+//! * HTTP framing is strict: a signed or conflicting `Content-Length`
+//!   is a typed 400, and a `Transfer-Encoding` body gets one typed 501
+//!   and a closed connection instead of being read as a second request.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -532,6 +535,142 @@ fn deeply_nested_twig_pattern_is_a_typed_400_not_an_abort() {
             "{answer}"
         );
     }
+
+    let (status, health) = Client::connect(server.addr.as_str())
+        .expect("the server is still listening")
+        .get("/healthz")
+        .unwrap();
+    assert_eq!((status, health.as_str()), (200, "{\"status\":\"ok\"}"));
+}
+
+/// Sends `raw` on a fresh connection and reads until the server closes
+/// it; returns every response on the wire as `(status, body)`.
+fn exchange(addr: std::net::SocketAddr, raw: &str) -> Vec<(u16, String)> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(raw.as_bytes()).unwrap();
+    let mut wire = String::new();
+    stream.read_to_string(&mut wire).unwrap();
+    let mut responses = Vec::new();
+    let mut rest = wire.as_str();
+    while !rest.is_empty() {
+        let (head, tail) = rest
+            .split_once("\r\n\r\n")
+            .unwrap_or_else(|| panic!("truncated response head {rest:?}"));
+        let status = head
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("bad status line in {head:?}"));
+        let len: usize = head
+            .lines()
+            .find_map(|l| {
+                l.to_ascii_lowercase()
+                    .strip_prefix("content-length:")
+                    .map(|v| v.trim().parse().unwrap())
+            })
+            .expect("content-length");
+        responses.push((status, tail[..len].to_string()));
+        rest = &tail[len..];
+    }
+    responses
+}
+
+/// `Content-Length` must be `1*DIGIT`. `usize::from_str` also accepts
+/// a leading `+`, so `+2` used to frame a 2-byte body and the batch
+/// below was answered 200.
+#[test]
+fn signed_content_length_is_a_typed_400() {
+    let (_registry, handle) = start_with(ServerConfig::default());
+    let responses = exchange(
+        handle.addr(),
+        "POST /batch HTTP/1.1\r\ncontent-length: +2\r\nconnection: close\r\n\r\n[]",
+    );
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    let (status, body) = &responses[0];
+    assert_eq!(*status, 400, "{body}");
+    assert_eq!(error_kind(body), "usage");
+    assert!(body.contains(r#"bad content-length \"+2\""#), "{body}");
+    handle.shutdown();
+}
+
+/// Two `Content-Length` headers that disagree leave the body's length
+/// ambiguous, so the request is a typed 400. The last one used to win:
+/// here it framed `[]` and the batch was answered 200.
+#[test]
+fn conflicting_content_lengths_are_a_typed_400() {
+    let (_registry, handle) = start_with(ServerConfig::default());
+    let responses = exchange(
+        handle.addr(),
+        "POST /batch HTTP/1.1\r\ncontent-length: 100\r\ncontent-length: 2\r\n\
+         connection: close\r\n\r\n[]",
+    );
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    let (status, body) = &responses[0];
+    assert_eq!(*status, 400, "{body}");
+    assert_eq!(error_kind(body), "usage");
+    assert!(body.contains("conflicting content-length"), "{body}");
+
+    // Repeating the same value is harmless.
+    let responses = exchange(
+        handle.addr(),
+        "POST /batch HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\
+         connection: close\r\n\r\n[]",
+    );
+    assert_eq!(responses, vec![(200, "{\"results\":[]}".to_string())]);
+    handle.shutdown();
+}
+
+/// A chunked body is not implemented: the request gets exactly one
+/// typed 501 and the connection closes. The header used to be ignored,
+/// so the request was answered for an empty body and the chunk-size
+/// line was then read as a second request — two responses for one
+/// request, a request-desync bug.
+#[test]
+fn chunked_request_gets_one_501_then_close() {
+    let (_registry, handle) = start_with(ServerConfig::default());
+    let chunk = format!("{:x}\r\n{QUERY}\r\n0\r\n\r\n", QUERY.len());
+    let responses = exchange(
+        handle.addr(),
+        &format!("POST /query/po HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n{chunk}"),
+    );
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    let (status, body) = &responses[0];
+    assert_eq!(*status, 501, "{body}");
+    assert_eq!(error_kind(body), "usage");
+    assert!(body.contains("transfer-encoding"), "{body}");
+    handle.shutdown();
+}
+
+/// A twig pattern 50,000 branches wide (`a[./b][./b]…`, 250 KB, one
+/// level deep) fails to parse with a typed 400 at the branch that
+/// crosses `pattern::MAX_NODES`, and the server keeps serving. Before
+/// the cap only the 1 MiB body cap bounded a pattern's size, and this
+/// one parsed.
+#[test]
+fn wide_twig_pattern_is_a_typed_400() {
+    use uxm::twig::pattern::MAX_NODES;
+    let pattern = "a".to_string() + &"[./b]".repeat(50_000);
+    let body = Json::Obj(vec![
+        ("pattern".into(), Json::str(&pattern)),
+        ("type".into(), Json::str("ptq")),
+    ])
+    .to_string();
+    let server = ChildServer::start();
+    let (status, answer) = Client::connect(server.addr.as_str())
+        .unwrap()
+        .post("/query/x", &body)
+        .expect("the server answers a wide pattern");
+    assert_eq!(status, 400, "{answer}");
+    assert_eq!(error_kind(&answer), "parse");
+    // The crossing branch starts right after its '['.
+    let offset = 5 * MAX_NODES - 3;
+    assert!(
+        answer.contains(&format!("more than {MAX_NODES} nodes at byte {offset}")),
+        "{answer}"
+    );
 
     let (status, health) = Client::connect(server.addr.as_str())
         .expect("the server is still listening")

@@ -5,14 +5,28 @@
 //! and [`BatchQuery`] (the old `Request` `Display`/parse asymmetry is
 //! gone), and emitted responses are canonical JSON (re-parsing and
 //! re-writing reproduces the same bytes).
+//!
+//! Served bodies are streamed by `json::Writer` with no `Json` tree in
+//! between; the `to_json` trees are the reference form. The writer ≡
+//! tree arms below pin that the two print the same bytes for every
+//! response kind and every body the server renders.
 
 use proptest::prelude::*;
-use uxm::core::aggregate::{AggFunc, AggRow, AggregateResult};
-use uxm::core::api::{EvaluatorHint, Granularity, Query};
+use uxm::core::aggregate::{merge_marginals, AggFunc, AggRow, AggregateResult};
+use uxm::core::api::{Answer, EvaluatorHint, ExecStats, Granularity, Query, QueryResponse};
+use uxm::core::block_tree::BlockTreeConfig;
+use uxm::core::engine::QueryEngine;
+use uxm::core::error::UxmError;
+use uxm::core::exec::Explain;
 use uxm::core::json::Json;
-use uxm::core::mapping::MappingId;
+use uxm::core::mapping::{MappingId, PossibleMappings};
+use uxm::core::planner::{Evaluator, Plan, PlanReason};
 use uxm::core::registry::BatchQuery;
-use uxm::twig::{Axis, PredOp, PredTarget, TwigPattern, ValuePred};
+use uxm::core::router::{aggregate_body, merge_topk, topk_body, TopKAnswer};
+use uxm::core::server::{batch_body, error_body, query_body};
+use uxm::matching::Matcher;
+use uxm::twig::{Axis, PredOp, PredTarget, TwigMatch, TwigPattern, ValuePred};
+use uxm::xml::{DocGenConfig, DocNodeId, Document, Schema};
 
 /// Builds an arbitrary twig pattern from a generated spec: node `i + 1`
 /// attaches under node `parent % (i + 1)` with the given axis, label
@@ -389,4 +403,419 @@ fn aggregate_response_wire_fixtures_are_byte_exact() {
         "{\"func\":\"min\",\"marginal\":null,\"rows\":[\
          {\"mapping\":4,\"probability\":1,\"value\":null}]}"
     );
+}
+
+// ---------------------------------------------------------------------
+// writer ≡ tree
+
+/// The `/query` body as the tree form: the response's members with
+/// `explain` second, as `POST /query` serves it.
+fn query_tree(response: &QueryResponse, explain: Option<&Explain>) -> String {
+    let Json::Obj(mut members) = response.to_json() else {
+        panic!("a response serializes to an object");
+    };
+    if let Some(explain) = explain {
+        members.insert(1, ("explain".into(), explain.to_json()));
+    }
+    Json::Obj(members).to_string()
+}
+
+fn error_tree(e: &UxmError) -> Json {
+    Json::Obj(vec![(
+        "error".into(),
+        Json::Obj(vec![
+            ("kind".into(), Json::str(e.kind())),
+            ("message".into(), Json::str(e.to_string())),
+        ]),
+    )])
+}
+
+fn batch_tree(results: &[Result<QueryResponse, UxmError>]) -> String {
+    let items = results
+        .iter()
+        .map(|r| match r {
+            Ok(response) => response.to_json(),
+            Err(e) => error_tree(e),
+        })
+        .collect();
+    Json::Obj(vec![("results".into(), Json::Arr(items))]).to_string()
+}
+
+fn topk_tree(answers: &[TopKAnswer], k: usize) -> String {
+    Json::Obj(vec![
+        (
+            "answers".into(),
+            Json::Arr(answers.iter().map(TopKAnswer::to_json).collect()),
+        ),
+        ("k".into(), Json::uint(k as u64)),
+    ])
+    .to_string()
+}
+
+fn aggregate_tree(func: AggFunc, entries: &[(String, AggregateResult)]) -> String {
+    let rows = entries
+        .iter()
+        .map(|(name, agg)| {
+            Json::Obj(vec![
+                ("engine".into(), Json::str(name)),
+                (
+                    "marginal".into(),
+                    agg.marginal.map_or(Json::Null, Json::Num),
+                ),
+                ("rows".into(), agg.rows_json()),
+            ])
+        })
+        .collect();
+    let value = merge_marginals(func, entries.iter().map(|(_, a)| a.marginal));
+    Json::Obj(vec![
+        ("engines".into(), Json::Arr(rows)),
+        ("func".into(), Json::str(func.wire_name())),
+        ("value".into(), value.map_or(Json::Null, Json::Num)),
+    ])
+    .to_string()
+}
+
+/// Every rendering of one response: `to_json_string`, the writer behind
+/// `/query` (with and without `explain`) and the aggregate block alone.
+fn assert_response_writer_eq_tree(response: &QueryResponse, explain: &Explain) {
+    let tree = response.to_json().to_string();
+    assert_eq!(response.to_json_string(), tree);
+    assert_eq!(query_body(response, None), tree);
+    assert_eq!(
+        query_body(response, Some(explain)),
+        query_tree(response, Some(explain))
+    );
+    if let Some(aggregate) = &response.aggregate {
+        let mut out = String::new();
+        aggregate.write_json(&mut uxm::core::json::Writer::new(&mut out));
+        assert_eq!(out, aggregate.to_json().to_string());
+    }
+}
+
+/// Error messages carrying every character class the escaper treats
+/// differently: quotes, backslashes, short and `\u00xx` control
+/// escapes, DEL, and multi-byte text.
+fn awkward_errors() -> Vec<UxmError> {
+    vec![
+        UxmError::UnknownEngine("po \"quoted\" \\ name".into()),
+        UxmError::Json("bad \"key\" at \\ byte 3\n\r\t\u{0}\u{1}\u{1f}\u{7f}".into()),
+        UxmError::Internal("é✓ λ \u{1F600} — non-ASCII".into()),
+        UxmError::Usage(String::new()),
+        UxmError::InvalidQuery("\"\\\"\\\\".into()),
+        UxmError::Overloaded {
+            reason: "queue \"full\"".into(),
+            retry_after_ms: 250,
+        },
+    ]
+}
+
+fn po_engine() -> QueryEngine {
+    let source = Schema::parse_outline(
+        "Order(Buyer(Name Contact(EMail)) POLine*(LineNo Quantity UnitPrice))",
+    )
+    .unwrap();
+    let target =
+        Schema::parse_outline("PO(Purchaser(PName PContact(PEMail)) Line(No Qty Amount))").unwrap();
+    let matching = Matcher::context().match_schemas(&source, &target);
+    let pm = PossibleMappings::top_h(&matching, 12);
+    let doc = Document::generate(&source, &DocGenConfig::small(), 7);
+    QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+}
+
+/// Deterministic arm: real responses of every query kind on a fixture
+/// engine, plus hand-built edge cases, through every served body.
+#[test]
+fn served_writer_bytes_equal_the_tree_form() {
+    let engine = po_engine();
+    let pattern = |s: &str| TwigPattern::parse(s).unwrap();
+    let queries = [
+        Query::ptq(pattern("//Line//Qty")),
+        Query::ptq(pattern("PO//PEMail")).with_granularity(Granularity::Distinct),
+        Query::ptq_nodes(pattern("//Line[./No]//Qty")),
+        Query::topk(pattern("//Qty"), 3),
+        Query::keyword(vec!["Qty".into(), "PEMail".into()]),
+        Query::aggregate(pattern("//Line//Qty"), AggFunc::Count),
+        Query::aggregate(pattern("//Qty"), AggFunc::Sum),
+        Query::aggregate(pattern("//PEMail"), AggFunc::Min),
+        Query::aggregate(pattern("//Qty"), AggFunc::Max).with_min_probability(0.5),
+    ];
+    let mut responses = Vec::new();
+    for query in &queries {
+        let response = engine.run(query).unwrap();
+        let explain = engine.explain(query).unwrap();
+        assert_response_writer_eq_tree(&response, &explain);
+        responses.push(response);
+    }
+    assert!(responses.iter().any(|r| !r.answers.is_empty()));
+    assert!(responses
+        .iter()
+        .any(|r| r.aggregate.as_ref().is_some_and(|a| !a.rows.is_empty())));
+
+    // Edge cases: null marginal and values, and non-finite numbers,
+    // which have no JSON form and print as null.
+    let stats = responses[0].stats;
+    let explain = Explain {
+        plan: stats.plan,
+        program: None,
+    };
+    let edge = QueryResponse {
+        answers: vec![
+            Answer {
+                probability: f64::NAN,
+                mappings: vec![MappingId(0), MappingId(u32::MAX)],
+                matches: vec![
+                    TwigMatch { nodes: vec![] },
+                    TwigMatch {
+                        nodes: vec![DocNodeId(0), DocNodeId(u32::MAX)],
+                    },
+                ],
+            },
+            Answer {
+                probability: f64::INFINITY,
+                mappings: vec![],
+                matches: vec![],
+            },
+        ],
+        aggregate: Some(AggregateResult {
+            func: AggFunc::Sum,
+            rows: vec![
+                AggRow {
+                    mapping: MappingId(1),
+                    probability: 0.25,
+                    value: None,
+                },
+                AggRow {
+                    mapping: MappingId(2),
+                    probability: -0.0,
+                    value: Some(f64::NEG_INFINITY),
+                },
+                AggRow {
+                    mapping: MappingId(3),
+                    probability: 1e-300,
+                    value: Some(-9_007_199_254_740_993.0),
+                },
+            ],
+            marginal: None,
+        }),
+        stats: ExecStats {
+            elapsed_us: u64::MAX,
+            rewrite_hits: 1 << 53,
+            rewrite_misses: (1 << 53) + 1,
+            ..stats
+        },
+    };
+    assert_response_writer_eq_tree(&edge, &explain);
+    let empty = QueryResponse {
+        answers: vec![],
+        aggregate: None,
+        stats,
+    };
+    assert_response_writer_eq_tree(&empty, &explain);
+
+    // `/batch`, with inline errors between the responses.
+    let mut results: Vec<Result<QueryResponse, UxmError>> =
+        responses.iter().cloned().map(Ok).collect();
+    results.push(Ok(edge.clone()));
+    for (i, e) in awkward_errors().into_iter().enumerate() {
+        results.insert(2 * i, Err(e));
+    }
+    assert_eq!(batch_body(&results), batch_tree(&results));
+    assert_eq!(batch_body(&[]), "{\"results\":[]}");
+
+    // `/topk`, merged across two engine names.
+    let mut all = Vec::new();
+    for (name, response) in [("b\"eng", &responses[3]), ("a-eng", &responses[0])] {
+        all.extend(response.answers.iter().map(|a| TopKAnswer {
+            engine: name.into(),
+            probability: a.probability,
+            mappings: a.mappings.clone(),
+            matches: a.matches.clone(),
+        }));
+    }
+    assert!(!all.is_empty());
+    for k in [0, 1, 3, 100] {
+        let merged = merge_topk(all.clone(), k);
+        assert_eq!(topk_body(&merged, k), topk_tree(&merged, k));
+    }
+
+    // `/aggregate`, with a null and a non-finite marginal among the
+    // entries.
+    let mut entries: Vec<(String, AggregateResult)> = responses
+        .iter()
+        .filter_map(|r| r.aggregate.clone())
+        .filter(|a| a.func == AggFunc::Sum)
+        .map(|a| ("engine \u{1F600}".to_string(), a))
+        .collect();
+    entries.push(("edge".into(), edge.aggregate.clone().unwrap()));
+    let mut infinite = edge.aggregate.clone().unwrap();
+    infinite.marginal = Some(f64::INFINITY);
+    entries.push(("inf".into(), infinite));
+    assert_eq!(
+        aggregate_body(AggFunc::Sum, &entries),
+        aggregate_tree(AggFunc::Sum, &entries)
+    );
+    assert_eq!(
+        aggregate_body(AggFunc::Min, &[]),
+        aggregate_tree(AggFunc::Min, &[])
+    );
+
+    // Error bodies.
+    for e in awkward_errors() {
+        let body = error_body(&e);
+        assert_eq!(body, error_tree(&e).to_string());
+        let parsed = Json::parse(&body).unwrap();
+        let message = parsed.get("error").and_then(|x| x.get("message"));
+        assert_eq!(message.and_then(Json::as_str), Some(e.to_string().as_str()));
+    }
+}
+
+/// Characters the string generator draws from: every escape class,
+/// plus plain and multi-byte text.
+const TEXT: [char; 16] = [
+    'a',
+    'Z',
+    '7',
+    ' ',
+    '"',
+    '\\',
+    '/',
+    '\n',
+    '\r',
+    '\t',
+    '\u{0}',
+    '\u{1f}',
+    '\u{7f}',
+    'é',
+    '✓',
+    '\u{1F600}',
+];
+
+fn text(codes: &[u8]) -> String {
+    codes
+        .iter()
+        .map(|&c| TEXT[c as usize % TEXT.len()])
+        .collect()
+}
+
+/// A number from a generated `(selector, unit)` pair: mostly
+/// probabilities in `[0, 1)`, sometimes an edge value.
+fn number((selector, unit): (u8, f64)) -> f64 {
+    match selector {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => 9_007_199_254_740_992.0,
+        5 => -9_007_199_254_740_994.0,
+        6 => (unit * 1e6).round(),
+        7 => -unit * 1e-9,
+        _ => unit,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Proptest arm: arbitrary responses, batches, top-k and aggregate
+    /// bodies and error messages print the same bytes through the
+    /// writer as through the tree form.
+    #[test]
+    fn random_served_bodies_writer_eq_tree(
+        answers in proptest::collection::vec(
+            (
+                (0u8..12, 0.0f64..1.0),
+                proptest::collection::vec(0u32..5000, 0..4),
+                proptest::collection::vec(proptest::collection::vec(0u32..100_000, 0..5), 0..4),
+            ),
+            0..6,
+        ),
+        rows in proptest::collection::vec(
+            (0u32..200, (0u8..12, 0.0f64..1.0), (0u8..12, 0.0f64..1.0), proptest::prop::bool::ANY),
+            0..5,
+        ),
+        marginal in ((0u8..12, 0.0f64..1.0), 0u8..3),
+        counters in (0u64..u64::MAX, 0u64..1_000_000, 0usize..500),
+        message in proptest::collection::vec(0u8..64, 0..40),
+        engine_name in proptest::collection::vec(0u8..64, 0..12),
+        k in 0usize..8,
+    ) {
+        let answers: Vec<Answer> = answers
+            .into_iter()
+            .map(|(p, mappings, matches)| Answer {
+                probability: number(p),
+                mappings: mappings.into_iter().map(MappingId).collect(),
+                matches: matches
+                    .into_iter()
+                    .map(|nodes| TwigMatch { nodes: nodes.into_iter().map(DocNodeId).collect() })
+                    .collect(),
+            })
+            .collect();
+        let aggregate = (marginal.1 > 0).then(|| AggregateResult {
+            func: [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max][rows.len() % 4],
+            rows: rows
+                .iter()
+                .map(|&(m, p, v, defined)| AggRow {
+                    mapping: MappingId(m),
+                    probability: number(p),
+                    value: defined.then(|| number(v)),
+                })
+                .collect(),
+            marginal: (marginal.1 > 1).then(|| number(marginal.0)),
+        });
+        let plan = Plan { evaluator: Evaluator::Compiled, reason: PlanReason::KindDefault };
+        let stats = ExecStats {
+            plan,
+            backend: Evaluator::Naive,
+            relevant: counters.2,
+            program_cache_hits: counters.1 % 2,
+            program_cache_misses: 1 - counters.1 % 2,
+            rewrite_hits: counters.1,
+            rewrite_misses: counters.1 / 3,
+            elapsed_us: counters.0,
+        };
+        let response = QueryResponse { answers: answers.clone(), aggregate: aggregate.clone(), stats };
+        let explain = Explain { plan, program: None };
+        let tree = response.to_json().to_string();
+        prop_assert_eq!(response.to_json_string(), tree.clone());
+        prop_assert_eq!(query_body(&response, None), tree.clone());
+        prop_assert_eq!(query_body(&response, Some(&explain)), query_tree(&response, Some(&explain)));
+        prop_assert_eq!(Json::parse(&tree).map(|v| v.to_string()), Ok(tree));
+
+        let message = text(&message);
+        let errors = [
+            UxmError::Json(message.clone()),
+            UxmError::UnknownEngine(message.clone()),
+            UxmError::Internal(message.clone()),
+        ];
+        for e in &errors {
+            let body = error_body(e);
+            prop_assert_eq!(&body, &error_tree(e).to_string());
+            let parsed = Json::parse(&body).map_err(|x| TestCaseError::fail(format!("{body}: {x}")))?;
+            let message = parsed.get("error").and_then(|x| x.get("message")).and_then(Json::as_str);
+            prop_assert_eq!(message, Some(e.to_string().as_str()));
+        }
+        let results: Vec<Result<QueryResponse, UxmError>> =
+            vec![Ok(response.clone()), Err(errors[0].clone()), Ok(response), Err(errors[1].clone())];
+        prop_assert_eq!(batch_body(&results), batch_tree(&results));
+
+        let name = text(&engine_name);
+        let topk: Vec<TopKAnswer> = answers
+            .into_iter()
+            .map(|a| TopKAnswer {
+                engine: name.clone(),
+                probability: a.probability,
+                mappings: a.mappings,
+                matches: a.matches,
+            })
+            .collect();
+        prop_assert_eq!(topk_body(&topk, k), topk_tree(&topk, k));
+
+        if let Some(aggregate) = aggregate {
+            let entries = vec![(name.clone(), aggregate.clone()), (message, aggregate.clone())];
+            prop_assert_eq!(
+                aggregate_body(aggregate.func, &entries),
+                aggregate_tree(aggregate.func, &entries)
+            );
+        }
+    }
 }
