@@ -12,7 +12,10 @@
 //!   `/query` + `/batch` + `/stats` workload with Zipf-distributed
 //!   engine popularity (a hot head, a cold tail that forces hydrations
 //!   and evictions), plus periodic panic injections through the
-//!   `/debug/panic` instrumentation route;
+//!   `/debug/panic` instrumentation route and periodic hostile requests
+//!   (a `/batch` body nested 50,000 deep, a `/query` pattern 50,000
+//!   branches wide, a request head over 16 KiB) that must each get
+//!   their typed 400 or 431;
 //! * **an open-loop connection storm** — half-written requests held
 //!   open from a spray of short-lived sockets, the slow-loris shape
 //!   that historically wedged worker pools.
@@ -21,12 +24,13 @@
 //! own accounting ([`uxm_core::registry::RegistryStats`]) to expose
 //! eviction drift. At the end it asserts the invariants this bug class
 //! is about: every response was typed canonical JSON with a known
-//! status, and every worker still answers after the storm — zero
-//! wedged workers, or the run fails loudly.
+//! status, every hostile request got its typed refusal (or was shed),
+//! and every worker still answers after the storm — zero wedged
+//! workers, or the run fails loudly.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,6 +41,7 @@ use rand::{Rng, SeedableRng};
 use uxm_core::api::Query;
 use uxm_core::block_tree::BlockTreeConfig;
 use uxm_core::engine::QueryEngine;
+use uxm_core::error::UxmError;
 use uxm_core::json::Json;
 use uxm_core::mapping::PossibleMappings;
 use uxm_core::registry::{BatchQuery, EngineRegistry, RegistryConfig, RegistryStats};
@@ -99,6 +104,16 @@ const STORM_HELD: usize = 60;
 /// enough that injections happen even when overload throttles each
 /// client to a few requests per second.
 const PANIC_EVERY: usize = 53;
+/// Closed-loop requests between hostile injections (per client), which
+/// rotate through [`HOSTILE`].
+const HOSTILE_EVERY: usize = 37;
+/// The hostile request kinds and the typed refusal each must get: its
+/// status and error `kind`.
+const HOSTILE: [(&str, u16, &str); 3] = [
+    ("big_head", 431, "usage"),
+    ("deep_batch", 400, "json"),
+    ("wide_query", 400, "parse"),
+];
 
 /// The source/target schema family every corpus engine shares (the
 /// *documents* differ per engine; matching is computed once).
@@ -120,6 +135,8 @@ struct ClientTally {
     malformed: u64,
     /// Reconnects after an I/O failure (sheds at connect included).
     reconnects: u64,
+    /// Response counts by HTTP status, per [`HOSTILE`] kind.
+    hostile: HashMap<&'static str, HashMap<u16, u64>>,
 }
 
 impl ClientTally {
@@ -135,6 +152,12 @@ impl ClientTally {
         }
         self.malformed += other.malformed;
         self.reconnects += other.reconnects;
+        for (kind, statuses) in other.hostile {
+            let mine = self.hostile.entry(kind).or_default();
+            for (status, n) in statuses {
+                *mine.entry(status).or_default() += n;
+            }
+        }
     }
 }
 
@@ -281,9 +304,69 @@ fn zipf_pick(cum: &[f64], rng: &mut StdRng) -> usize {
     cum.partition_point(|&c| c <= x).min(cum.len() - 1)
 }
 
+/// The hostile request bodies, built once.
+struct Hostile {
+    /// A request head over the server's 16 KiB cap, sent raw: [`Client`]
+    /// sends fixed headers.
+    big_head: String,
+    /// A `/batch` body nested 50,000 arrays deep.
+    deep_batch: String,
+    /// A `/query` body whose twig pattern has 50,000 branches.
+    wide_query: String,
+}
+
+impl Hostile {
+    fn new() -> Hostile {
+        let pattern = "a".to_string() + &"[./b]".repeat(50_000);
+        Hostile {
+            big_head: format!(
+                "GET /healthz HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+                "x".repeat(20 * 1024)
+            ),
+            deep_batch: "[".repeat(50_000) + &"]".repeat(50_000),
+            wide_query: Json::Obj(vec![
+                ("pattern".into(), Json::str(&pattern)),
+                ("type".into(), Json::str("ptq")),
+            ])
+            .to_string(),
+        }
+    }
+
+    /// Sends the hostile request `kind`: the bodies over `c`, the head
+    /// on a fresh raw connection read until the server closes it.
+    fn send(
+        &self,
+        kind: &str,
+        c: &mut Client,
+        addr: std::net::SocketAddr,
+        engine: &str,
+    ) -> Result<(u16, String), UxmError> {
+        match kind {
+            "deep_batch" => c.post("/batch", &self.deep_batch),
+            "wide_query" => c.post(&format!("/query/{engine}"), &self.wide_query),
+            _ => {
+                let io = |e: std::io::Error| UxmError::io("raw oversized head", e);
+                let mut stream = TcpStream::connect(addr).map_err(io)?;
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .map_err(io)?;
+                stream.write_all(self.big_head.as_bytes()).map_err(io)?;
+                let mut wire = String::new();
+                stream.read_to_string(&mut wire).map_err(io)?;
+                let (head, body) = wire.split_once("\r\n\r\n").unwrap_or((&wire, ""));
+                let status = head.split_whitespace().nth(1).and_then(|s| s.parse().ok());
+                let status =
+                    status.ok_or_else(|| UxmError::Io(format!("no status line in {head:?}")))?;
+                Ok((status, body.to_string()))
+            }
+        }
+    }
+}
+
 /// One closed-loop client: mixed `/query` + `/batch` + `/stats` traffic
-/// (with periodic panic injections) over a persistent connection until
-/// `deadline`, reconnecting whenever the server sheds or closes it.
+/// (with periodic panic and hostile injections) over a persistent
+/// connection until `deadline`, reconnecting whenever the server sheds
+/// or closes it.
 #[allow(clippy::too_many_arguments)]
 fn closed_loop(
     addr: std::net::SocketAddr,
@@ -294,6 +377,7 @@ fn closed_loop(
     id: usize,
     seed: u64,
     panics_sent: &AtomicU64,
+    hostile: &Hostile,
 ) -> ClientTally {
     let mut rng = StdRng::seed_from_u64(seed ^ (0xC11E47 + id as u64));
     let mut tally = ClientTally::default();
@@ -322,6 +406,9 @@ fn closed_loop(
         let started = Instant::now();
         let (endpoint, outcome) = if sent.is_multiple_of(PANIC_EVERY) {
             ("panic", c.post("/debug/panic", "{}"))
+        } else if sent.is_multiple_of(HOSTILE_EVERY) {
+            let (kind, _, _) = HOSTILE[(sent / HOSTILE_EVERY) % HOSTILE.len()];
+            (kind, hostile.send(kind, c, addr, &names[0]))
         } else {
             match rng.gen_range(0u32..10) {
                 0..=6 => {
@@ -357,6 +444,13 @@ fn closed_loop(
                     if status == 500 {
                         panics_sent.fetch_add(1, Ordering::Relaxed);
                     }
+                } else if HOSTILE.iter().any(|&(kind, _, _)| kind == endpoint) {
+                    *tally
+                        .hostile
+                        .entry(endpoint)
+                        .or_default()
+                        .entry(status)
+                        .or_default() += 1;
                 } else {
                     tally
                         .latencies
@@ -514,11 +608,13 @@ pub fn soak(cfg: &SoakConfig) -> String {
     let cum = zipf_cum(names.len());
     let deadline = Instant::now() + cfg.duration;
     let panics_sent = AtomicU64::new(0);
+    let hostile = Hostile::new();
 
     let (tally, storm_opened, rss_samples) = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..cfg.clients)
             .map(|id| {
                 let (names, cum, queries, panics_sent) = (&names, &cum, &queries, &panics_sent);
+                let hostile = &hostile;
                 scope.spawn(move || {
                     closed_loop(
                         addr,
@@ -529,6 +625,7 @@ pub fn soak(cfg: &SoakConfig) -> String {
                         id,
                         cfg.seed,
                         panics_sent,
+                        hostile,
                     )
                 })
             })
@@ -573,15 +670,41 @@ pub fn soak(cfg: &SoakConfig) -> String {
     let server_stats = Json::parse(&stats_json).expect("stats body parses");
     drop(probes);
 
+    // Every hostile shape also gets its typed refusal from the quiet
+    // server, so each is exercised even when overload shed them all.
+    let mut c = Client::connect(addr)
+        .and_then(|c| c.read_timeout(Duration::from_secs(10)))
+        .expect("hostile probe connects");
+    for (kind, want, want_kind) in HOSTILE {
+        let (status, body) = hostile
+            .send(kind, &mut c, addr, &names[0])
+            .unwrap_or_else(|e| panic!("hostile {kind} got no answer: {e}"));
+        assert_eq!(status, want, "hostile {kind}: {body}");
+        let parsed = Json::parse(&body).expect("typed error body");
+        let got = parsed.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(got.and_then(Json::as_str), Some(want_kind), "{kind}");
+    }
+    drop(c);
+
     // Protocol invariant: every closed-loop response was typed JSON
     // with a known status.
     assert_eq!(
         tally.malformed, 0,
         "non-typed response bodies observed under overload"
     );
-    let known = [200u16, 400, 404, 405, 413, 429, 500, 503];
+    let known = [200u16, 400, 404, 405, 413, 429, 431, 500, 503];
     for status in tally.statuses.keys() {
         assert!(known.contains(status), "unexpected status {status}");
+    }
+    // Hostile invariant: every hostile request that was not shed got
+    // its typed refusal.
+    for (kind, want, _) in HOSTILE {
+        for status in tally.hostile.get(kind).into_iter().flat_map(HashMap::keys) {
+            assert!(
+                [want, 429, 503].contains(status),
+                "hostile {kind} answered {status}, not {want}"
+            );
+        }
     }
 
     let reg_stats = backend.stats();
@@ -658,6 +781,22 @@ pub fn soak(cfg: &SoakConfig) -> String {
         .collect::<Vec<_>>()
         .join(" ");
     let _ = writeln!(out, "  error kinds: {kind_line}");
+    let mut hostile_rows = Vec::new();
+    for (kind, _, _) in HOSTILE {
+        let mut counts: Vec<(u16, u64)> = tally
+            .hostile
+            .get(kind)
+            .map(|m| m.iter().map(|(&s, &n)| (s, n)).collect())
+            .unwrap_or_default();
+        counts.sort();
+        let line = counts
+            .iter()
+            .map(|(s, n)| format!("{s}:{n}"))
+            .collect::<Vec<_>>();
+        let _ = writeln!(out, "  hostile {kind}: {}", line.join(" "));
+        let row = counts.iter().map(|&(s, n)| (s.to_string(), Json::uint(n)));
+        hostile_rows.push((kind.to_string(), Json::Obj(row.collect())));
+    }
     let _ = writeln!(
         out,
         "  sheds: queue-full {shed_queue}, per-client {shed_client}; \
@@ -719,6 +858,7 @@ pub fn soak(cfg: &SoakConfig) -> String {
             ]),
         ),
         ("endpoints".into(), Json::Obj(endpoint_rows)),
+        ("hostile".into(), Json::Obj(hostile_rows)),
         (
             "panics".into(),
             Json::Obj(vec![
@@ -887,6 +1027,10 @@ mod tests {
         let parsed = Json::parse(written.trim()).expect("canonical JSON");
         assert!(parsed.get("endpoints").is_some());
         assert!(parsed.get("sheds").is_some());
+        let hostile = parsed.get("hostile").expect("hostile section");
+        for (kind, _, _) in HOSTILE {
+            assert!(hostile.get(kind).is_some(), "hostile row {kind}");
+        }
         assert_eq!(
             parsed.get("shards").and_then(Json::as_arr).map(|a| a.len()),
             Some(0)

@@ -637,10 +637,11 @@ pub struct Answer {
 pub struct ExecStats {
     /// The plan the [`crate::planner`] chose (and why).
     pub plan: Plan,
-    /// The backend that **actually ran**. Usually equal to
-    /// `plan.evaluator`; it differs when execution cannot follow the
-    /// plan (keyword queries always run naive, and a compiled plan falls
-    /// back to naive if the pattern cannot be lowered).
+    /// The backend that ran: always `plan.evaluator`, because every
+    /// plan runs as chosen (a keyword query's plan is always naive, its
+    /// only evaluator, and no plan falls back to another backend). It
+    /// is the wire's `"backend"` member and feeds the `GET /stats`
+    /// backend counters.
     pub backend: Evaluator,
     /// `|M_q|` — mappings the evaluator actually ran (after filtering,
     /// and for top-k after pruning).

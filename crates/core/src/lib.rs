@@ -115,6 +115,7 @@ pub mod compress;
 pub mod engine;
 pub mod error;
 pub mod exec;
+mod http;
 pub mod json;
 pub mod keyword;
 pub mod mapping;

@@ -66,11 +66,12 @@ use crate::aggregate::{merge_marginals, AggFunc, AggregateResult};
 use crate::api::{write_provenance, Query, QueryResponse};
 use crate::engine::QueryEngine;
 use crate::error::UxmError;
+use crate::http::Request;
 use crate::json::{Json, Writer};
 use crate::mapping::MappingId;
 use crate::registry::{BatchQuery, EngineRegistry, RegistryConfig, RegistryStats};
 use crate::server::{
-    registry_json, route_engines, Engines, Handler, Request, Server, ServerConfig, ServerStats,
+    registry_json, route_engines, Engines, Handler, Server, ServerConfig, ServerStats,
 };
 use crate::sync;
 use std::path::PathBuf;

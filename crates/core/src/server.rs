@@ -33,7 +33,8 @@
 //! Failures never panic a worker: every error is a typed
 //! [`UxmError`] rendered as `{"error":{"kind":…,"message":…}}` with the
 //! status mapped from the error's kind (unknown engine → 404, malformed
-//! request → 400, storage/I-O trouble → 500, oversized body → 413).
+//! request → 400, storage/I-O trouble → 500, oversized body → 413,
+//! request head over 16 KiB → 431).
 //! Even a request handler that *does* panic is contained: the one
 //! request is answered with a typed 500 and the worker (and every
 //! shared lock) keeps serving. The full wire grammar lives in
@@ -117,16 +118,17 @@ use crate::api::{Query, QueryResponse};
 use crate::engine::QueryEngine;
 use crate::error::UxmError;
 use crate::exec::Explain;
+use crate::http::{self, Conn, Request};
 use crate::json::{Json, Writer};
 use crate::planner::Evaluator;
 use crate::registry::{BatchQuery, EngineRegistry};
 use crate::sync;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // configuration
@@ -274,13 +276,11 @@ impl Latency {
 struct EngineCounters {
     requests: AtomicU64,
     errors: AtomicU64,
-    plans_naive: AtomicU64,
-    plans_block_tree: AtomicU64,
-    plans_compiled: AtomicU64,
-    /// The backend that actually executed (`ExecStats::backend`).
-    backends_naive: AtomicU64,
-    backends_block_tree: AtomicU64,
-    backends_compiled: AtomicU64,
+    /// Plans chosen per [`Evaluator`], indexed by `evaluator as usize`.
+    plans: [AtomicU64; 3],
+    /// The backend that actually executed (`ExecStats::backend`),
+    /// indexed likewise.
+    backends: [AtomicU64; 3],
     program_cache_hits: AtomicU64,
     program_cache_misses: AtomicU64,
     rewrite_hits: AtomicU64,
@@ -296,12 +296,8 @@ impl EngineCounters {
         EngineCounters {
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            plans_naive: AtomicU64::new(0),
-            plans_block_tree: AtomicU64::new(0),
-            plans_compiled: AtomicU64::new(0),
-            backends_naive: AtomicU64::new(0),
-            backends_block_tree: AtomicU64::new(0),
-            backends_compiled: AtomicU64::new(0),
+            plans: Default::default(),
+            backends: Default::default(),
             program_cache_hits: AtomicU64::new(0),
             program_cache_misses: AtomicU64::new(0),
             rewrite_hits: AtomicU64::new(0),
@@ -312,45 +308,13 @@ impl EngineCounters {
 
     fn to_json(&self) -> Json {
         Json::Obj(vec![
-            (
-                "backends".into(),
-                Json::Obj(vec![
-                    (
-                        "block-tree".into(),
-                        Json::uint(self.backends_block_tree.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "compiled".into(),
-                        Json::uint(self.backends_compiled.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "naive".into(),
-                        Json::uint(self.backends_naive.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
+            ("backends".into(), per_evaluator_json(&self.backends)),
             (
                 "errors".into(),
                 Json::uint(self.errors.load(Ordering::Relaxed)),
             ),
             ("latency_us".into(), self.latency.to_json()),
-            (
-                "plans".into(),
-                Json::Obj(vec![
-                    (
-                        "block-tree".into(),
-                        Json::uint(self.plans_block_tree.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "compiled".into(),
-                        Json::uint(self.plans_compiled.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "naive".into(),
-                        Json::uint(self.plans_naive.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
+            ("plans".into(), per_evaluator_json(&self.plans)),
             (
                 "program_cache".into(),
                 Json::Obj(vec![
@@ -378,6 +342,14 @@ impl EngineCounters {
             ),
         ])
     }
+}
+
+/// `{"block-tree":…,"compiled":…,"naive":…}` from per-[`Evaluator`]
+/// counters (keys in canonical, alphabetical order).
+fn per_evaluator_json(counts: &[AtomicU64; 3]) -> Json {
+    let order = [Evaluator::BlockTree, Evaluator::Compiled, Evaluator::Naive];
+    let count = |e: Evaluator| Json::uint(counts[e as usize].load(Ordering::Relaxed));
+    Json::Obj(order.map(|e| (e.wire_name().into(), count(e))).into())
 }
 
 /// Server-wide counters plus the per-engine map. Engines enter the map
@@ -427,16 +399,8 @@ impl ServerStats {
         c.requests.fetch_add(1, Ordering::Relaxed);
         match outcome {
             Ok(response) => {
-                match response.stats.plan.evaluator {
-                    Evaluator::Naive => c.plans_naive.fetch_add(1, Ordering::Relaxed),
-                    Evaluator::BlockTree => c.plans_block_tree.fetch_add(1, Ordering::Relaxed),
-                    Evaluator::Compiled => c.plans_compiled.fetch_add(1, Ordering::Relaxed),
-                };
-                match response.stats.backend {
-                    Evaluator::Naive => c.backends_naive.fetch_add(1, Ordering::Relaxed),
-                    Evaluator::BlockTree => c.backends_block_tree.fetch_add(1, Ordering::Relaxed),
-                    Evaluator::Compiled => c.backends_compiled.fetch_add(1, Ordering::Relaxed),
-                };
+                c.plans[response.stats.plan.evaluator as usize].fetch_add(1, Ordering::Relaxed);
+                c.backends[response.stats.backend as usize].fetch_add(1, Ordering::Relaxed);
                 c.program_cache_hits
                     .fetch_add(response.stats.program_cache_hits, Ordering::Relaxed);
                 c.program_cache_misses
@@ -654,19 +618,16 @@ impl ServerHandle {
 /// Writes a typed shed response (429/503 with `Retry-After`) straight
 /// from the accept loop and closes the connection. A short write
 /// timeout keeps a non-reading peer from stalling accepts.
-fn shed(shared: &Shared, mut stream: TcpStream, status: u16, error: &UxmError) {
+fn shed(shared: &Shared, mut stream: TcpStream, error: &UxmError) {
     stream.set_nodelay(true).ok();
     stream
         .set_write_timeout(Some(Duration::from_millis(250)))
         .ok();
     shared.stats.http_errors.fetch_add(1, Ordering::Relaxed);
-    let _ = write_response_with(
-        &mut stream,
-        status,
-        &error_body(error),
-        false,
-        Some(shared.config.retry_after_ms),
-    );
+    let (mut out, body) = (Vec::new(), error_body(error));
+    let retry_after = Some(shared.config.retry_after_ms);
+    http::encode_response(&mut out, status_for(error), &body, false, retry_after);
+    let _ = stream.write_all(&out);
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
@@ -693,7 +654,6 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             shed(
                 shared,
                 stream,
-                429,
                 &UxmError::RateLimited {
                     reason: format!("client holds {cap} connections (the per-client cap)"),
                     retry_after_ms: shared.config.retry_after_ms,
@@ -713,7 +673,6 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             shed(
                 shared,
                 stream,
-                503,
                 &UxmError::Overloaded {
                     reason: format!(
                         "connection queue full ({} waiting)",
@@ -808,71 +767,104 @@ fn worker_loop(shared: &Shared) {
 /// How long a blocked read sleeps before re-checking the shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(25);
 
-/// One parsed HTTP request, as the [`Handler`] sees it.
-pub(crate) struct Request {
-    pub(crate) method: String,
-    pub(crate) path: String,
-    pub(crate) body: String,
-    keep_alive: bool,
-}
-
-enum ReadOutcome {
-    /// A complete request.
-    Request(Request),
-    /// The peer closed (or shutdown arrived while idle): close quietly.
-    Closed,
-    /// Protocol trouble: respond with this status/error, then close.
-    Reject(u16, UxmError),
-}
-
 /// Serves one connection until the peer closes, the keep-alive budget
 /// runs out, or an error response ends it.
-fn serve_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
+fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK)).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let (mut conn, mut out) = (Conn::new(), Vec::new());
     loop {
         // One budget covers both waiting for the next request to start
         // and receiving it in full, so neither an idle keep-alive peer
         // nor a slow sender can pin this worker past the timeout.
-        let deadline = std::time::Instant::now() + shared.config.keep_alive_timeout;
-        let request = match read_request(shared, &mut reader, deadline) {
-            Ok(ReadOutcome::Request(r)) => r,
-            Ok(ReadOutcome::Closed) | Err(_) => return Ok(()),
-            Ok(ReadOutcome::Reject(status, error)) => {
-                shared.stats.http_errors.fetch_add(1, Ordering::Relaxed);
-                write_response(&mut writer, status, &error_body(&error), false)?;
-                return Ok(());
-            }
-        };
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let mut keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-        // A handler panic is contained to this one request: the worker
-        // answers a typed 500 and keeps serving (the shared locks are
-        // poison-tolerant, so other workers never notice).
-        let (status, body) = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            route(shared, &request)
-        })) {
-            Ok(answer) => answer,
-            Err(panic) => {
-                shared
-                    .stats
-                    .panics_contained
-                    .fetch_add(1, Ordering::Relaxed);
-                keep_alive = false;
-                let msg = panic_message(&panic);
-                let e = UxmError::Internal(format!("request handler panicked: {msg}"));
-                (500, error_body(&e))
-            }
-        };
+        let deadline = Instant::now() + shared.config.keep_alive_timeout;
+        let (status, body, keep_alive) =
+            match next_request(shared, &mut stream, &mut conn, deadline) {
+                Ok(None) => return Ok(()),
+                Ok(Some(request)) => answer(shared, &request),
+                Err(reject) => {
+                    let body = error_body(&UxmError::Usage(reject.message));
+                    (reject.status, body, false)
+                }
+            };
         if status >= 400 {
             shared.stats.http_errors.fetch_add(1, Ordering::Relaxed);
         }
         let retry_after = matches!(status, 429 | 503).then_some(shared.config.retry_after_ms);
-        write_response_with(&mut writer, status, &body, keep_alive, retry_after)?;
+        out.clear();
+        http::encode_response(&mut out, status, &body, keep_alive, retry_after);
+        stream.write_all(&out)?;
         if !keep_alive {
+            linger(shared, &mut stream, deadline);
             return Ok(());
+        }
+    }
+}
+
+/// Routes one request: its status, body, and whether the connection
+/// stays open.
+fn answer(shared: &Shared, request: &Request) -> (u16, String, bool) {
+    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+    let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
+    // A handler panic is contained to this one request: the worker
+    // answers a typed 500 and keeps serving (the shared locks are
+    // poison-tolerant, so other workers never notice).
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(shared, request))) {
+        Ok((status, body)) => (status, body, keep_alive),
+        Err(panic) => {
+            shared
+                .stats
+                .panics_contained
+                .fetch_add(1, Ordering::Relaxed);
+            let msg = panic_message(&panic);
+            let e = UxmError::Internal(format!("request handler panicked: {msg}"));
+            (500, error_body(&e), false)
+        }
+    }
+}
+
+/// Reads until `conn` frames the next request. `Ok(None)` closes the
+/// connection quietly: the peer closed, or shutdown or `deadline`
+/// arrived first.
+fn next_request(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    conn: &mut Conn,
+    deadline: Instant,
+) -> Result<Option<Request>, http::Reject> {
+    loop {
+        if let Some(request) = conn.request(shared.config.max_body_bytes)? {
+            return Ok(Some(request));
+        }
+        match conn.fill(stream) {
+            Ok(0) => return Ok(None),
+            Ok(_) => {}
+            // A read tick: keep waiting unless the server is stopping.
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return Ok(None);
+                }
+            }
+            Err(_) => return Ok(None),
+        }
+        if Instant::now() >= deadline {
+            return Ok(None);
+        }
+    }
+}
+
+/// Closes a connection from the server's side. Closing with unread
+/// input resets the connection, and the reset can destroy the last
+/// response before the peer reads it (a refused request is typically
+/// still arriving), so the write side is shut first and the peer's
+/// bytes are discarded until it closes, goes quiet for a read tick, or
+/// `deadline` passes.
+fn linger(shared: &Shared, stream: &mut TcpStream, deadline: Instant) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut sink = [0u8; 4096];
+    while Instant::now() < deadline && !shared.shutdown.load(Ordering::SeqCst) {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            return;
         }
     }
 }
@@ -886,216 +878,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     } else {
         "non-string panic payload"
     }
-}
-
-/// Reads one line, retrying on read-timeout ticks until `shutdown` or
-/// `deadline` (the partial line survives across retries because
-/// `read_line` appends).
-fn read_line_patient(
-    shared: &Shared,
-    reader: &mut BufReader<TcpStream>,
-    line: &mut String,
-    deadline: std::time::Instant,
-) -> std::io::Result<usize> {
-    loop {
-        match reader.read_line(line) {
-            Ok(n) => return Ok(n),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) || std::time::Instant::now() >= deadline {
-                    return Err(e);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn read_request(
-    shared: &Shared,
-    reader: &mut BufReader<TcpStream>,
-    deadline: std::time::Instant,
-) -> std::io::Result<ReadOutcome> {
-    // Wait for the first byte of a request without consuming anything,
-    // so an idle keep-alive connection can notice shutdown (or run out
-    // its keep-alive budget and free this worker) and close.
-    loop {
-        match reader.fill_buf() {
-            Ok([]) => return Ok(ReadOutcome::Closed),
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) || std::time::Instant::now() >= deadline {
-                    return Ok(ReadOutcome::Closed);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    let reject = |status: u16, msg: String| Ok(ReadOutcome::Reject(status, UxmError::Usage(msg)));
-
-    let mut line = String::new();
-    if read_line_patient(shared, reader, &mut line, deadline)? == 0 {
-        return Ok(ReadOutcome::Closed);
-    }
-    let mut parts = line.split_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return reject(400, format!("malformed request line {:?}", line.trim_end()));
-    };
-    if !version.starts_with("HTTP/1.") {
-        return reject(400, format!("unsupported protocol {version:?}"));
-    }
-    let (method, path) = (method.to_string(), path.to_string());
-    // HTTP/1.1 defaults to persistent connections; 1.0 to close.
-    let mut keep_alive = version != "HTTP/1.0";
-
-    let mut content_length: Option<usize> = None;
-    for _ in 0..100 {
-        let mut header = String::new();
-        if read_line_patient(shared, reader, &mut header, deadline)? == 0 {
-            return Ok(ReadOutcome::Closed);
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            let body = match content_length {
-                None | Some(0) => String::new(),
-                Some(len) if len > shared.config.max_body_bytes => {
-                    return reject(
-                        413,
-                        format!(
-                            "body of {len} bytes exceeds the {}-byte limit",
-                            shared.config.max_body_bytes
-                        ),
-                    );
-                }
-                Some(len) => {
-                    let mut buf = vec![0u8; len];
-                    let mut filled = 0;
-                    while filled < len {
-                        if std::time::Instant::now() >= deadline {
-                            return Ok(ReadOutcome::Closed);
-                        }
-                        match reader.read(&mut buf[filled..]) {
-                            Ok(0) => return Ok(ReadOutcome::Closed),
-                            Ok(n) => filled += n,
-                            Err(e)
-                                if matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                                ) =>
-                            {
-                                if shared.shutdown.load(Ordering::SeqCst) {
-                                    return Ok(ReadOutcome::Closed);
-                                }
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    match String::from_utf8(buf) {
-                        Ok(s) => s,
-                        Err(_) => return reject(400, "body is not valid UTF-8".into()),
-                    }
-                }
-            };
-            return Ok(ReadOutcome::Request(Request {
-                method,
-                path,
-                body,
-                keep_alive,
-            }));
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            return reject(400, format!("malformed header {header:?}"));
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            // `1*DIGIT` only: `usize::from_str` would also take a `+`.
-            let len = match value.parse::<usize>() {
-                Ok(len) if value.bytes().all(|b| b.is_ascii_digit()) => len,
-                _ => return reject(400, format!("bad content-length {value:?}")),
-            };
-            if content_length.is_some_and(|first| first != len) {
-                return reject(
-                    400,
-                    format!("conflicting content-length headers ({value:?})"),
-                );
-            }
-            content_length = Some(len);
-        } else if name.eq_ignore_ascii_case("transfer-encoding") {
-            // Only content-length framing is implemented. Reading on
-            // would take the chunk lines for the next request, so the
-            // connection closes after this one answer.
-            return reject(
-                501,
-                format!("transfer-encoding {value:?} is not supported; send a content-length body"),
-            );
-        } else if name.eq_ignore_ascii_case("connection") {
-            if value.eq_ignore_ascii_case("close") {
-                keep_alive = false;
-            } else if value.eq_ignore_ascii_case("keep-alive") {
-                keep_alive = true;
-            }
-        }
-    }
-    reject(400, "too many headers".into())
-}
-
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        501 => "Not Implemented",
-        503 => "Service Unavailable",
-        _ => "",
-    }
-}
-
-fn write_response(
-    writer: &mut TcpStream,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_with(writer, status, body, keep_alive, None)
-}
-
-/// [`write_response`] plus an optional `Retry-After` header (the HTTP
-/// header is whole seconds, so the hint rounds up — never to zero).
-fn write_response_with(
-    writer: &mut TcpStream,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-    retry_after_ms: Option<u64>,
-) -> std::io::Result<()> {
-    let retry_after = match retry_after_ms {
-        Some(ms) => format!("retry-after: {}\r\n", ms.div_ceil(1000).max(1)),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\ncontent-length: {}\r\ncontent-type: application/json\r\n{retry_after}connection: {}\r\n\r\n",
-        reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
-    writer.flush()
 }
 
 // ---------------------------------------------------------------------
@@ -1442,8 +1224,11 @@ pub(crate) fn registry_json(registry: &EngineRegistry) -> Json {
 /// over one persistent connection — the in-process test/bench helper
 /// (and a worked example of the wire format).
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    /// Response bytes read and not yet framed.
+    conn: Conn,
+    /// The request being sent, reused across requests.
+    out: Vec<u8>,
 }
 
 impl Client {
@@ -1458,10 +1243,10 @@ impl Client {
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .map_err(|e| UxmError::io(&addr, e))?;
-        let reader = BufReader::new(stream.try_clone().map_err(|e| UxmError::io(&addr, e))?);
         Ok(Client {
-            reader,
-            writer: stream,
+            stream,
+            conn: Conn::new(),
+            out: Vec::new(),
         })
     }
 
@@ -1470,8 +1255,7 @@ impl Client {
     /// bytes trickled by a slow peer — fails with [`UxmError::Io`]
     /// rather than pinning the calling thread indefinitely.
     pub fn read_timeout(self, timeout: Duration) -> Result<Client, UxmError> {
-        self.reader
-            .get_ref()
+        self.stream
             .set_read_timeout(Some(timeout))
             .map_err(|e| UxmError::io("set_read_timeout", e))?;
         Ok(self)
@@ -1479,12 +1263,12 @@ impl Client {
 
     /// Sends `GET path`; returns `(status, body)`.
     pub fn get(&mut self, path: &str) -> Result<(u16, String), UxmError> {
-        self.request("GET", path, None)
+        self.request("GET", path, "")
     }
 
     /// Sends `POST path` with a JSON body; returns `(status, body)`.
     pub fn post(&mut self, path: &str, body: &str) -> Result<(u16, String), UxmError> {
-        self.request("POST", path, Some(body))
+        self.request("POST", path, body)
     }
 
     /// Serializes `query` canonically and posts it to
@@ -1499,65 +1283,19 @@ impl Client {
         self.post("/batch", &body)
     }
 
-    fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<(u16, String), UxmError> {
-        let io = |e: std::io::Error| UxmError::io(format!("{method} {path}"), e);
-        let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: uxm\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.writer.write_all(head.as_bytes()).map_err(io)?;
-        self.writer.write_all(body.as_bytes()).map_err(io)?;
-        self.writer.flush().map_err(io)?;
-
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line).map_err(io)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                UxmError::Io(format!(
-                    "{method} {path}: malformed status line {:?}",
-                    status_line.trim_end()
-                ))
-            })?;
-        let mut content_length: Option<usize> = None;
+    fn request(&mut self, method: &str, path: &str, body: &str) -> Result<(u16, String), UxmError> {
+        let fail = |why: &dyn std::fmt::Display| UxmError::Io(format!("{method} {path}: {why}"));
+        self.out.clear();
+        http::encode_request(&mut self.out, method, path, body);
+        self.stream.write_all(&self.out).map_err(|e| fail(&e))?;
         loop {
-            let mut header = String::new();
-            if self.reader.read_line(&mut header).map_err(io)? == 0 {
-                return Err(UxmError::Io(format!(
-                    "{method} {path}: connection closed mid-headers"
-                )));
+            if let Some(answer) = self.conn.response().map_err(|r| fail(&r.message))? {
+                return Ok(answer);
             }
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = Some(value.trim().parse().map_err(|_| {
-                        UxmError::Io(format!("{method} {path}: bad content-length {value:?}"))
-                    })?);
-                }
+            if self.conn.fill(&mut self.stream).map_err(|e| fail(&e))? == 0 {
+                return Err(fail(&"connection closed mid-response"));
             }
         }
-        // A response without Content-Length must be an error, not an
-        // empty body: this client frames bodies by length alone, so a
-        // missing header means the response cannot be parsed.
-        let content_length = content_length.ok_or_else(|| {
-            UxmError::Io(format!("{method} {path}: response missing content-length"))
-        })?;
-        let mut buf = vec![0u8; content_length];
-        self.reader.read_exact(&mut buf).map_err(io)?;
-        String::from_utf8(buf)
-            .map(|body| (status, body))
-            .map_err(|_| UxmError::Io(format!("{method} {path}: non-UTF-8 body")))
     }
 }
 

@@ -25,8 +25,10 @@
 //!   server — now the JSON and twig parsers' depth caps answer a typed
 //!   400, and the twig node-count cap bounds a pattern's breadth;
 //! * HTTP framing is strict: a signed or conflicting `Content-Length`
-//!   is a typed 400, and a `Transfer-Encoding` body gets one typed 501
-//!   and a closed connection instead of being read as a second request.
+//!   is a typed 400, a `Transfer-Encoding` body gets one typed 501
+//!   and a closed connection instead of being read as a second request,
+//!   and a request head over 16 KiB gets one typed 431 and a closed
+//!   connection instead of being buffered whole.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -641,6 +643,34 @@ fn chunked_request_gets_one_501_then_close() {
     assert_eq!(*status, 501, "{body}");
     assert_eq!(error_kind(body), "usage");
     assert!(body.contains("transfer-encoding"), "{body}");
+    handle.shutdown();
+}
+
+/// A request head (request line, headers and the blank line) over
+/// 16 KiB gets exactly one typed 431 and the connection closes. No
+/// header line had a length cap before: the 64 KiB header below was
+/// read whole and `/healthz` answered 200, and the 20 KiB request line
+/// was routed and answered 404. The server stops reading at the cap
+/// while the client is still sending; the 431 must still arrive.
+#[test]
+fn oversized_request_head_gets_one_431_then_close() {
+    let (_registry, handle) = start_with(ServerConfig::default());
+    let header = format!(
+        "GET /healthz HTTP/1.1\r\nx-pad: {}\r\nconnection: close\r\n\r\n",
+        "x".repeat(64 * 1024)
+    );
+    let line = format!(
+        "GET /{} HTTP/1.1\r\nconnection: close\r\n\r\n",
+        "a".repeat(20 * 1024)
+    );
+    for raw in [header, line] {
+        let responses = exchange(handle.addr(), &raw);
+        assert_eq!(responses.len(), 1, "{responses:?}");
+        let (status, body) = &responses[0];
+        assert_eq!(*status, 431, "{body}");
+        assert_eq!(error_kind(body), "usage");
+        assert!(body.contains("16384-byte limit"), "{body}");
+    }
     handle.shutdown();
 }
 

@@ -819,3 +819,119 @@ proptest! {
         }
     }
 }
+
+/// Every golden canonical query pinned byte-exact above (the
+/// `docs/wire-format.md` and `docs/query-language.md` examples), built
+/// the same way.
+fn golden_queries() -> Vec<Query> {
+    let p = |s: &str| TwigPattern::parse(s).unwrap();
+    let mut queries = vec![
+        Query::ptq(p("//Line//Qty")),
+        Query::topk(p("PO/Line[./No]//Qty"), 3)
+            .with_evaluator(EvaluatorHint::Naive)
+            .with_granularity(Granularity::Distinct)
+            .with_min_probability(0.25),
+        Query::keyword(vec!["Qty".into(), "order".into()]),
+        Query::aggregate(p("//Line//Qty"), AggFunc::Sum)
+            .with_evaluator(EvaluatorHint::Compiled)
+            .with_min_probability(0.25),
+    ];
+    for pattern in [
+        "//Line/Qty[.>=1.5]",
+        "//Line/Qty[text()='42']",
+        "//A[contains(.,'x y')]",
+        "//A[@id='7'][@n<-2]",
+        "//A[.<=2.50]/*",
+        "Order//*[.>10]",
+    ] {
+        queries.push(Query::ptq(p(pattern)));
+    }
+    for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+        queries.push(Query::aggregate(p("//Line//Qty"), func));
+    }
+    queries
+}
+
+/// Deterministic mutants of `texts`: every truncation, every repeat of
+/// a 1-, 2-, 5- or 13-byte segment, and splices of every pair (a prefix
+/// of one, the rest of another, cut at the same offset). Cuts fall on
+/// char boundaries, so every mutant is a string.
+fn mutants(texts: &[String]) -> Vec<String> {
+    let cuts = |s: &str| {
+        (0..=s.len())
+            .filter(|&i| s.is_char_boundary(i))
+            .collect::<Vec<_>>()
+    };
+    let mut out = Vec::new();
+    for a in texts {
+        let at = cuts(a);
+        for &i in &at {
+            out.push(a[..i].to_string());
+            for len in [1, 2, 5, 13] {
+                if at.contains(&(i + len)) {
+                    out.push(format!("{}{}", &a[..i + len], &a[i..]));
+                }
+            }
+        }
+        for b in texts {
+            for &i in at.iter().filter(|&&i| b.is_char_boundary(i.min(b.len()))) {
+                out.push(format!("{}{}", &a[..i], &b[i.min(b.len())..]));
+            }
+        }
+    }
+    out
+}
+
+/// One mutant must be a typed `UxmError`, or a query that round-trips
+/// byte-stably and that the fixture engine answers, or refuses with a
+/// typed error, under every evaluator hint.
+fn check_mutant(engine: &QueryEngine, text: &str) {
+    let Ok(query) = Query::from_json_str(text) else {
+        return;
+    };
+    let once = query.to_json_string();
+    let again = Query::from_json_str(&once).unwrap_or_else(|e| panic!("{once} re-parse: {e}"));
+    assert_eq!(again, query, "lossless: {once}");
+    assert_eq!(again.to_json_string(), once, "byte-stable: {once}");
+    for hint in [
+        EvaluatorHint::Auto,
+        EvaluatorHint::Naive,
+        EvaluatorHint::BlockTree,
+        EvaluatorHint::Compiled,
+    ] {
+        let _typed: Result<QueryResponse, UxmError> =
+            engine.run(&query.clone().with_evaluator(hint));
+    }
+}
+
+/// Never-panic arm: splices, repeats and truncations of every golden
+/// canonical query, and of its twig text inside that query, parse to a
+/// typed error or to a query the engine runs; a panic names its mutant.
+#[test]
+fn mutated_golden_queries_never_panic() {
+    let engine = po_engine();
+    let golden: Vec<String> = golden_queries().iter().map(Query::to_json_string).collect();
+    let mut cases = mutants(&golden);
+    let patterns: Vec<String> = golden_queries()
+        .iter()
+        .filter_map(|q| Json::parse(&q.to_json_string()).ok())
+        .filter_map(|j| j.get("pattern").and_then(Json::as_str).map(str::to_string))
+        .collect();
+    for pattern in mutants(&patterns) {
+        let mut query = Json::parse(&golden[0]).unwrap();
+        if let Json::Obj(members) = &mut query {
+            for (key, value) in members.iter_mut() {
+                if key == "pattern" {
+                    *value = Json::str(&pattern);
+                }
+            }
+        }
+        cases.push(query.to_string());
+    }
+    assert!(cases.len() > 10_000, "{} mutants", cases.len());
+    for text in &cases {
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check_mutant(&engine, text)));
+        assert!(outcome.is_ok(), "mutant {text:?} panicked");
+    }
+}
