@@ -1,8 +1,8 @@
 //! Criterion benches for Fig 9(f)/10(a)–(d) on the `QueryEngine` session
 //! layer: one warm engine session serving repeated block-tree and top-k
-//! queries from its interned labels, relevance bitsets, and `(query,
-//! mapping)` rewrite cache. The cache-cold basic vs block-tree timings
-//! of the figures themselves come from `repro fig9f` / `fig10a`–`fig10d`.
+//! queries from its interned labels and relevance bitsets. The basic vs
+//! block-tree timings of the figures themselves come from `repro fig9f` /
+//! `fig10a`–`fig10d`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uxm_bench::workload::{d7_workload, default_config};

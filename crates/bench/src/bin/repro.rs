@@ -17,6 +17,10 @@
 //! `shard` experiment (scatter-gather work split + tail isolation,
 //! writing `BENCH_shard.json`) shares the same corpus knobs and
 //! compares 1 vs 4 shards itself.
+//!
+//! An unknown flag or experiment exits 2 before anything runs. Output
+//! goes to a locked stdout; if the reader goes away (`repro … | head`),
+//! the process ends quietly with exit 0.
 
 use uxm_bench::figures::{run_experiment, ReproConfig, EXPERIMENTS};
 
@@ -92,21 +96,35 @@ fn main() {
                 );
                 return;
             }
-            other => requested.push(other.to_string()),
+            flag if flag.starts_with('-') => die(&format!("unknown flag {flag} (see --help)")),
+            id if EXPERIMENTS.contains(&id) => requested.push(id.to_string()),
+            other => die(&format!("unknown experiment {other} (see --help)")),
         }
     }
     if requested.is_empty() {
         requested.extend(EXPERIMENTS.iter().map(|s| s.to_string()));
     }
-    println!(
+    let mut out = std::io::stdout().lock();
+    let header = format!(
         "uxm repro — Cheng/Gong/Cheung ICDE'10 evaluation ({} runs per point, |M|={})\n",
         cfg.runs, cfg.m
     );
+    emit(&mut out, &header);
     for id in requested {
-        match run_experiment(&id, &cfg) {
-            Some(output) => println!("{output}"),
-            None => eprintln!("unknown experiment: {id} (see --help)"),
+        let output = run_experiment(&id, &cfg).expect("experiment ids are checked above");
+        emit(&mut out, &output);
+    }
+}
+
+/// Writes one block of output and a newline. A closed pipe ends the
+/// process with exit 0; any other write failure exits 1.
+fn emit(out: &mut impl std::io::Write, text: &str) {
+    if let Err(e) = writeln!(out, "{text}").and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
         }
+        eprintln!("writing stdout: {e}");
+        std::process::exit(1);
     }
 }
 

@@ -5,7 +5,7 @@
 //! *shapes* — who wins, trends over τ / |M| / k / h — are the target.
 
 use crate::time_avg;
-use crate::workload::{d7_workload, default_config, workload_for, QueryWorkload, DEFAULT_M};
+use crate::workload::{d7_workload, default_config, workload_for, DEFAULT_M};
 use std::fmt::Write as _;
 use uxm_assignment::murty::RankVariant;
 use uxm_assignment::partition::{murty_top_h_mappings, partition, partition_top_h_with};
@@ -200,27 +200,18 @@ pub fn fig9e(cfg: &ReproConfig) -> String {
     out
 }
 
-/// Mean seconds per cache-cold evaluation of `query` over `w`'s data
-/// with `tree` — Algorithm 3 or 4, whichever the query pins. Every run
-/// gets a fresh engine, built outside the timed region, and must look
-/// up no rewrite the session had cached.
-fn time_cold(runs: usize, w: &QueryWorkload, tree: &BlockTree, query: &Query) -> f64 {
-    assert!(runs > 0);
-    let mut total = 0.0;
-    for _ in 0..runs {
-        let engine = QueryEngine::new(w.mappings.clone(), w.doc.clone(), tree.clone());
-        let start = std::time::Instant::now();
-        let response = engine.run(query).expect("valid query");
-        total += start.elapsed().as_secs_f64();
-        assert_eq!(response.stats.rewrite_hits, 0, "cold run of {query}");
-        std::hint::black_box(response.len());
-    }
-    total / runs as f64
+/// Mean seconds per `engine.run(query)` over `runs` runs. The engine
+/// memoizes nothing for the recursive evaluators, so every run of a
+/// query pinned to Algorithm 3 or 4 recomputes all of its work.
+fn time_query(runs: usize, engine: &QueryEngine, query: &Query) -> f64 {
+    time_avg(runs, || {
+        std::hint::black_box(engine.run(query).expect("valid query").len());
+    })
 }
 
 /// Fig 9(f) / Fig 10(a): per-query time, basic vs block-tree, plus the
-/// warm `QueryEngine` session (one session serving the repeated queries —
-/// the reproduction's service-layer extension).
+/// served plan on a warm `QueryEngine` (the auto plan, replaying its
+/// compiled program — the reproduction's service-layer extension).
 pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
     let w = d7_workload(m, &default_config());
     let engine = w.engine();
@@ -235,13 +226,12 @@ pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
     for (i, q) in queries.iter().enumerate() {
         let basic_query = Query::ptq(q.clone()).with_evaluator(EvaluatorHint::Naive);
         let tree_query = Query::ptq(q.clone()).with_evaluator(EvaluatorHint::BlockTree);
-        let tb = time_cold(cfg.runs, &w, &w.tree, &basic_query);
-        let tt = time_cold(cfg.runs, &w, &w.tree, &tree_query);
-        // Warm the session caches, then time cache-served evaluation.
-        std::hint::black_box(engine.run(&tree_query).expect("valid query").len());
-        let te = time_avg(cfg.runs, || {
-            std::hint::black_box(engine.run(&tree_query).expect("valid query").len());
-        });
+        let served = Query::ptq(q.clone());
+        let tb = time_query(cfg.runs, &engine, &basic_query);
+        let tt = time_query(cfg.runs, &engine, &tree_query);
+        // Compile the served plan's program once, then time replays.
+        std::hint::black_box(engine.run(&served).expect("valid query").len());
+        let te = time_query(cfg.runs, &engine, &served);
         total_basic += tb;
         total_tree += tt;
         total_engine += te;
@@ -280,7 +270,8 @@ pub fn fig10b(cfg: &ReproConfig) -> String {
                 ..default_config()
             },
         );
-        let tq = time_cold(cfg.runs, &w, &tree, &q10);
+        let engine = QueryEngine::new(w.mappings.clone(), w.doc.clone(), tree);
+        let tq = time_query(cfg.runs, &engine, &q10);
         let _ = writeln!(out, "{:>5.2} {:>10.4}", tau, tq);
     }
     out
@@ -293,9 +284,9 @@ pub fn fig10c(cfg: &ReproConfig) -> String {
     let block_tree = Query::ptq(q10.clone()).with_evaluator(EvaluatorHint::BlockTree);
     let mut out = String::from("Fig 10(c) — Tq vs |M| (D7, Q10)\n   |M|    basic  block-tree\n");
     for m in [30, 50, 70, 100, 140, 200] {
-        let w = d7_workload(m, &default_config());
-        let tb = time_cold(cfg.runs, &w, &w.tree, &basic);
-        let tt = time_cold(cfg.runs, &w, &w.tree, &block_tree);
+        let engine = d7_workload(m, &default_config()).engine();
+        let tb = time_query(cfg.runs, &engine, &basic);
+        let tt = time_query(cfg.runs, &engine, &block_tree);
         let _ = writeln!(out, "{:>6} {:>8.4} {:>10.4}", m, tb, tt);
     }
     out
@@ -303,14 +294,14 @@ pub fn fig10c(cfg: &ReproConfig) -> String {
 
 /// Fig 10(d): top-k PTQ time vs k (D7, Q10), both with the block tree.
 pub fn fig10d(cfg: &ReproConfig) -> String {
-    let w = d7_workload(cfg.m, &default_config());
+    let engine = d7_workload(cfg.m, &default_config()).engine();
     let q10 = &paper_queries()[9];
     let block_tree = Query::ptq(q10.clone()).with_evaluator(EvaluatorHint::BlockTree);
-    let normal = time_cold(cfg.runs, &w, &w.tree, &block_tree);
+    let normal = time_query(cfg.runs, &engine, &block_tree);
     let mut out = String::from("Fig 10(d) — top-k PTQ vs k (D7, Q10)\n    k     top-k    normal\n");
     for k in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
         let topk = Query::topk(q10.clone(), k).with_evaluator(EvaluatorHint::BlockTree);
-        let tk = time_cold(cfg.runs, &w, &w.tree, &topk);
+        let tk = time_query(cfg.runs, &engine, &topk);
         let _ = writeln!(out, "{:>5} {:>9.4} {:>9.4}", k, tk, normal);
     }
     out
@@ -372,229 +363,6 @@ pub fn fig10f(cfg: &ReproConfig) -> String {
             tp,
             (1.0 - tp / tm) * 100.0
         );
-    }
-    out
-}
-
-/// Serving-layer throughput (the reproduction's concurrency extension):
-/// the paper's 10-query workload served from ONE shared warm
-/// [`uxm_core::engine::QueryEngine`] by 1..=8 client threads, plus the
-/// [`uxm_core::registry::EngineRegistry`] batch path over the same
-/// requests. The throughput column is the serving metric: the engine is
-/// `Send + Sync` with sharded caches, so warm-cache queries scale with
-/// clients instead of serializing on a session lock. The speedup ceiling
-/// is `available_parallelism` — on a single-core host every row sits
-/// near 1.0x by construction.
-pub fn serve(cfg: &ReproConfig) -> String {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use uxm_core::registry::{BatchQuery, EngineRegistry};
-
-    let w = d7_workload(cfg.m, &default_config());
-    let engine = std::sync::Arc::new(w.engine());
-    let queries: Vec<Query> = paper_queries()
-        .iter()
-        .map(|q| Query::ptq(q.clone()).with_evaluator(EvaluatorHint::BlockTree))
-        .collect();
-    // Warm every cache once so we measure serving, not first-touch.
-    for q in &queries {
-        std::hint::black_box(engine.run(q).expect("valid query").len());
-    }
-
-    let rounds = cfg.runs.max(1) * 20;
-    let total = rounds * queries.len();
-    let mut out = format!(
-        "Serve — concurrent throughput (D7, |M| = {}, warm engine, {} requests of the 10-query mix)\n  \
-         clients     wall(s)   throughput(q/s)   speedup\n",
-        cfg.m, total
-    );
-
-    let mut base_qps = 0.0;
-    for threads in [1usize, 2, 4, 8] {
-        let next = AtomicUsize::new(0);
-        let start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    std::hint::black_box(
-                        engine
-                            .run(&queries[i % queries.len()])
-                            .expect("valid query")
-                            .len(),
-                    );
-                });
-            }
-        });
-        let wall = start.elapsed().as_secs_f64();
-        let qps = total as f64 / wall;
-        if threads == 1 {
-            base_qps = qps;
-        }
-        let _ = writeln!(
-            out,
-            "  {threads:<9} {wall:>9.4} {qps:>17.0} {:>8.2}x",
-            qps / base_qps
-        );
-    }
-
-    // The registry batch path over the same request mix.
-    let registry = EngineRegistry::new();
-    registry.insert("d7", w.engine());
-    let batch: Vec<BatchQuery> = (0..total)
-        .map(|i| BatchQuery::new("d7", queries[i % queries.len()].clone()))
-        .collect();
-    std::hint::black_box(registry.batch(&batch[..queries.len()])); // warm
-    let start = std::time::Instant::now();
-    let answers = registry.batch(&batch);
-    let wall = start.elapsed().as_secs_f64();
-    assert!(answers.iter().all(Result::is_ok));
-    let qps = total as f64 / wall;
-    let _ = writeln!(
-        out,
-        "  {:<9} {wall:>9.4} {qps:>17.0} {:>8.2}x",
-        "batch",
-        qps / base_qps
-    );
-    out
-}
-
-/// The closed-loop HTTP load experiment behind `BENCH_serve.json`: all
-/// ten Table II datasets live behind one [`uxm_core::registry::EngineRegistry`]
-/// served by [`uxm_core::server::Server`] on a loopback socket, and 8
-/// persistent-connection clients drive the 100-request mix (10 paper
-/// queries × 10 datasets) closed-loop while the worker count sweeps
-/// 1 → 8. Client-observed latency (p50/p99) and throughput per worker
-/// count are printed and written to `BENCH_serve.json` (canonical
-/// JSON). The registry is shared across rounds, so every round after
-/// the warmup measures warm-cache serving — the service scenario. As
-/// with [`serve`], the speedup ceiling is `available_parallelism`: on
-/// a single-core host throughput sits near 1.0x by construction and
-/// the worker sweep shows up in tail latency (p99) instead.
-pub fn serve_http(cfg: &ReproConfig) -> String {
-    use std::sync::Arc;
-    use uxm_core::registry::EngineRegistry;
-    use uxm_core::server::{Client, Server, ServerConfig};
-
-    let registry = Arc::new(EngineRegistry::new());
-    let mix: Vec<(String, String)> = DatasetId::all()
-        .into_iter()
-        .flat_map(|id| {
-            let w = workload_for(id, cfg.m, &default_config());
-            registry.insert(id.name(), w.engine());
-            paper_queries().into_iter().map(move |q| {
-                let query = Query::ptq(q);
-                (format!("/query/{}", id.name()), query.to_json_string())
-            })
-        })
-        .collect();
-
-    const CLIENTS: usize = 8;
-    // ~4×runs passes over the whole mix, split evenly across clients.
-    let per_client = (cfg.runs.max(1) * 4 * mix.len()).div_ceil(CLIENTS);
-    let total = per_client * CLIENTS;
-    let mut out = format!(
-        "BENCH_serve — closed-loop HTTP serving (10 datasets × 10 queries, |M| = {}, \
-         {CLIENTS} clients, {total} requests per point)\n  \
-         workers     wall(s)   throughput(q/s)   p50(µs)   p99(µs)   speedup\n",
-        cfg.m
-    );
-
-    let mut rows = Vec::new();
-    let mut base_qps = 0.0;
-    for workers in [1usize, 2, 4, 8] {
-        let server = Server::bind(
-            Arc::clone(&registry),
-            "127.0.0.1:0",
-            ServerConfig {
-                workers,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind loopback");
-        let addr = server.local_addr();
-        let handle = server.start();
-
-        // Warm every (engine, query) pair once so each worker-count
-        // round measures steady-state serving, not first-touch rewrites.
-        {
-            let mut warm = Client::connect(addr).expect("warm client");
-            for (path, body) in &mix {
-                let (status, response) = warm.post(path, body).expect("warm request");
-                assert_eq!(status, 200, "warmup failed: {response}");
-            }
-        }
-
-        let start = std::time::Instant::now();
-        let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|c| {
-                    let mix = &mix;
-                    scope.spawn(move || {
-                        let mut client = Client::connect(addr).expect("client connect");
-                        let mut observed = Vec::with_capacity(per_client);
-                        for i in 0..per_client {
-                            let (path, body) = &mix[(c + i) % mix.len()];
-                            let sent = std::time::Instant::now();
-                            let (status, response) = client.post(path, body).expect("request");
-                            assert_eq!(status, 200, "{response}");
-                            observed.push(sent.elapsed().as_micros() as u64);
-                        }
-                        observed
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread"))
-                .collect()
-        });
-        let wall = start.elapsed().as_secs_f64();
-        handle.shutdown();
-
-        latencies.sort_unstable();
-        let pct = |p: f64| {
-            latencies[((p / 100.0 * latencies.len() as f64).ceil() as usize)
-                .clamp(1, latencies.len())
-                - 1]
-        };
-        let (p50, p99) = (pct(50.0), pct(99.0));
-        let qps = latencies.len() as f64 / wall;
-        if workers == 1 {
-            base_qps = qps;
-        }
-        let _ = writeln!(
-            out,
-            "  {workers:<9} {wall:>9.4} {qps:>17.0} {p50:>9} {p99:>9} {:>8.2}x",
-            qps / base_qps
-        );
-        rows.push(Json::Obj(vec![
-            ("p50_us".into(), Json::uint(p50)),
-            ("p99_us".into(), Json::uint(p99)),
-            ("requests".into(), Json::uint(latencies.len() as u64)),
-            ("throughput_qps".into(), Json::Num(qps)),
-            ("wall_s".into(), Json::Num(wall)),
-            ("workers".into(), Json::uint(workers as u64)),
-        ]));
-    }
-
-    let report = Json::Obj(vec![
-        ("clients".into(), Json::uint(CLIENTS as u64)),
-        ("datasets".into(), Json::uint(10)),
-        ("m".into(), Json::uint(cfg.m as u64)),
-        ("queries_per_dataset".into(), Json::uint(10)),
-        ("rounds".into(), Json::Arr(rows)),
-    ]);
-    let path = "BENCH_serve.json";
-    match std::fs::write(path, format!("{report}\n")) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote {path}");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "could not write {path}: {e}");
-        }
     }
     out
 }
@@ -907,8 +675,9 @@ pub fn bench_exec(cfg: &ReproConfig) -> String {
                 .collect();
             // Warm every backend before timing any of them, so each cell
             // runs against equally hot data: compiled cells measure
-            // program-cache replays, recursive cells warm rewrite caches,
-            // and no backend pays first-touch page faults inside its timing.
+            // program-cache replays, recursive cells (which memoize
+            // nothing) recompute every run, and no backend pays
+            // first-touch page faults inside its timing.
             for (_, qs) in &pinned {
                 for q in qs {
                     std::hint::black_box(engine.run(q).expect("valid query").len());
@@ -985,10 +754,10 @@ pub fn bench_exec(cfg: &ReproConfig) -> String {
         },
     );
 
-    // Amortization: cumulative cost of run n on fresh engines — run 1
-    // pays the compile (or the recursive evaluator's cold caches), later
-    // runs replay. Separate engines per backend so neither measurement
-    // inherits the other's warmed shared caches.
+    // Amortization: cumulative cost of run n on fresh engines — compiled
+    // pays the compile on run 1 and replays after; naive recomputes
+    // every run. Separate engines per backend so neither measurement
+    // inherits the other's first-touch page faults.
     let checkpoints = [1usize, 2, 5, 10, 20, 50];
     let amort_id = DatasetId::D7;
     let queries = paper_queries();
@@ -1212,7 +981,7 @@ pub fn bench_predicates(cfg: &ReproConfig) -> String {
 }
 
 /// All experiment ids accepted by the `repro` binary.
-pub const EXPERIMENTS: [&str; 21] = [
+pub const EXPERIMENTS: [&str; 19] = [
     "table2",
     "fig9a",
     "fig9b",
@@ -1226,8 +995,6 @@ pub const EXPERIMENTS: [&str; 21] = [
     "fig10d",
     "fig10e",
     "fig10f",
-    "serve",
-    "serve-http",
     "bench_layout",
     "bench_exec",
     "bench_predicates",
@@ -1252,8 +1019,6 @@ pub fn run_experiment(id: &str, cfg: &ReproConfig) -> Option<String> {
         "fig10d" => fig10d(cfg),
         "fig10e" => fig10e(cfg),
         "fig10f" => fig10f(cfg),
-        "serve" => serve(cfg),
-        "serve-http" => serve_http(cfg),
         "bench_layout" => bench_layout(cfg),
         "bench_exec" => bench_exec(cfg),
         "bench_predicates" => bench_predicates(cfg),

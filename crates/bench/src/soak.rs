@@ -1,9 +1,9 @@
 //! `repro soak` — sustained mixed-traffic overload against a
 //! budget-constrained serving stack, writing `BENCH_soak.json`.
 //!
-//! The serving experiments in [`crate::figures`] measure steady-state
-//! throughput; this harness measures *survival*. It builds a power-law
-//! corpus of engines ([`uxm_datagen::corpus`]) whose working set
+//! The `uxmbench` workloads measure steady-state serving; this harness
+//! measures *survival*. It builds a power-law corpus of engines
+//! ([`uxm_datagen::corpus`]) whose working set
 //! exceeds the registry's memory budget, puts them behind a
 //! [`uxm_core::server::Server`] with tight admission limits, and then
 //! drives it two ways at once for a configurable duration:
@@ -25,6 +25,7 @@
 //! eviction drift. At the end it asserts the invariants this bug class
 //! is about: every response was typed canonical JSON with a known
 //! status, every hostile request got its typed refusal (or was shed),
+//! no closed-loop client was shed more often than its back-off allows,
 //! and every worker still answers after the storm — zero wedged
 //! workers, or the run fails loudly.
 
@@ -98,6 +99,10 @@ const ALPHA: f64 = 1.0;
 const WORKERS: usize = 4;
 /// Connection-queue depth (small on purpose, see [`WORKERS`]).
 const QUEUE_DEPTH: usize = 32;
+/// The `Retry-After` the soak server sends with every 429/503, in ms. A
+/// closed-loop client that is shed waits this long plus a seeded jitter
+/// in `[0, RETRY_AFTER_MS)` before it reconnects.
+const RETRY_AFTER_MS: u64 = 100;
 /// Connections the storm tries to hold open concurrently.
 const STORM_HELD: usize = 60;
 /// Closed-loop requests between panic injections (per client). Small
@@ -135,6 +140,9 @@ struct ClientTally {
     malformed: u64,
     /// Reconnects after an I/O failure (sheds at connect included).
     reconnects: u64,
+    /// 429/503 answers to this client. Not summed by
+    /// [`ClientTally::absorb`]: the soak checks it per client.
+    sheds: u64,
     /// Response counts by HTTP status, per [`HOSTILE`] kind.
     hostile: HashMap<&'static str, HashMap<u16, u64>>,
 }
@@ -366,7 +374,8 @@ impl Hostile {
 /// One closed-loop client: mixed `/query` + `/batch` + `/stats` traffic
 /// (with periodic panic and hostile injections) over a persistent
 /// connection until `deadline`, reconnecting whenever the server sheds
-/// or closes it.
+/// or closes it — after a shed, only once the back-off of
+/// [`RETRY_AFTER_MS`] plus jitter has passed.
 #[allow(clippy::too_many_arguments)]
 fn closed_loop(
     addr: std::net::SocketAddr,
@@ -479,6 +488,13 @@ fn closed_loop(
                     // Shed and panic responses close the connection.
                     client = None;
                 }
+                if status == 429 || status == 503 {
+                    // Honour the server's Retry-After, jittered so shed
+                    // clients do not come back in lockstep.
+                    tally.sheds += 1;
+                    let jitter = rng.gen_range(0..RETRY_AFTER_MS);
+                    std::thread::sleep(Duration::from_millis(RETRY_AFTER_MS + jitter));
+                }
             }
             Err(_) => {
                 // Connection died (keep-alive timeout, shed at the
@@ -570,7 +586,7 @@ pub fn soak(cfg: &SoakConfig) -> String {
         queue_depth: QUEUE_DEPTH,
         max_conns_per_client: cfg.clients + 40,
         keep_alive_timeout: Duration::from_secs(1),
-        retry_after_ms: 100,
+        retry_after_ms: RETRY_AFTER_MS,
         debug_panic_route: true,
         ..ServerConfig::default()
     };
@@ -610,7 +626,7 @@ pub fn soak(cfg: &SoakConfig) -> String {
     let panics_sent = AtomicU64::new(0);
     let hostile = Hostile::new();
 
-    let (tally, storm_opened, rss_samples) = std::thread::scope(|scope| {
+    let (tally, most_sheds, storm_opened, rss_samples) = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..cfg.clients)
             .map(|id| {
                 let (names, cum, queries, panics_sent) = (&names, &cum, &queries, &panics_sent);
@@ -642,11 +658,14 @@ pub fn soak(cfg: &SoakConfig) -> String {
         }
 
         let mut tally = ClientTally::default();
+        let mut most_sheds = 0;
         for c in clients {
-            tally.absorb(c.join().expect("client thread"));
+            let client = c.join().expect("client thread");
+            most_sheds = most_sheds.max(client.sheds);
+            tally.absorb(client);
         }
         let storm_opened = storm_thread.join().expect("storm thread");
-        (tally, storm_opened, samples)
+        (tally, most_sheds, storm_opened, samples)
     });
 
     // Give the queue a moment to drain the storm's leftovers, then
@@ -706,6 +725,15 @@ pub fn soak(cfg: &SoakConfig) -> String {
             );
         }
     }
+
+    // Back-off invariant: every shed costs its client at least
+    // RETRY_AFTER_MS, so no client can be shed more often than that.
+    let shed_bound = cfg.duration.as_millis() as u64 / RETRY_AFTER_MS + 1;
+    assert!(
+        most_sheds <= shed_bound,
+        "a closed-loop client was shed {most_sheds} times in {:?} (bound {shed_bound})",
+        cfg.duration
+    );
 
     let reg_stats = backend.stats();
     let shard_rows = backend.per_shard();
@@ -800,7 +828,8 @@ pub fn soak(cfg: &SoakConfig) -> String {
     let _ = writeln!(
         out,
         "  sheds: queue-full {shed_queue}, per-client {shed_client}; \
-         storm opened {storm_opened} conns; {} reconnects",
+         storm opened {storm_opened} conns; {} reconnects; \
+         most sheds of one client {most_sheds} (bound {shed_bound})",
         tally.reconnects
     );
     let _ = writeln!(
@@ -932,6 +961,7 @@ pub fn soak(cfg: &SoakConfig) -> String {
         (
             "sheds".into(),
             Json::Obj(vec![
+                ("most_of_one_client".into(), Json::uint(most_sheds)),
                 ("per_client".into(), Json::uint(shed_client)),
                 ("queue_full".into(), Json::uint(shed_queue)),
                 ("storm_connections".into(), Json::uint(storm_opened)),

@@ -630,9 +630,8 @@ pub struct Answer {
 /// How a query was executed — returned with every response.
 ///
 /// Every field is exact per-query accounting, also on an engine serving
-/// concurrent queries: a query's evaluation runs on its calling thread,
-/// and the rewrite counters count that thread's lookups only. Session
-/// totals live in [`CacheStats`](crate::engine::CacheStats).
+/// concurrent queries. Session totals of the program-cache counters live
+/// in [`ProgramCacheStats`](crate::exec::ProgramCacheStats).
 #[derive(Clone, Copy, Debug)]
 pub struct ExecStats {
     /// The plan the [`crate::planner`] chose (and why).
@@ -652,11 +651,6 @@ pub struct ExecStats {
     /// Program-cache misses for this query: `1` when the compiled
     /// backend ran and had to compile, `0` otherwise.
     pub program_cache_misses: u64,
-    /// `(query, mapping)` rewrite-cache hits of this query.
-    pub rewrite_hits: u64,
-    /// `(query, mapping)` rewrite-cache misses (computed entries) of this
-    /// query.
-    pub rewrite_misses: u64,
     /// Wall-clock evaluation time, in microseconds.
     pub elapsed_us: u64,
 }
@@ -771,11 +765,6 @@ impl QueryResponse {
                 Json::uint(self.stats.program_cache_misses),
             ),
             ("relevant".into(), Json::uint(self.stats.relevant as u64)),
-            ("rewrite_hits".into(), Json::uint(self.stats.rewrite_hits)),
-            (
-                "rewrite_misses".into(),
-                Json::uint(self.stats.rewrite_misses),
-            ),
         ]);
         let mut members = Vec::with_capacity(3);
         if let Some(aggregate) = &self.aggregate {
@@ -847,10 +836,6 @@ impl QueryResponse {
         w.uint(stats.program_cache_misses);
         w.key("relevant");
         w.uint(stats.relevant as u64);
-        w.key("rewrite_hits");
-        w.uint(stats.rewrite_hits);
-        w.key("rewrite_misses");
-        w.uint(stats.rewrite_misses);
         w.end_obj();
         w.end_obj();
     }
@@ -1131,8 +1116,6 @@ mod tests {
                 relevant: 7,
                 program_cache_hits: 0,
                 program_cache_misses: 0,
-                rewrite_hits: 2,
-                rewrite_misses: 5,
                 elapsed_us: 123,
             },
         };
@@ -1142,8 +1125,7 @@ mod tests {
             "{\"answers\":[{\"mappings\":[0,3],\"matches\":[[1,4]],\"probability\":0.5}],\
              \"stats\":{\"backend\":\"block-tree\",\"elapsed_us\":123,\
              \"evaluator\":\"block-tree\",\"plan_reason\":\"kind-default\",\
-             \"program_cache_hits\":0,\"program_cache_misses\":0,\"relevant\":7,\
-             \"rewrite_hits\":2,\"rewrite_misses\":5}}"
+             \"program_cache_hits\":0,\"program_cache_misses\":0,\"relevant\":7}}"
         );
         // Emitted JSON is canonical: re-parsing and re-writing is stable.
         assert_eq!(Json::parse(&text).unwrap().to_string(), text);
@@ -1166,8 +1148,7 @@ mod tests {
              \"answers\":[],\
              \"stats\":{\"backend\":\"block-tree\",\"elapsed_us\":123,\
              \"evaluator\":\"block-tree\",\"plan_reason\":\"kind-default\",\
-             \"program_cache_hits\":0,\"program_cache_misses\":0,\"relevant\":7,\
-             \"rewrite_hits\":2,\"rewrite_misses\":5}}"
+             \"program_cache_hits\":0,\"program_cache_misses\":0,\"relevant\":7}}"
         );
         assert_eq!(Json::parse(&text).unwrap().to_string(), text);
     }

@@ -13,31 +13,25 @@
 //!   never strings;
 //! * per-symbol target-node and document-label inverted indexes;
 //! * per-symbol *relevance bitsets* over the mapping set, turning the
-//!   paper's `filter_mappings` into a handful of bitwise ANDs;
-//! * a memoized rewrite cache keyed by `(query, mapping)` and a relevant-
-//!   mapping cache keyed by query, which make repeated-query workloads
-//!   (the service scenario) skip rewriting entirely.
+//!   paper's `filter_mappings` into a handful of bitwise ANDs.
 //!
-//! A query's evaluation runs start to finish on its calling thread, so
-//! concurrent queries on one shared engine only meet in the sharded
-//! caches, and each query's [`ExecStats`] rewrite counters are exact.
-//! Warm-cache answers are pinned to cold-session answers by
-//! `tests/engine_equivalence.rs`.
+//! All of it is immutable after build. The one piece of shared mutable
+//! state is the compiled backend's program cache ([`crate::exec`]), so
+//! concurrent queries on one shared engine meet only there (and in the
+//! lazily built path index). Warm-cache answers are pinned to
+//! cold-session answers by `tests/engine_equivalence.rs`.
 
-use crate::aggregate::{self, AggFunc, AggRow, AggregateResult};
+use crate::aggregate::{self, AggFunc, AggregateResult};
 use crate::api::{ExecStats, Query, QueryResponse};
 use crate::block_tree::{BlockTree, BlockTreeConfig};
 use crate::error::UxmError;
-use crate::exec::{self, Explain, ProgramCache, ProgramCacheStats, SetMode};
+use crate::exec::{self, Explain, ProgramCache, ProgramCacheStats, RunOutput, SetMode};
 use crate::keyword::{KeywordAnswer, KeywordError};
-use crate::mapping::{MappingId, MappingRef, PossibleMappings};
+use crate::mapping::{MappingId, PossibleMappings};
 use crate::planner::{self, Evaluator};
 use crate::ptq::{PtqAnswer, PtqResult};
-use std::cell::Cell;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use uxm_twig::structural_join::structural_join;
 use uxm_twig::{match_twig, Axis, PatternNodeId, ResolvedPattern, TwigMatch, TwigPattern};
 use uxm_xml::{DocNodeId, Document, LabelId, PathIndex, Schema, SchemaNodeId, Symbol, SymbolTable};
@@ -135,84 +129,7 @@ impl RelevanceIndex {
 }
 
 // ---------------------------------------------------------------------
-// sharded cache maps
-
-/// Lock shards per cache. Queries hash to a shard, so concurrent readers
-/// (and writers) of *different* queries never contend on a lock; readers
-/// of the same query share a read lock.
-const CACHE_SHARDS: usize = 16;
-
-/// A query-string-keyed map split across [`CACHE_SHARDS`] `RwLock`ed
-/// shards. This is what makes [`SessionState`] — and hence
-/// [`QueryEngine`] — usable from many threads at once: the old
-/// single-`Mutex` caches serialized every cache probe.
-pub(crate) struct Sharded<V> {
-    shards: Vec<RwLock<HashMap<String, V>>>,
-}
-
-impl<V> Sharded<V> {
-    pub(crate) fn new() -> Sharded<V> {
-        Sharded {
-            shards: (0..CACHE_SHARDS).map(|_| RwLock::default()).collect(),
-        }
-    }
-
-    fn shard(&self, key: &str) -> &RwLock<HashMap<String, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize % CACHE_SHARDS]
-    }
-
-    /// Applies `f` to `key`'s entry under the shard's read lock.
-    pub(crate) fn read<R>(&self, key: &str, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.shard(key).read().expect("cache lock").get(key).map(f)
-    }
-
-    /// Updates `key`'s entry (default-created if absent) under the shard's
-    /// write lock. A shard holding `cap` distinct queries is cleared
-    /// wholesale before a *new* query is admitted — crude, but it bounds a
-    /// long-lived session serving unbounded ad-hoc queries, and a clear
-    /// only costs re-deriving rewrites for queries still in rotation.
-    pub(crate) fn update(&self, key: &str, cap: usize, f: impl FnOnce(&mut V))
-    where
-        V: Default,
-    {
-        let mut shard = self.shard(key).write().expect("cache lock");
-        if shard.len() >= cap && !shard.contains_key(key) {
-            shard.clear();
-        }
-        f(shard.entry(key.to_string()).or_default())
-    }
-}
-
-// ---------------------------------------------------------------------
 // session state
-
-/// Hit/miss counters for the per-session caches.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// `(query, mapping)` rewrite cache hits.
-    pub rewrite_hits: u64,
-    /// `(query, mapping)` rewrite cache misses (computed entries).
-    pub rewrite_misses: u64,
-    /// Relevant-mapping cache hits.
-    pub relevant_hits: u64,
-    /// Relevant-mapping cache misses.
-    pub relevant_misses: u64,
-}
-
-thread_local! {
-    /// Rewrite-cache `(hits, misses)` looked up on this thread. A query's
-    /// evaluation never leaves its calling thread, so the change across
-    /// one [`QueryEngine::run`] is exactly that query's rewrite traffic,
-    /// however many other queries share the engine.
-    static REWRITE_TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-/// This thread's running [`REWRITE_TALLY`].
-fn rewrite_tally() -> (u64, u64) {
-    REWRITE_TALLY.with(Cell::get)
-}
 
 /// One query node as the session sees it: its interned label symbol
 /// (`None` when the label occurs in neither schema nor the document),
@@ -241,12 +158,13 @@ impl QuerySym {
 }
 
 /// Rewrite sets per query node — interned labels, sorted and deduplicated.
-type SymbolSets = Arc<Vec<Vec<Symbol>>>;
+type SymbolSets = Vec<Vec<Symbol>>;
 /// Node-granularity rewrite sets per query node.
-type NodeSets = Arc<Vec<Vec<SchemaNodeId>>>;
+type NodeSets = Vec<Vec<SchemaNodeId>>;
 
 /// Everything derivable from `(PossibleMappings, Document)` that query
-/// evaluation wants precomputed. Built once per [`QueryEngine`].
+/// evaluation wants precomputed. Built once per [`QueryEngine`] and
+/// immutable afterwards.
 pub(crate) struct SessionState {
     symbols: SymbolTable,
     /// Per source schema node: its label's symbol.
@@ -258,13 +176,6 @@ pub(crate) struct SessionState {
     /// Per symbol: mappings covering ≥1 target node with that label.
     relevance: RelevanceIndex,
     n_mappings: usize,
-    rewrite_cache: Sharded<HashMap<MappingId, Option<SymbolSets>>>,
-    node_rewrite_cache: Sharded<HashMap<MappingId, Option<NodeSets>>>,
-    relevant_cache: Sharded<Arc<Vec<MappingId>>>,
-    rewrite_hits: AtomicU64,
-    rewrite_misses: AtomicU64,
-    relevant_hits: AtomicU64,
-    relevant_misses: AtomicU64,
 }
 
 impl SessionState {
@@ -309,28 +220,11 @@ impl SessionState {
             sym_doc_label,
             relevance,
             n_mappings,
-            rewrite_cache: Sharded::new(),
-            node_rewrite_cache: Sharded::new(),
-            relevant_cache: Sharded::new(),
-            rewrite_hits: AtomicU64::new(0),
-            rewrite_misses: AtomicU64::new(0),
-            relevant_hits: AtomicU64::new(0),
-            relevant_misses: AtomicU64::new(0),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            rewrite_hits: self.rewrite_hits.load(Ordering::Relaxed),
-            rewrite_misses: self.rewrite_misses.load(Ordering::Relaxed),
-            relevant_hits: self.relevant_hits.load(Ordering::Relaxed),
-            relevant_misses: self.relevant_misses.load(Ordering::Relaxed),
         }
     }
 
     /// Resident heap bytes of the precomputed session state: the
-    /// relevance bitsets, per-symbol indexes, and symbol-table strings
-    /// (the bounded rewrite caches are excluded).
+    /// relevance bitsets, per-symbol indexes, and symbol-table strings.
     fn arena_bytes(&self) -> usize {
         use std::mem::size_of;
         self.relevance.words.len() * size_of::<u64>()
@@ -400,18 +294,9 @@ impl SessionState {
         self.sym_doc_label[raw as usize]
     }
 
-    /// Upper bound on distinct memoized queries per cache *shard* (about
-    /// 1024 queries across the whole cache).
-    const QUERIES_PER_SHARD: usize = 64;
-
-    /// The paper's `filter_mappings` via bitset intersection, memoized per
-    /// query. Ids come out in ascending order, matching `filter_mappings`.
-    pub(crate) fn relevant(&self, q: &TwigPattern, qstr: &str) -> Arc<Vec<MappingId>> {
-        if let Some(hit) = self.relevant_cache.read(qstr, Arc::clone) {
-            self.relevant_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.relevant_misses.fetch_add(1, Ordering::Relaxed);
+    /// The paper's `filter_mappings` via bitset intersection. Ids come
+    /// out in ascending order, matching `filter_mappings`.
+    pub(crate) fn relevant(&self, q: &TwigPattern) -> Vec<MappingId> {
         let mut bits = MappingBits::full(self.n_mappings);
         for qs in self.query_syms(q) {
             // A wildcard matches under every mapping: it filters nothing.
@@ -423,42 +308,32 @@ impl SessionState {
                 None => bits.clear(),
             }
         }
-        let ids = Arc::new(bits.ids());
-        self.relevant_cache
-            .update(qstr, Self::QUERIES_PER_SHARD, |slot| {
-                *slot = Arc::clone(&ids)
-            });
-        ids
+        bits.ids()
     }
 
-    /// `source_for` over a correspondence slice sorted by target (a
-    /// mapping's pairs, or a c-block acting as a mini-mapping).
-    fn pairs_lookup(
-        pairs: &[(SchemaNodeId, SchemaNodeId)],
-    ) -> impl Fn(SchemaNodeId) -> Option<SchemaNodeId> + Copy + '_ {
-        move |t| {
-            pairs
-                .binary_search_by_key(&t, |&(_, tt)| tt)
-                .ok()
-                .map(|i| pairs[i].0)
-        }
-    }
-
-    /// One query node's rewrite: the target nodes carrying its label,
-    /// mapped through `source_for` and projected by `project`; sorted,
-    /// deduped, `None` when empty (the node — hence the mapping — is
-    /// irrelevant). A wildcard node rewrites to the *empty* set without
-    /// killing the mapping: it has no label to rewrite, and the matchers
-    /// treat its empty set as "any document node".
+    /// One query node's rewrite through a correspondence set sorted by
+    /// target (a mapping's pairs, or a c-block acting as a mini-mapping):
+    /// the target nodes carrying its label, mapped to their sources and
+    /// projected by `project`; sorted, deduped, `None` when empty (the
+    /// node — hence the mapping — is irrelevant). A wildcard node
+    /// rewrites to the *empty* set without killing the mapping: it has no
+    /// label to rewrite, and the matchers treat its empty set as "any
+    /// document node".
     fn rewrite_one<T: Ord>(
         &self,
         qs: QuerySym,
-        source_for: impl Fn(SchemaNodeId) -> Option<SchemaNodeId>,
+        pairs: &[(SchemaNodeId, SchemaNodeId)],
         project: impl Fn(SchemaNodeId) -> T,
     ) -> Option<Vec<T>> {
         if qs.wild {
             return Some(Vec::new());
         }
+        let source_for = |t| {
+            pairs
+                .binary_search_by_key(&t, |&(_, tt)| tt)
+                .ok()
+                .map(|i| pairs[i].0)
+        };
         let mut out: Vec<T> = self
             .target_nodes(qs.sym)
             .iter()
@@ -477,94 +352,33 @@ impl SessionState {
     fn rewrite_all<T: Ord>(
         &self,
         qsyms: &[QuerySym],
-        source_for: impl Fn(SchemaNodeId) -> Option<SchemaNodeId> + Copy,
+        pairs: &[(SchemaNodeId, SchemaNodeId)],
         project: impl Fn(SchemaNodeId) -> T + Copy,
-    ) -> Option<Arc<Vec<Vec<T>>>> {
+    ) -> Option<Vec<Vec<T>>> {
         qsyms
             .iter()
-            .map(|&qs| self.rewrite_one(qs, source_for, project))
-            .collect::<Option<Vec<_>>>()
-            .map(Arc::new)
+            .map(|&qs| self.rewrite_one(qs, pairs, project))
+            .collect()
     }
 
-    /// The shared memoization shape of [`Self::rewrite`] and
-    /// [`Self::rewrite_nodes`]: probe `cache` under a shard read lock
-    /// (hits are allocation-free), else compute outside any lock and
-    /// insert. Two threads racing on the same cold `(query, mapping)` may
-    /// both compute; the values are identical, so last-write-wins is fine.
-    fn memoized<V: Clone>(
-        &self,
-        cache: &Sharded<HashMap<MappingId, Option<V>>>,
-        qstr: &str,
-        id: MappingId,
-        compute: impl FnOnce() -> Option<V>,
-    ) -> Option<V> {
-        if let Some(Some(hit)) = cache.read(qstr, |per_mapping| per_mapping.get(&id).cloned()) {
-            self.rewrite_hits.fetch_add(1, Ordering::Relaxed);
-            REWRITE_TALLY.with(|t| t.set((t.get().0 + 1, t.get().1)));
-            return hit;
-        }
-        self.rewrite_misses.fetch_add(1, Ordering::Relaxed);
-        REWRITE_TALLY.with(|t| t.set((t.get().0, t.get().1 + 1)));
-        let computed = compute();
-        cache.update(qstr, Self::QUERIES_PER_SHARD, |per_mapping| {
-            per_mapping.insert(id, computed.clone());
-        });
-        computed
-    }
-
-    /// Rewrites `q` through mapping `id`: per query node, the source-label
-    /// symbols it may match; `None` when the mapping is irrelevant.
-    /// Memoized on `(query, mapping)`; cache hits are allocation-free.
+    /// Rewrites `q` through a correspondence set sorted by target (a
+    /// mapping's pairs, or a c-block's): per query node, the source-label
+    /// symbols it may match; `None` when the set is irrelevant.
     fn rewrite(
         &self,
-        qstr: &str,
-        qsyms: &[QuerySym],
-        m: MappingRef<'_>,
-        id: MappingId,
-    ) -> Option<SymbolSets> {
-        self.memoized(&self.rewrite_cache, qstr, id, || {
-            self.rewrite_all(
-                qsyms,
-                |t| m.source_for_target(t),
-                |s| self.source_syms[s.idx()],
-            )
-        })
-    }
-
-    /// Rewrites through a raw correspondence set (a c-block acting as a
-    /// mini-mapping); pairs are sorted by target.
-    fn rewrite_pairs(
-        &self,
         qsyms: &[QuerySym],
         pairs: &[(SchemaNodeId, SchemaNodeId)],
     ) -> Option<SymbolSets> {
-        self.rewrite_all(qsyms, Self::pairs_lookup(pairs), |s| {
-            self.source_syms[s.idx()]
-        })
+        self.rewrite_all(qsyms, pairs, |s| self.source_syms[s.idx()])
     }
 
-    /// Node-granularity rewrite (the source *schema nodes* per query
-    /// node), memoized on `(query, mapping)`.
+    /// Node-granularity rewrite: the source *schema nodes* per query node.
     fn rewrite_nodes(
         &self,
-        qstr: &str,
-        qsyms: &[QuerySym],
-        m: MappingRef<'_>,
-        id: MappingId,
-    ) -> Option<NodeSets> {
-        self.memoized(&self.node_rewrite_cache, qstr, id, || {
-            self.rewrite_all(qsyms, |t| m.source_for_target(t), |s| s)
-        })
-    }
-
-    /// Node-granularity rewrite through raw pairs.
-    fn rewrite_nodes_pairs(
-        &self,
         qsyms: &[QuerySym],
         pairs: &[(SchemaNodeId, SchemaNodeId)],
     ) -> Option<NodeSets> {
-        self.rewrite_all(qsyms, Self::pairs_lookup(pairs), |s| s)
+        self.rewrite_all(qsyms, pairs, |s| s)
     }
 
     /// Binds rewritten symbol sets to the document, skipping symbols whose
@@ -593,12 +407,11 @@ fn eval_basic_over(
     state: &SessionState,
     ids: &[MappingId],
 ) -> PtqResult {
-    let qstr = q.to_string();
     let qsyms = state.query_syms(q);
     let answers = ids
         .iter()
         .filter_map(|&id| {
-            let sets = state.rewrite(&qstr, &qsyms, pm.mapping(id), id)?;
+            let sets = state.rewrite(&qsyms, pm.mapping(id).pairs)?;
             let matches = match state.resolve(q, &sets) {
                 Some(resolved) => match_twig(doc, &resolved),
                 None => Vec::new(), // rewritten labels absent from the document
@@ -755,7 +568,7 @@ fn query_subtree(
     // blocks overwrite earlier ones).
     for &bid in tree.blocks_at(t) {
         let b = tree.block(bid);
-        let y = match state.rewrite_pairs(qsyms, &b.corrs) {
+        let y = match state.rewrite(qsyms, &b.corrs) {
             Some(sets) => match state.resolve(q, &sets) {
                 Some(resolved) => match_twig(doc, &resolved),
                 None => Vec::new(),
@@ -769,8 +582,8 @@ fn query_subtree(
         }
     }
 
-    // Mappings not covered by any block: evaluate directly (with rewrite
-    // sharing among them).
+    // Mappings not covered by any block: evaluate directly (with match
+    // sharing among mappings whose rewrites agree).
     let uncovered: Vec<MappingId> = out
         .iter()
         .enumerate()
@@ -796,11 +609,10 @@ fn direct(
     state: &SessionState,
     ids: &[MappingId],
 ) -> Vec<Vec<TwigMatch>> {
-    let qstr = q.to_string();
     let qsyms = state.query_syms(q);
     let mut groups: HashMap<SymbolSets, Vec<usize>> = HashMap::new();
     for (k, &id) in ids.iter().enumerate() {
-        if let Some(sets) = state.rewrite(&qstr, &qsyms, pm.mapping(id), id) {
+        if let Some(sets) = state.rewrite(&qsyms, pm.mapping(id).pairs) {
             groups.entry(sets).or_default().push(k);
         }
     }
@@ -940,22 +752,21 @@ pub(crate) fn node_sets_to_matches(
     }
 }
 
-/// Node-granularity `query_basic`.
+/// Node-granularity `query_basic` over the relevant mapping ids.
 fn eval_basic_nodes(
     q: &TwigPattern,
     pm: &PossibleMappings,
     doc: &Document,
     index: &PathIndex,
     state: &SessionState,
+    ids: &[MappingId],
 ) -> PtqResult {
-    let qstr = q.to_string();
     let qsyms = state.query_syms(q);
-    let answers = state
-        .relevant(q, &qstr)
+    let answers = ids
         .iter()
         .map(|&id| {
             let sets = state
-                .rewrite_nodes(&qstr, &qsyms, pm.mapping(id), id)
+                .rewrite_nodes(&qsyms, pm.mapping(id).pairs)
                 .expect("filtered");
             PtqAnswer {
                 mapping: id,
@@ -967,9 +778,10 @@ fn eval_basic_nodes(
     PtqResult { answers }
 }
 
-/// Node-granularity PTQ with the block tree: blocks anchored at target
-/// nodes answer once per block; everything else shares work across
-/// mappings whose node-rewrites agree.
+/// Node-granularity PTQ with the block tree over the relevant mapping
+/// ids: blocks anchored at target nodes answer once per block;
+/// everything else shares work across mappings whose node-rewrites
+/// agree.
 ///
 /// Node candidates pin query nodes to exact source elements, so a block's
 /// answer is valid for precisely `b.M` — no label-uniqueness side
@@ -981,10 +793,9 @@ fn eval_tree_nodes(
     index: &PathIndex,
     tree: &BlockTree,
     state: &SessionState,
+    ids: &[MappingId],
 ) -> PtqResult {
-    let qstr = q.to_string();
     let qsyms = state.query_syms(q);
-    let ids = state.relevant(q, &qstr);
 
     let mut out: Vec<Option<Vec<TwigMatch>>> = vec![None; ids.len()];
     if let Some(t) = anchor_for(q, &qsyms, pm, state, tree) {
@@ -992,7 +803,7 @@ fn eval_tree_nodes(
             ids.iter().enumerate().map(|(k, &id)| (id, k)).collect();
         for &bid in tree.blocks_at(t) {
             let b = tree.block(bid);
-            let matches = match state.rewrite_nodes_pairs(&qsyms, &b.corrs) {
+            let matches = match state.rewrite_nodes(&qsyms, &b.corrs) {
                 Some(sets) => node_sets_to_matches(q, &sets, pm, doc, index),
                 None => Vec::new(),
             };
@@ -1009,7 +820,7 @@ fn eval_tree_nodes(
     for (k, &id) in ids.iter().enumerate() {
         if out[k].is_none() {
             let sets = state
-                .rewrite_nodes(&qstr, &qsyms, pm.mapping(id), id)
+                .rewrite_nodes(&qsyms, pm.mapping(id).pairs)
                 .expect("filtered");
             groups.entry(sets).or_default().push(k);
         }
@@ -1061,11 +872,9 @@ fn eval_keyword(
         let mut key = Vec::new();
         for (&sym, &vocab) in term_syms.iter().zip(&is_vocab) {
             if vocab {
-                let rewrite = state.rewrite_one(
-                    QuerySym::label(sym),
-                    |t| m.source_for_target(t),
-                    |s| state.source_syms[s.idx()],
-                );
+                let rewrite = state.rewrite_one(QuerySym::label(sym), m.pairs, |s| {
+                    state.source_syms[s.idx()]
+                });
                 match rewrite {
                     Some(labels) => key.push(labels),
                     None => continue 'mapping, // irrelevant
@@ -1199,7 +1008,7 @@ fn schema_bytes(s: &Schema) -> usize {
 ///
 /// Build it once, then serve any number of typed [`Query`] requests
 /// through [`QueryEngine::run`] — the one query entry point; label
-/// interning, relevance bitsets, and the rewrite cache amortize across
+/// interning, relevance bitsets, and compiled programs amortize across
 /// calls. Evaluation strategy (naive, block-tree or compiled) is chosen
 /// by the [`crate::planner`] unless the query pins it, and never affects
 /// the answers.
@@ -1238,9 +1047,9 @@ pub struct QueryEngine {
     exec_cache: ProgramCache,
 }
 
-// The registry shares one engine across many serving threads; the caches
-// are sharded `RwLock` maps, so this holds by construction — enforce it
-// at compile time.
+// The registry shares one engine across many serving threads; the
+// session state is immutable and the program cache locks its shards, so
+// this holds by construction — enforce it at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryEngine>();
@@ -1308,11 +1117,6 @@ impl QueryEngine {
         self.path_index.get_or_init(|| PathIndex::new(&self.doc))
     }
 
-    /// Cache hit/miss counters for this session.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.state.stats()
-    }
-
     /// Cumulative program-cache counters for the compiled backend
     /// (hits, misses, programs compiled) — surfaced per engine through
     /// `GET /stats`.
@@ -1322,8 +1126,8 @@ impl QueryEngine {
 
     /// Per-component resident-size breakdown of this session, computed
     /// from the **real columnar arena sizes** (exact array and buffer
-    /// lengths), not encode-time estimates. The bounded per-query caches
-    /// are excluded.
+    /// lengths), not encode-time estimates. It covers everything the
+    /// engine holds except the bounded program cache.
     pub fn footprint(&self) -> EngineFootprint {
         EngineFootprint {
             document: self.doc.arena_bytes(),
@@ -1347,15 +1151,15 @@ impl QueryEngine {
     }
 
     /// The paper's `filter_mappings`: ids of mappings relevant to `q`, in
-    /// id order — computed by bitset intersection and memoized.
+    /// id order — computed by bitset intersection.
     pub fn relevant_mappings(&self, q: &TwigPattern) -> Vec<MappingId> {
-        self.state.relevant(q, &q.to_string()).to_vec()
+        self.state.relevant(q)
     }
 
     /// The k most-probable relevant mappings for `q` (ties by id), in
     /// evaluation order.
-    fn topk_ids(&self, q: &TwigPattern, qstr: &str, k: usize) -> Vec<MappingId> {
-        let mut ids = self.state.relevant(q, qstr).to_vec();
+    fn topk_ids(&self, q: &TwigPattern, k: usize) -> Vec<MappingId> {
+        let mut ids = self.state.relevant(q);
         ids.sort_by(|&a, &b| {
             self.pm
                 .mapping(b)
@@ -1367,46 +1171,56 @@ impl QueryEngine {
         ids
     }
 
-    /// Label-granularity evaluation over a pre-filtered id set with a
-    /// *recursive* evaluator (the compiled backend goes through
-    /// [`Self::eval_compiled`], which derives its own id set from the
-    /// program's bitset ops).
-    fn eval_label(&self, q: &TwigPattern, ids: &[MappingId], evaluator: Evaluator) -> PtqResult {
-        match evaluator {
-            Evaluator::Naive | Evaluator::Compiled => {
-                eval_basic_over(q, &self.pm, &self.doc, &self.state, ids)
-            }
-            Evaluator::BlockTree => {
-                eval_tree_over(q, &self.pm, &self.doc, &self.tree, &self.state, ids)
-            }
-        }
-    }
-
-    /// Runs `q` through the compiled backend: fetch (or compile) the
-    /// program for the canonical query shape, then replay it over the
-    /// session arenas. Returns the raw result, the per-mapping aggregate
-    /// rows when `agg` was requested (the program ends in an `agg-fold`
-    /// op), and whether the program came from the cache.
-    fn eval_compiled(
+    /// Evaluates a PTQ-shaped query under `evaluator`. The compiled
+    /// backend fetches (or compiles) the program for the canonical query
+    /// shape and replays it over the session arenas; the recursive
+    /// evaluators run over the relevant (or top-k) mapping ids. Returns
+    /// the run's output — aggregate rows only from a compiled `agg-fold`
+    /// — and, when the compiled backend ran, whether its program came
+    /// from the cache.
+    fn eval_ptq(
         &self,
-        q: &TwigPattern,
-        qstr: &str,
-        mode: SetMode,
-        k: Option<usize>,
-        agg: Option<AggFunc>,
-    ) -> (PtqResult, Option<Vec<AggRow>>, bool) {
-        let key = ProgramCache::key(mode, k, agg, qstr);
-        let (program, hit) = self
-            .exec_cache
-            .get_or_compile(&key, || exec::compile(q, mode, k, agg, &self.state));
-        let ctx = exec::EngineCtx {
-            pm: &self.pm,
-            doc: &self.doc,
-            state: &self.state,
-            index: matches!(mode, SetMode::SchemaNodes).then(|| self.path_index()),
+        (pattern, mode, k, agg): PtqShape<'_>,
+        evaluator: Evaluator,
+    ) -> (RunOutput, Option<bool>) {
+        let ids = match evaluator {
+            Evaluator::Compiled => {
+                let key = ProgramCache::key(mode, k, agg, &pattern.to_string());
+                let (program, hit) = self
+                    .exec_cache
+                    .get_or_compile(&key, || exec::compile(pattern, mode, k, agg, &self.state));
+                let ctx = exec::EngineCtx {
+                    pm: &self.pm,
+                    doc: &self.doc,
+                    state: &self.state,
+                    index: matches!(mode, SetMode::SchemaNodes).then(|| self.path_index()),
+                };
+                return (program.run(&ctx), Some(hit));
+            }
+            _ => match k {
+                Some(k) => self.topk_ids(pattern, k),
+                None => self.state.relevant(pattern),
+            },
         };
-        let (res, rows) = program.run(&ctx);
-        (res, rows, hit)
+        let (pm, doc, state) = (&self.pm, &self.doc, &self.state);
+        let result = match (mode, evaluator) {
+            (SetMode::Symbols, Evaluator::BlockTree) => {
+                eval_tree_over(pattern, pm, doc, &self.tree, state, &ids)
+            }
+            (SetMode::Symbols, _) => eval_basic_over(pattern, pm, doc, state, &ids),
+            (SetMode::SchemaNodes, Evaluator::BlockTree) => {
+                eval_tree_nodes(pattern, pm, doc, self.path_index(), &self.tree, state, &ids)
+            }
+            (SetMode::SchemaNodes, _) => {
+                eval_basic_nodes(pattern, pm, doc, self.path_index(), state, &ids)
+            }
+        };
+        let out = RunOutput {
+            result,
+            agg_rows: None,
+            relevant: ids.len(),
+        };
+        (out, None)
     }
 
     /// The observability hook behind `uxm explain` and the `/query`
@@ -1417,24 +1231,11 @@ impl QueryEngine {
     /// untouched.
     pub fn explain(&self, query: &Query) -> Result<Explain, UxmError> {
         query.validate()?;
-        let plan = planner::choose(query.options().evaluator, query.kind());
-        let (pattern, mode, k, agg) = match query {
-            Query::Ptq { pattern, .. } => (pattern, SetMode::Symbols, None, None),
-            Query::PtqNodes { pattern, .. } => (pattern, SetMode::SchemaNodes, None, None),
-            Query::TopK { pattern, k, .. } => (pattern, SetMode::Symbols, Some(*k), None),
-            Query::Aggregate { pattern, func, .. } => {
-                (pattern, SetMode::Symbols, None, Some(*func))
-            }
-            Query::Keyword { .. } => {
-                return Ok(Explain {
-                    plan,
-                    program: None,
-                })
-            }
-        };
         Ok(Explain {
-            plan,
-            program: Some(Arc::new(exec::compile(pattern, mode, k, agg, &self.state))),
+            plan: planner::choose(query.options().evaluator, query.kind()),
+            program: ptq_shape(query).map(|(pattern, mode, k, agg)| {
+                Arc::new(exec::compile(pattern, mode, k, agg, &self.state))
+            }),
         })
     }
 
@@ -1444,124 +1245,59 @@ impl QueryEngine {
     /// [`crate::planner::choose`]'s fixed table (the pinned hint, or
     /// the query kind's default). The returned [`QueryResponse`]
     /// carries the answers (with per-answer mapping provenance) and an
-    /// [`ExecStats`] block reporting the plan, the cache traffic, and
-    /// the elapsed time. Answers are independent of the chosen plan by
-    /// construction — pinned by the planner differential suite in
+    /// [`ExecStats`] block reporting the plan, the program-cache traffic,
+    /// and the elapsed time. Answers are independent of the chosen plan
+    /// by construction — pinned by the planner differential suite in
     /// `tests/engine_equivalence.rs`.
     pub fn run(&self, query: &Query) -> Result<QueryResponse, UxmError> {
         query.validate()?;
         let start = std::time::Instant::now();
-        let (hits_before, misses_before) = rewrite_tally();
         let options = *query.options();
         let plan = planner::choose(options.evaluator, query.kind());
         let mut aggregate = None;
         // `program` is `Some(cache_hit)` when the compiled backend ran.
-        let (answers, relevant, program) = match query {
-            Query::Ptq { pattern, .. } => {
-                let qstr = pattern.to_string();
-                let ids = self.state.relevant(pattern, &qstr);
-                let (res, program) = match plan.evaluator {
-                    Evaluator::Compiled => {
-                        let (res, _, hit) =
-                            self.eval_compiled(pattern, &qstr, SetMode::Symbols, None, None);
-                        (res, Some(hit))
-                    }
-                    ev => (self.eval_label(pattern, &ids, ev), None),
-                };
-                (
-                    crate::api::shape_ptq_answers(res.answers, &options),
-                    ids.len(),
-                    program,
-                )
-            }
-            Query::PtqNodes { pattern, .. } => {
-                let qstr = pattern.to_string();
-                let relevant = self.state.relevant(pattern, &qstr).len();
-                let (res, program) = match plan.evaluator {
-                    Evaluator::Naive => (
-                        eval_basic_nodes(
-                            pattern,
-                            &self.pm,
-                            &self.doc,
-                            self.path_index(),
-                            &self.state,
-                        ),
-                        None,
-                    ),
-                    Evaluator::BlockTree => (
-                        eval_tree_nodes(
-                            pattern,
-                            &self.pm,
-                            &self.doc,
-                            self.path_index(),
-                            &self.tree,
-                            &self.state,
-                        ),
-                        None,
-                    ),
-                    Evaluator::Compiled => {
-                        let (res, _, hit) =
-                            self.eval_compiled(pattern, &qstr, SetMode::SchemaNodes, None, None);
-                        (res, Some(hit))
-                    }
-                };
-                (
-                    crate::api::shape_ptq_answers(res.answers, &options),
-                    relevant,
-                    program,
-                )
-            }
-            Query::TopK { pattern, k, .. } => {
-                let qstr = pattern.to_string();
-                let ids = self.topk_ids(pattern, &qstr, *k);
-                let (mut res, program) = match plan.evaluator {
-                    Evaluator::Compiled => {
-                        let (res, _, hit) =
-                            self.eval_compiled(pattern, &qstr, SetMode::Symbols, Some(*k), None);
-                        (res, Some(hit))
-                    }
-                    ev => (self.eval_label(pattern, &ids, ev), None),
-                };
-                res.answers.sort_by(|a, b| {
-                    b.probability
-                        .total_cmp(&a.probability)
-                        .then(a.mapping.cmp(&b.mapping))
-                });
-                (
-                    crate::api::shape_ptq_answers(res.answers, &options),
-                    ids.len(),
-                    program,
-                )
-            }
-            Query::Aggregate { pattern, func, .. } => {
-                let qstr = pattern.to_string();
-                let ids = self.state.relevant(pattern, &qstr);
-                // Per-mapping rows are folded from the *unfiltered* match
-                // sets (each row's value is independent of which other
-                // rows survive), so the min-probability option can prune
-                // rows after the fold without changing any surviving one.
-                let (mut rows, program) = match plan.evaluator {
-                    Evaluator::Compiled => {
-                        let (_, rows, hit) =
-                            self.eval_compiled(pattern, &qstr, SetMode::Symbols, None, Some(*func));
-                        (rows.unwrap_or_default(), Some(hit))
-                    }
-                    ev => {
-                        let res = self.eval_label(pattern, &ids, ev);
+        let (answers, relevant, program) = match ptq_shape(query) {
+            Some(shape) => {
+                let (pattern, _, k, agg) = shape;
+                let (out, program) = self.eval_ptq(shape, plan.evaluator);
+                let mut answers = out.result.answers;
+                if let Some(func) = agg {
+                    // Per-mapping rows are folded from the *unfiltered*
+                    // match sets (each row's value is independent of
+                    // which other rows survive), so the min-probability
+                    // option can prune rows after the fold without
+                    // changing any surviving one.
+                    let mut rows = out.agg_rows.unwrap_or_else(|| {
                         let shaped = crate::api::shape_ptq_answers(
-                            res.answers,
+                            answers,
                             &crate::api::QueryOptions::default(),
                         );
-                        (aggregate::rows_of(*func, &shaped, pattern, &self.doc), None)
+                        aggregate::rows_of(func, &shaped, pattern, &self.doc)
+                    });
+                    if options.min_probability > 0.0 {
+                        rows.retain(|r| r.probability >= options.min_probability);
                     }
-                };
-                if options.min_probability > 0.0 {
-                    rows.retain(|r| r.probability >= options.min_probability);
+                    aggregate = Some(AggregateResult::new(func, rows));
+                    (Vec::new(), out.relevant, program)
+                } else {
+                    if k.is_some() {
+                        answers.sort_by(|a, b| {
+                            b.probability
+                                .total_cmp(&a.probability)
+                                .then(a.mapping.cmp(&b.mapping))
+                        });
+                    }
+                    (
+                        crate::api::shape_ptq_answers(answers, &options),
+                        out.relevant,
+                        program,
+                    )
                 }
-                aggregate = Some(AggregateResult::new(*func, rows));
-                (Vec::new(), ids.len(), program)
             }
-            Query::Keyword { terms, .. } => {
+            None => {
+                let Query::Keyword { terms, .. } = query else {
+                    unreachable!("every query but a keyword query is PTQ-shaped")
+                };
                 let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
                 let raw = eval_keyword(&refs, &self.pm, &self.doc, &self.state)?;
                 let relevant = raw.len();
@@ -1572,7 +1308,6 @@ impl QueryEngine {
                 )
             }
         };
-        let (hits_after, misses_after) = rewrite_tally();
         Ok(QueryResponse {
             answers,
             aggregate,
@@ -1582,12 +1317,25 @@ impl QueryEngine {
                 relevant,
                 program_cache_hits: u64::from(program == Some(true)),
                 program_cache_misses: u64::from(program == Some(false)),
-                rewrite_hits: hits_after - hits_before,
-                rewrite_misses: misses_after - misses_before,
                 elapsed_us: start.elapsed().as_micros() as u64,
             },
         })
     }
+}
+
+/// A PTQ-shaped query's compile parameters: its pattern, rewrite
+/// granularity, top-k bound and aggregate function.
+type PtqShape<'q> = (&'q TwigPattern, SetMode, Option<usize>, Option<AggFunc>);
+
+/// The [`PtqShape`] of `query`; `None` for keyword queries.
+fn ptq_shape(query: &Query) -> Option<PtqShape<'_>> {
+    Some(match query {
+        Query::Ptq { pattern, .. } => (pattern, SetMode::Symbols, None, None),
+        Query::PtqNodes { pattern, .. } => (pattern, SetMode::SchemaNodes, None, None),
+        Query::TopK { pattern, k, .. } => (pattern, SetMode::Symbols, Some(*k), None),
+        Query::Aggregate { pattern, func, .. } => (pattern, SetMode::Symbols, None, Some(*func)),
+        Query::Keyword { .. } => return None,
+    })
 }
 
 #[cfg(test)]
@@ -1632,8 +1380,8 @@ mod tests {
             "PO",
         ] {
             let q = TwigPattern::parse(qs).unwrap();
-            // Run twice on the shared engine so the second run is
-            // cache-served, then compare against a cold session.
+            // Run twice on the shared engine, then compare against a
+            // fresh session.
             for hint in [EvaluatorHint::Naive, EvaluatorHint::BlockTree] {
                 pinned(&e, &q, hint);
                 assert_eq!(
@@ -1663,37 +1411,6 @@ mod tests {
                 "query {qs}"
             );
         }
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_caches() {
-        let e = engine();
-        let q = TwigPattern::parse("//Line//No").unwrap();
-        assert!(
-            !e.relevant_mappings(&q).is_empty(),
-            "fixture must produce relevant mappings"
-        );
-        // Basic evaluation rewrites per mapping — every repeat must come
-        // from the (query, mapping) cache.
-        let first = pinned(&e, &q, EvaluatorHint::Naive);
-        let cold = e.cache_stats();
-        let second = pinned(&e, &q, EvaluatorHint::Naive);
-        let warm = e.cache_stats();
-        assert_eq!(first, second);
-        assert!(warm.rewrite_hits > cold.rewrite_hits, "rewrite cache used");
-        assert!(
-            warm.relevant_hits > cold.relevant_hits,
-            "relevant cache used"
-        );
-        assert_eq!(
-            warm.rewrite_misses, cold.rewrite_misses,
-            "no recomputation on the second run"
-        );
-        // The tree path returns identical results before and after caching.
-        assert_eq!(
-            pinned(&e, &q, EvaluatorHint::BlockTree),
-            pinned(&e, &q, EvaluatorHint::BlockTree)
-        );
     }
 
     #[test]
@@ -1750,16 +1467,10 @@ mod tests {
         assert_eq!(pinned.stats.plan.evaluator, Evaluator::Naive);
         assert_eq!(pinned.stats.plan.reason, crate::planner::PlanReason::Pinned);
         assert_eq!(pinned.stats.relevant, e.relevant_mappings(&q).len());
-        // A cold naive run looks up one rewrite per relevant mapping.
-        assert_eq!(pinned.stats.rewrite_hits, 0);
-        assert_eq!(pinned.stats.rewrite_misses, pinned.stats.relevant as u64);
-        // A repeat of the same query is served from the caches.
-        let warm = e.run(&Query::ptq(q.clone())).unwrap();
-        assert!(
-            warm.stats.rewrite_misses == 0,
-            "second run recomputes nothing"
-        );
-        assert_eq!(warm.answers, pinned.answers);
+        // The auto plan reports the same relevant set and answers.
+        let auto = e.run(&Query::ptq(q.clone())).unwrap();
+        assert_eq!(auto.stats.relevant, pinned.stats.relevant);
+        assert_eq!(auto.answers, pinned.answers);
     }
 
     #[test]
@@ -1769,6 +1480,7 @@ mod tests {
         let q = TwigPattern::parse("//Line//No").unwrap();
         let compiled = [
             Query::ptq(q.clone()),
+            Query::ptq_nodes(q.clone()),
             Query::topk(q.clone(), 3),
             Query::aggregate(q.clone(), AggFunc::Count),
         ];
@@ -1786,11 +1498,11 @@ mod tests {
                 );
             }
         }
-        let nodes = e.run(&Query::ptq_nodes(q)).unwrap().stats;
-        assert_eq!(nodes.plan.evaluator, Evaluator::BlockTree);
-        assert_eq!(nodes.plan.reason, PlanReason::KindDefault);
-        assert_eq!(nodes.backend, Evaluator::BlockTree);
-        assert_eq!(nodes.program_cache_hits + nodes.program_cache_misses, 0);
+        let keyword = e.run(&Query::keyword(vec!["No".into()])).unwrap().stats;
+        assert_eq!(keyword.plan.evaluator, Evaluator::Naive);
+        assert_eq!(keyword.plan.reason, PlanReason::KindDefault);
+        assert_eq!(keyword.backend, Evaluator::Naive);
+        assert_eq!(keyword.program_cache_hits + keyword.program_cache_misses, 0);
     }
 
     #[test]

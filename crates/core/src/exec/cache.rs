@@ -10,13 +10,58 @@
 
 use super::program::{Program, SetMode};
 use crate::aggregate::AggFunc;
-use crate::engine::Sharded;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-/// Upper bound on cached programs per shard (the same wholesale-clear
-/// discipline as the engine's rewrite caches; ~1024 programs total).
+/// Lock shards per cache. Keys hash to a shard, so concurrent readers
+/// (and writers) of *different* keys never contend on a lock; readers of
+/// the same key share a read lock.
+const CACHE_SHARDS: usize = 16;
+
+/// Upper bound on cached programs per shard (~1024 programs total).
 const PROGRAMS_PER_SHARD: usize = 64;
+
+/// A string-keyed map split across [`CACHE_SHARDS`] `RwLock`ed shards.
+struct Sharded<V> {
+    shards: Vec<RwLock<HashMap<String, V>>>,
+}
+
+impl<V> Sharded<V> {
+    fn new() -> Sharded<V> {
+        Sharded {
+            shards: (0..CACHE_SHARDS).map(|_| RwLock::default()).collect(),
+        }
+    }
+
+    fn shard(&self, key: &str) -> &RwLock<HashMap<String, V>> {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[h.finish() as usize % CACHE_SHARDS]
+    }
+
+    /// Applies `f` to `key`'s entry under the shard's read lock.
+    fn read<R>(&self, key: &str, f: impl FnOnce(&V) -> R) -> Option<R> {
+        self.shard(key).read().expect("cache lock").get(key).map(f)
+    }
+
+    /// Updates `key`'s entry (default-created if absent) under the shard's
+    /// write lock. A shard holding `cap` distinct keys is cleared
+    /// wholesale before a *new* key is admitted — crude, but it bounds a
+    /// long-lived session serving unbounded ad-hoc queries, and a clear
+    /// only costs recompiling programs still in rotation.
+    fn update(&self, key: &str, cap: usize, f: impl FnOnce(&mut V))
+    where
+        V: Default,
+    {
+        let mut shard = self.shard(key).write().expect("cache lock");
+        if shard.len() >= cap && !shard.contains_key(key) {
+            shard.clear();
+        }
+        f(shard.entry(key.to_string()).or_default())
+    }
+}
 
 /// Cumulative program-cache counters for one engine, surfaced through
 /// `GET /stats` and `uxm explain`.

@@ -79,7 +79,7 @@ pub use program::{FoldMode, Op, Program, SetMode};
 
 pub(crate) use cache::ProgramCache;
 pub(crate) use compile::compile;
-pub(crate) use vm::EngineCtx;
+pub(crate) use vm::{EngineCtx, RunOutput};
 
 use crate::json::Json;
 use crate::planner::Plan;

@@ -40,13 +40,24 @@ pub(crate) struct EngineCtx<'a> {
     pub index: Option<&'a PathIndex>,
 }
 
+/// What one program run produced.
+pub(crate) struct RunOutput {
+    /// The raw per-mapping result (the same shape the recursive
+    /// evaluators produce; the engine applies granularity shaping on
+    /// top).
+    pub result: PtqResult,
+    /// The per-mapping aggregate rows; `Some` when the program ends in
+    /// an `agg-fold` op.
+    pub agg_rows: Option<Vec<AggRow>>,
+    /// `|M_q|`: the length of the `ids` register after
+    /// `materialize-ids` (and `topk-heap`, which prunes it to `k`) —
+    /// the relevant mappings the program evaluated.
+    pub relevant: usize,
+}
+
 impl Program {
-    /// Executes the program against one engine session and returns the
-    /// raw per-mapping result (the same shape the recursive evaluators
-    /// produce; the engine applies granularity shaping on top), plus
-    /// the per-mapping aggregate rows when the program ends in an
-    /// `agg-fold` op.
-    pub(crate) fn run(&self, ctx: &EngineCtx<'_>) -> (PtqResult, Option<Vec<AggRow>>) {
+    /// Executes the program against one engine session.
+    pub(crate) fn run(&self, ctx: &EngineCtx<'_>) -> RunOutput {
         let n_words = self.n_mappings.div_ceil(64);
         let n_nodes = self.n_nodes;
 
@@ -292,6 +303,10 @@ impl Program {
                 Op::EmitAnswers => {}
             }
         }
-        (PtqResult { answers }, agg_rows)
+        RunOutput {
+            result: PtqResult { answers },
+            agg_rows,
+            relevant: ids.len(),
+        }
     }
 }

@@ -17,9 +17,9 @@
 //!   when element labels repeat),
 //! * [`engine`] — the [`engine::QueryEngine`] session layer every query
 //!   evaluates through, home of PTQ evaluation with and without the
-//!   block tree (Algorithms 3 and 4): interned labels, precomputed
-//!   relevance bitsets, and sharded, thread-safe `(query, mapping)`
-//!   rewrite caches (the engine is `Send + Sync`),
+//!   block tree (Algorithms 3 and 4): interned labels and precomputed
+//!   relevance bitsets, immutable after build (the engine is
+//!   `Send + Sync`; its one mutable part is the program cache),
 //! * [`api`] — the unified query surface: the typed [`api::Query`] AST
 //!   (PTQ, top-k, keyword, and aggregate forms; twig patterns carry
 //!   value predicates, wildcards, and descendant axes), the uniform

@@ -12,15 +12,16 @@
 //! | hint | query kind | evaluator | reason |
 //! |---|---|---|---|
 //! | pinned | PTQ-shaped | the pinned one | [`PlanReason::Pinned`] |
-//! | `Auto` | `Ptq`, `TopK`, `Aggregate` | [`Evaluator::Compiled`] | [`PlanReason::KindDefault`] |
-//! | `Auto` | `PtqNodes` | [`Evaluator::BlockTree`] | [`PlanReason::KindDefault`] |
+//! | `Auto` | `Ptq`, `PtqNodes`, `TopK`, `Aggregate` | [`Evaluator::Compiled`] | [`PlanReason::KindDefault`] |
 //! | any | `Keyword` | [`Evaluator::Naive`] | [`PlanReason::KindDefault`] |
 //!
 //! The defaults come from `BENCH_exec.json` (see `docs/benchmarks.md`):
-//! the compiled VM is the fastest backend for every kind except node
-//! granularity, where the block tree still measures faster on D7 and
-//! ties on the 200k-node corpus document. Keyword queries have a single
-//! strategy, so their hint is ignored.
+//! the compiled VM is within 10 % of the fastest backend for every
+//! PTQ-shaped kind on D7 and on the 200k-node corpus document. The
+//! engine holds no memo cache, so the recursive evaluators recompute
+//! every rewrite on every run; they remain as pinned plans and test
+//! oracles. Keyword queries have a single strategy, so their hint is
+//! ignored.
 //!
 //! All evaluators return answers that are **identical by construction**
 //! (pinned by `tests/engine_equivalence.rs`, `tests/prop_exec.rs`, and
@@ -40,10 +41,10 @@
 //!     choose(EvaluatorHint::Auto, QueryKind::Ptq),
 //!     Plan { evaluator: Evaluator::Compiled, reason: PlanReason::KindDefault },
 //! );
-//! // Node granularity is the one kind the block tree still wins.
+//! // Node granularity runs compiled too.
 //! assert_eq!(
 //!     choose(EvaluatorHint::Auto, QueryKind::PtqNodes).evaluator,
-//!     Evaluator::BlockTree,
+//!     Evaluator::Compiled,
 //! );
 //!
 //! // A pinned hint always wins...
@@ -132,9 +133,8 @@ pub struct Plan {
 /// The evaluator a query kind runs under [`EvaluatorHint::Auto`].
 pub fn default_for(kind: QueryKind) -> Evaluator {
     match kind {
-        QueryKind::Ptq | QueryKind::TopK | QueryKind::Aggregate => Evaluator::Compiled,
-        QueryKind::PtqNodes => Evaluator::BlockTree,
         QueryKind::Keyword => Evaluator::Naive,
+        _ => Evaluator::Compiled,
     }
 }
 
@@ -171,7 +171,7 @@ mod tests {
         let plan = |evaluator, reason| Plan { evaluator, reason };
         let auto = [
             (Ptq, Compiled),
-            (PtqNodes, BlockTree),
+            (PtqNodes, Compiled),
             (TopK, Compiled),
             (Keyword, Naive),
             (Aggregate, Compiled),

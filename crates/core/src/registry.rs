@@ -6,9 +6,9 @@
 //! of threads can query them concurrently (the engine is `Send + Sync`),
 //! answers whole request batches in one call, and keeps resident memory
 //! under a configurable budget by evicting the least-recently-used
-//! engines. Because engines are shared, so are their caches: every
-//! client benefits from every other client's warm rewrite caches and
-//! compiled-program cache ([`crate::exec`]).
+//! engines. Because engines are shared, so are their program caches:
+//! every client benefits from every other client's compiled programs
+//! ([`crate::exec`]).
 //!
 //! The registry speaks the unified query surface of [`crate::api`]: a
 //! batch item is an engine name plus a typed [`Query`] ([`BatchQuery`]),

@@ -9,8 +9,8 @@
 //! [`crate::api::Query::to_json_string`] and
 //! [`crate::api::QueryResponse::to_json_string`] produce. Because the
 //! registry and its engines are `Send + Sync`, all workers share one
-//! warm cache set: a query repeated by any client reuses the rewrites
-//! computed for every other client.
+//! warm program cache per engine: a query repeated by any client
+//! replays the program compiled for every other client.
 //!
 //! # Routes
 //!
@@ -21,7 +21,7 @@
 //! | `POST /topk`           | `{"engines":[…],"query":…}` (top-k query; `engines` optional) | `{"answers":[…],"k":…}` — the best *k* answers across the named (default: all known) engines in the pinned cross-engine order (see [`crate::router`]) |
 //! | `POST /aggregate`      | `{"engines":[…],"query":…}` (aggregate query; `engines` optional) | `{"engines":[…],"func":…,"value":…}` — per-engine rows + marginals in name-ascending order, and the fleet value folded by [`crate::aggregate::merge_marginals`] |
 //! | `GET /engines`         | —                            | registry listing with `approx_bytes`, eviction count, on-disk snapshots |
-//! | `GET /stats`           | —                            | per-engine request/plan/cache aggregates + latency percentiles |
+//! | `GET /stats`           | —                            | per-engine request/plan/program-cache aggregates + latency percentiles |
 //! | `GET /healthz`         | —                            | `{"status":"ok"}` |
 //!
 //! The same serving shell (accept loop, worker pool, admission control,
@@ -283,8 +283,6 @@ struct EngineCounters {
     backends: [AtomicU64; 3],
     program_cache_hits: AtomicU64,
     program_cache_misses: AtomicU64,
-    rewrite_hits: AtomicU64,
-    rewrite_misses: AtomicU64,
     /// Engine evaluation time per request ([`crate::api::ExecStats`]'
     /// `elapsed_us`), so the histogram measures serving work, not
     /// socket weather.
@@ -300,8 +298,6 @@ impl EngineCounters {
             backends: Default::default(),
             program_cache_hits: AtomicU64::new(0),
             program_cache_misses: AtomicU64::new(0),
-            rewrite_hits: AtomicU64::new(0),
-            rewrite_misses: AtomicU64::new(0),
             latency: Latency::new(),
         }
     }
@@ -331,14 +327,6 @@ impl EngineCounters {
             (
                 "requests".into(),
                 Json::uint(self.requests.load(Ordering::Relaxed)),
-            ),
-            (
-                "rewrite_hits".into(),
-                Json::uint(self.rewrite_hits.load(Ordering::Relaxed)),
-            ),
-            (
-                "rewrite_misses".into(),
-                Json::uint(self.rewrite_misses.load(Ordering::Relaxed)),
             ),
         ])
     }
@@ -405,10 +393,6 @@ impl ServerStats {
                     .fetch_add(response.stats.program_cache_hits, Ordering::Relaxed);
                 c.program_cache_misses
                     .fetch_add(response.stats.program_cache_misses, Ordering::Relaxed);
-                c.rewrite_hits
-                    .fetch_add(response.stats.rewrite_hits, Ordering::Relaxed);
-                c.rewrite_misses
-                    .fetch_add(response.stats.rewrite_misses, Ordering::Relaxed);
                 c.latency.record(response.stats.elapsed_us);
             }
             Err(_) => {

@@ -79,9 +79,9 @@ fn main() {
         );
     }
 
-    let stats = engine.cache_stats();
+    let stats = engine.exec_cache_stats();
     println!(
-        "\nsession caches: {} rewrite hits / {} misses after serving the workload",
-        stats.rewrite_hits, stats.rewrite_misses
+        "\nprogram cache: {} hits / {} misses after serving the workload",
+        stats.hits, stats.misses
     );
 }

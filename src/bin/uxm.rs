@@ -37,6 +37,7 @@
 //! same snapshot directory behind the threaded HTTP/JSON server of
 //! [`uxm::core::server`] (see `docs/serving.md`).
 
+use std::io::{BufWriter, StdoutLock, Write};
 use std::process::ExitCode;
 use uxm::core::api::{EvaluatorHint, Granularity, Query};
 use uxm::core::block_tree::BlockTreeConfig;
@@ -60,25 +61,29 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::from(2);
     };
+    let mut out = Out::new();
     let result = match command.as_str() {
-        "match" => cmd_match(&args[1..]),
-        "mappings" => cmd_mappings(&args[1..]),
-        "query" => cmd_query(&args[1..]),
-        "explain" => cmd_explain(&args[1..]),
-        "keyword" => cmd_keyword(&args[1..]),
-        "registry" => cmd_registry(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "batch" => cmd_batch(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "gen-doc" => cmd_gen_doc(&args[1..]),
-        "dataset" => cmd_dataset(&args[1..]),
+        "match" => cmd_match(&args[1..], &mut out),
+        "mappings" => cmd_mappings(&args[1..], &mut out),
+        "query" => cmd_query(&args[1..], &mut out),
+        "explain" => cmd_explain(&args[1..], &mut out),
+        "keyword" => cmd_keyword(&args[1..], &mut out),
+        "registry" => cmd_registry(&args[1..], &mut out),
+        "stats" => cmd_stats(&args[1..], &mut out),
+        "batch" => cmd_batch(&args[1..], &mut out),
+        "serve" => cmd_serve(&args[1..], &mut out),
+        "gen-doc" => cmd_gen_doc(&args[1..], &mut out),
+        "dataset" => cmd_dataset(&args[1..], &mut out),
         "--help" | "-h" | "help" => {
             usage();
             Ok(())
         }
         other => Err(UxmError::Usage(format!("unknown command {other:?}"))),
     };
-    match result {
+    // Flush on failure too, so output a command wrote before failing
+    // reaches stdout ahead of the error report.
+    let flushed = flush(&mut out);
+    match result.and(flushed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -111,20 +116,120 @@ fn usage() {
     );
 }
 
+/// The process's stdout, locked once and buffered. A write that fails
+/// because the reader has gone away (`EPIPE`, as in `uxm gen-doc … |
+/// head`) ends the process quietly with exit status 0: the reader wants
+/// no more output, so there is nothing left to report.
+struct Out(BufWriter<StdoutLock<'static>>);
+
+impl Out {
+    fn new() -> Out {
+        Out(BufWriter::new(std::io::stdout().lock()))
+    }
+}
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        exit_on_closed_pipe(self.0.write(buf))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        exit_on_closed_pipe(self.0.flush())
+    }
+}
+
+fn exit_on_closed_pipe<T>(result: std::io::Result<T>) -> std::io::Result<T> {
+    match result {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        other => other,
+    }
+}
+
+fn flush(out: &mut Out) -> Result<(), UxmError> {
+    out.flush().map_err(|e| UxmError::io("stdout", e))
+}
+
+/// `writeln!` into a command's [`Out`], returning a failed write as a
+/// [`UxmError`].
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(|e| UxmError::io("stdout", e))?
+    };
+}
+
+/// `write!` into a command's [`Out`], like [`outln!`].
+macro_rules! outwrite {
+    ($out:expr, $($arg:tt)*) => {
+        write!($out, $($arg)*).map_err(|e| UxmError::io("stdout", e))?
+    };
+}
+
 /// `(name, value)` pairs collected from `--flag value` options.
 type Flags<'a> = Vec<(&'a str, &'a str)>;
 
 /// Flags that take no value.
 const BOOL_FLAGS: [&str; 1] = ["json"];
 
+/// The flags of `query` and `explain`.
+const QUERY_FLAGS: [&str; 11] = [
+    "h",
+    "tau",
+    "strategy",
+    "threshold",
+    "k",
+    "agg",
+    "mode",
+    "hint",
+    "min-p",
+    "granularity",
+    "json",
+];
+
+/// The flags of `keyword`.
+const KEYWORD_FLAGS: [&str; 8] = [
+    "h",
+    "tau",
+    "strategy",
+    "threshold",
+    "hint",
+    "min-p",
+    "granularity",
+    "json",
+];
+
+/// The flags of `serve`.
+const SERVE_FLAGS: [&str; 10] = [
+    "dir",
+    "addr",
+    "workers",
+    "budget",
+    "queue",
+    "per-client",
+    "retry-after-ms",
+    "keep-alive-ms",
+    "thrash",
+    "shards",
+];
+
 /// Splits positional arguments from `--flag value` options (boolean
-/// flags record `"true"` without consuming a value).
-fn parse_args(args: &[String]) -> Result<(Vec<&str>, Flags<'_>), UxmError> {
+/// flags record `"true"` without consuming a value). A flag outside
+/// `known` — the command's own flags — or one given twice is a usage
+/// error.
+fn parse_args<'a>(
+    args: &'a [String],
+    known: &[&str],
+) -> Result<(Vec<&'a str>, Flags<'a>), UxmError> {
     let mut positional = Vec::new();
-    let mut flags = Vec::new();
+    let mut flags: Flags<'a> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
+            if !known.contains(&name) {
+                return Err(UxmError::Usage(format!("unknown flag --{name}")));
+            }
+            if flag(&flags, name).is_some() {
+                return Err(UxmError::Usage(format!("--{name} given twice")));
+            }
             if BOOL_FLAGS.contains(&name) {
                 flags.push((name, "true"));
                 i += 1;
@@ -187,8 +292,8 @@ fn matcher_from(flags: &[(&str, &str)]) -> Result<Matcher, UxmError> {
     Ok(matcher)
 }
 
-fn cmd_match(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_match(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &["strategy", "threshold"])?;
     let [src, tgt] = pos.as_slice() else {
         return Err(UxmError::Usage(
             "match needs <source.outline> <target.outline>".into(),
@@ -197,7 +302,8 @@ fn cmd_match(args: &[String]) -> Result<(), UxmError> {
     let source = load_schema(src)?;
     let target = load_schema(tgt)?;
     let matching = matcher_from(&flags)?.match_schemas(&source, &target);
-    println!(
+    outln!(
+        out,
         "{} correspondences between {} ({} elements) and {} ({} elements):",
         matching.capacity(),
         src,
@@ -206,7 +312,8 @@ fn cmd_match(args: &[String]) -> Result<(), UxmError> {
         target.len()
     );
     for c in matching.correspondences() {
-        println!(
+        outln!(
+            out,
             "  {:<40} ~ {:<40} {:.2}",
             source.path(c.source),
             target.path(c.target),
@@ -216,8 +323,8 @@ fn cmd_match(args: &[String]) -> Result<(), UxmError> {
     Ok(())
 }
 
-fn cmd_mappings(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_mappings(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &["h", "strategy", "threshold"])?;
     let [src, tgt] = pos.as_slice() else {
         return Err(UxmError::Usage(
             "mappings needs <source.outline> <target.outline>".into(),
@@ -228,15 +335,22 @@ fn cmd_mappings(args: &[String]) -> Result<(), UxmError> {
     let target = load_schema(tgt)?;
     let matching = matcher_from(&flags)?.match_schemas(&source, &target);
     let pm = PossibleMappings::top_h(&matching, h);
-    println!(
+    outln!(
+        out,
         "top-{} possible mappings (o-ratio {:.2}):",
         pm.len(),
         o_ratio(&pm)
     );
     for (id, m) in pm.iter() {
-        println!("mapping {:?}: score {:.2}, p = {:.4}", id, m.score, m.prob);
+        outln!(
+            out,
+            "mapping {:?}: score {:.2}, p = {:.4}",
+            id,
+            m.score,
+            m.prob
+        );
         for &(s, t) in m.pairs {
-            println!("    {} ~ {}", source.path(s), target.path(t));
+            outln!(out, "    {} ~ {}", source.path(s), target.path(t));
         }
     }
     Ok(())
@@ -332,8 +446,8 @@ fn twig_query_from(pattern: TwigPattern, flags: &[(&str, &str)]) -> Result<Query
     }
 }
 
-fn cmd_query(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_query(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &QUERY_FLAGS)?;
     let [src, tgt, doc_path, query_text] = pos.as_slice() else {
         return Err(UxmError::Usage(
             "query needs <source.outline> <target.outline> <doc.xml> <twig>".into(),
@@ -345,13 +459,14 @@ fn cmd_query(args: &[String]) -> Result<(), UxmError> {
     let response = engine.run(&query)?;
 
     if flag(&flags, "json").is_some() {
-        println!("{}", response.to_json_string());
+        outln!(out, "{}", response.to_json_string());
         return Ok(());
     }
     let doc = engine.document();
     if let Some(agg) = &response.aggregate {
         let show = |v: Option<f64>| v.map_or_else(|| "null".to_string(), |v| format!("{v}"));
-        println!(
+        outln!(
+            out,
             "{query} over {} mappings: marginal {} ({} row(s), plan {} ({}))",
             engine.mappings().len(),
             show(agg.marginal),
@@ -360,7 +475,8 @@ fn cmd_query(args: &[String]) -> Result<(), UxmError> {
             response.stats.plan.reason,
         );
         for r in &agg.rows {
-            println!(
+            outln!(
+                out,
                 "  mapping {:<4} p = {:.3}  {}",
                 r.mapping.0,
                 r.probability,
@@ -369,7 +485,8 @@ fn cmd_query(args: &[String]) -> Result<(), UxmError> {
         }
         return Ok(());
     }
-    println!(
+    outln!(
+        out,
         "{query} over {} mappings: {} answer(s) ({} relevant), plan {} ({}), \
          expected match count {:.2}",
         engine.mappings().len(),
@@ -384,15 +501,15 @@ fn cmd_query(args: &[String]) -> Result<(), UxmError> {
             continue;
         };
         let text = doc.text(leaf).unwrap_or("");
-        println!("  p = {:.3}  {} {}", p, doc.path(leaf), text);
+        outln!(out, "  p = {:.3}  {} {}", p, doc.path(leaf), text);
     }
     Ok(())
 }
 
 /// `uxm explain` — print the plan and the compiled bytecode program for
 /// a query without running it (see `docs/execution.md`).
-fn cmd_explain(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_explain(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &QUERY_FLAGS)?;
     let [src, tgt, doc_path, query_text] = pos.as_slice() else {
         return Err(UxmError::Usage(
             "explain needs <source.outline> <target.outline> <doc.xml> <twig>".into(),
@@ -403,16 +520,16 @@ fn cmd_explain(args: &[String]) -> Result<(), UxmError> {
     let engine = engine_from(&flags, src, tgt, doc_path)?;
     let explain = engine.explain(&query)?;
     if flag(&flags, "json").is_some() {
-        println!("{}", explain.to_json());
+        outln!(out, "{}", explain.to_json());
         return Ok(());
     }
-    println!("{query}");
-    print!("{explain}");
+    outln!(out, "{query}");
+    outwrite!(out, "{explain}");
     Ok(())
 }
 
-fn cmd_keyword(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_keyword(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &KEYWORD_FLAGS)?;
     let [src, tgt, doc_path, terms @ ..] = pos.as_slice() else {
         return Err(UxmError::Usage(
             "keyword needs <source.outline> <target.outline> <doc.xml> <term...>".into(),
@@ -425,11 +542,12 @@ fn cmd_keyword(args: &[String]) -> Result<(), UxmError> {
     let engine = engine_from(&flags, src, tgt, doc_path)?;
     let response = engine.run(&query)?;
     if flag(&flags, "json").is_some() {
-        println!("{}", response.to_json_string());
+        outln!(out, "{}", response.to_json_string());
         return Ok(());
     }
     let doc = engine.document();
-    println!(
+    outln!(
+        out,
         "keywords {:?} over {} mappings: {} answer(s)",
         terms,
         engine.mappings().len(),
@@ -441,14 +559,14 @@ fn cmd_keyword(args: &[String]) -> Result<(), UxmError> {
             .iter()
             .filter_map(|m| m.nodes.first().map(|&n| doc.path(n)))
             .collect();
-        println!("  p = {:.3}  {:?}", a.probability, paths);
+        outln!(out, "  p = {:.3}  {:?}", a.probability, paths);
     }
     Ok(())
 }
 
 /// `uxm registry save|list` — manage the on-disk engine-snapshot set.
-fn cmd_registry(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_registry(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &["dir", "h", "tau", "strategy", "threshold"])?;
     let dir = flag(&flags, "dir")
         .ok_or_else(|| UxmError::Usage("registry needs --dir <snapshot-dir>".into()))?;
     match pos.as_slice() {
@@ -456,7 +574,8 @@ fn cmd_registry(args: &[String]) -> Result<(), UxmError> {
             let registry = EngineRegistry::new().snapshot_dir(dir);
             let engine = registry.insert(*name, engine_from(&flags, src, tgt, doc_path)?);
             let path = registry.save(name)?;
-            println!(
+            outln!(
+                out,
                 "saved {name:?} to {} (snapshot v{}, {} bytes on disk, ~{} KiB resident): \
                  |M|={}, {} doc nodes, {} c-blocks",
                 path.display(),
@@ -477,14 +596,15 @@ fn cmd_registry(args: &[String]) -> Result<(), UxmError> {
                 .map(|e| e.path())
                 .collect();
             entries.sort();
-            println!("{} snapshot(s) in {dir}:", entries.len());
+            outln!(out, "{} snapshot(s) in {dir}:", entries.len());
             for path in entries {
                 let name = path.file_stem().unwrap_or_default().to_string_lossy();
                 let bytes = std::fs::read(&path).map_err(|e| UxmError::io(path.display(), e))?;
                 // Parts-level decode: listing should not pay for session
                 // state (symbol tables, bitsets) it never queries.
                 match decode_engine_snapshot_parts(&bytes) {
-                    Ok(snap) => println!(
+                    Ok(snap) => outln!(
+                        out,
                         "  {name:<24} {:>9} bytes  |M|={:<4} doc={:<6} blocks={:<4} {} -> {}",
                         bytes.len(),
                         snap.mappings.len(),
@@ -493,7 +613,7 @@ fn cmd_registry(args: &[String]) -> Result<(), UxmError> {
                         snap.mappings.source.name,
                         snap.mappings.target.name,
                     ),
-                    Err(e) => println!("  {name:<24} UNREADABLE: {e}"),
+                    Err(e) => outln!(out, "  {name:<24} UNREADABLE: {e}"),
                 }
             }
             Ok(())
@@ -508,8 +628,8 @@ fn cmd_registry(args: &[String]) -> Result<(), UxmError> {
 
 /// `uxm stats <engine> --dir D` — decode one snapshot and report the
 /// resident per-component footprint (the registry's LRU accounting).
-fn cmd_stats(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_stats(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &["dir"])?;
     let [name] = pos.as_slice() else {
         return Err(UxmError::Usage("stats needs <engine> --dir D".into()));
     };
@@ -523,7 +643,8 @@ fn cmd_stats(args: &[String]) -> Result<(), UxmError> {
     let hydrate_us = start.elapsed().as_micros();
     let fp = engine.footprint();
     let total = fp.total().max(1);
-    println!(
+    outln!(
+        out,
         "{name}: snapshot v{version}, {} bytes on disk -> {} bytes resident ({:.2}x), \
          cold hydration {:.2} ms",
         bytes.len(),
@@ -531,7 +652,8 @@ fn cmd_stats(args: &[String]) -> Result<(), UxmError> {
         fp.total() as f64 / bytes.len().max(1) as f64,
         hydrate_us as f64 / 1000.0,
     );
-    println!(
+    outln!(
+        out,
         "  |M| = {} ({} pairs), {} doc nodes ({} labels, {} text bytes, {} attr bytes), {} c-blocks",
         engine.mappings().len(),
         engine.mappings().total_pairs(),
@@ -541,19 +663,21 @@ fn cmd_stats(args: &[String]) -> Result<(), UxmError> {
         engine.document().attr_bytes(),
         engine.tree().block_count(),
     );
-    let row = |label: &str, bytes: usize| {
-        println!(
+    for (label, bytes) in [
+        ("document", fp.document),
+        ("mappings", fp.mappings),
+        ("block-tree", fp.block_tree),
+        ("schemas", fp.schemas),
+        ("session", fp.session),
+        ("path-index", fp.path_index),
+    ] {
+        outln!(
+            out,
             "  {label:<12} {bytes:>10} B  {:>5.1}%",
             100.0 * bytes as f64 / total as f64
         );
-    };
-    row("document", fp.document);
-    row("mappings", fp.mappings);
-    row("block-tree", fp.block_tree);
-    row("schemas", fp.schemas);
-    row("session", fp.session);
-    row("path-index", fp.path_index);
-    println!("  {:<12} {:>10} B", "total", fp.total());
+    }
+    outln!(out, "  {:<12} {:>10} B", "total", fp.total());
     Ok(())
 }
 
@@ -613,8 +737,8 @@ fn parse_request_line(line: &str, lineno: usize) -> Result<BatchQuery, UxmError>
 }
 
 /// `uxm batch` — answer a request file against a snapshot directory.
-fn cmd_batch(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_batch(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &["dir", "budget", "json"])?;
     let [requests_path] = pos.as_slice() else {
         return Err(UxmError::Usage("batch needs <requests.txt> --dir D".into()));
     };
@@ -656,9 +780,10 @@ fn cmd_batch(args: &[String]) -> Result<(), UxmError> {
     for (q, a) in queries.iter().zip(&answers) {
         match a {
             Ok(response) if as_json => {
-                println!("{}", response.to_json_string());
+                outln!(out, "{}", response.to_json_string());
             }
-            Ok(response) => println!(
+            Ok(response) => outln!(
+                out,
                 "{:<16} {} -> {} answer(s), plan {}, expected count {:.2}",
                 q.engine,
                 q.query,
@@ -673,15 +798,16 @@ fn cmd_batch(args: &[String]) -> Result<(), UxmError> {
                         "error".to_string(),
                         uxm::core::json::Json::Str(e.to_string()),
                     )]);
-                    println!("{obj}");
+                    outln!(out, "{obj}");
                 } else {
-                    println!("{:<16} {} -> error: {e}", q.engine, q.query);
+                    outln!(out, "{:<16} {} -> error: {e}", q.engine, q.query);
                 }
             }
         }
     }
     if !as_json {
-        println!(
+        outln!(
+            out,
             "{} request(s) in {elapsed:.3}s ({:.0} req/s), {} engine(s) resident (~{} KiB), {failures} failed",
             queries.len(),
             queries.len() as f64 / elapsed.max(1e-9),
@@ -701,8 +827,8 @@ fn cmd_batch(args: &[String]) -> Result<(), UxmError> {
 /// With `--shards N` the same directory is served by N shard
 /// registries behind a consistent-hash router (see `docs/sharding.md`);
 /// `--budget` is then the cluster total, split evenly per shard.
-fn cmd_serve(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_serve(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &SERVE_FLAGS)?;
     if let Some(extra) = pos.first() {
         return Err(UxmError::Usage(format!(
             "serve takes no positional arguments, got {extra:?}"
@@ -739,7 +865,7 @@ fn cmd_serve(args: &[String]) -> Result<(), UxmError> {
         ..RegistryConfig::default()
     };
     let banner = |local: std::net::SocketAddr, snapshots: &[String], shard_note: &str| {
-        println!(
+        let mut text = format!(
             "uxm serve on http://{local} — {} worker(s), {} snapshot(s) in {dir}{}{shard_note}",
             config.effective_workers(),
             snapshots.len(),
@@ -750,16 +876,17 @@ fn cmd_serve(args: &[String]) -> Result<(), UxmError> {
             }
         );
         for name in snapshots {
-            println!("  {name}");
+            text += &format!("\n  {name}");
         }
-        println!(
-            "admission: queue {queue}, per-client cap {per_client}, retry-after {retry_after_ms}ms{}",
+        text += &format!(
+            "\nadmission: queue {queue}, per-client cap {per_client}, retry-after {retry_after_ms}ms{}",
             if thrash > 0 {
                 format!(", thrash gate at {thrash} evictions")
             } else {
                 String::new()
             }
         );
+        text
     };
 
     if shards > 0 {
@@ -776,10 +903,18 @@ fn cmd_serve(args: &[String]) -> Result<(), UxmError> {
         let front = router.bind(addr, config.clone())?;
         let local = front.local_addr();
         let snapshots = router.known_names();
-        banner(local, &snapshots, &format!(", {shards} shard(s)"));
-        println!(
+        outln!(
+            out,
+            "{}",
+            banner(local, &snapshots, &format!(", {shards} shard(s)"))
+        );
+        outln!(
+            out,
             "routes: POST /query/<engine>  POST /batch  POST /topk  POST /aggregate  GET /engines  GET /stats  GET /shards  GET /healthz"
         );
+        // The banner is the caller's only way to learn an ephemeral
+        // port: flush it before serving forever.
+        flush(out)?;
         front.start().wait();
         return Ok(());
     }
@@ -789,16 +924,18 @@ fn cmd_serve(args: &[String]) -> Result<(), UxmError> {
     let snapshots = registry.snapshot_names();
     let server = Server::bind(std::sync::Arc::clone(&registry), addr, config.clone())?;
     let local = server.local_addr();
-    banner(local, &snapshots, "");
-    println!(
+    outln!(out, "{}", banner(local, &snapshots, ""));
+    outln!(
+        out,
         "routes: POST /query/<engine>  POST /batch  POST /topk  POST /aggregate  GET /engines  GET /stats  GET /healthz"
     );
+    flush(out)?;
     server.start().wait();
     Ok(())
 }
 
-fn cmd_gen_doc(args: &[String]) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args)?;
+fn cmd_gen_doc(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, flags) = parse_args(args, &["nodes", "seed"])?;
     let [schema_path] = pos.as_slice() else {
         return Err(UxmError::Usage("gen-doc needs <schema.outline>".into()));
     };
@@ -814,12 +951,12 @@ fn cmd_gen_doc(args: &[String]) -> Result<(), UxmError> {
         },
         seed,
     );
-    println!("{}", uxm::xml::writer::to_xml_pretty(&doc, 2));
+    outln!(out, "{}", uxm::xml::writer::to_xml_pretty(&doc, 2));
     Ok(())
 }
 
-fn cmd_dataset(args: &[String]) -> Result<(), UxmError> {
-    let (pos, _) = parse_args(args)?;
+fn cmd_dataset(args: &[String], out: &mut Out) -> Result<(), UxmError> {
+    let (pos, _) = parse_args(args, &[])?;
     let [name] = pos.as_slice() else {
         return Err(UxmError::Usage("dataset needs an id (D1..D10)".into()));
     };
@@ -829,10 +966,11 @@ fn cmd_dataset(args: &[String]) -> Result<(), UxmError> {
         .ok_or_else(|| UxmError::Usage(format!("unknown dataset {name:?}")))?;
     let d = Dataset::load(id);
     let (s, t, cap, o) = id.paper_row();
-    println!("{}: |S|={s} |T|={t}", id.name());
-    println!("  paper:    capacity {cap}, o-ratio {o:.2}");
+    outln!(out, "{}: |S|={s} |T|={t}", id.name());
+    outln!(out, "  paper:    capacity {cap}, o-ratio {o:.2}");
     let pm = PossibleMappings::top_h(&d.matching, 100);
-    println!(
+    outln!(
+        out,
         "  measured: capacity {}, o-ratio {:.2} (|M|=100)",
         d.capacity(),
         o_ratio(&pm)

@@ -29,12 +29,12 @@
 //! let mappings = PossibleMappings::top_h(&matching, 8);
 //!
 //! // Open a query session: the engine builds the block tree plus interned
-//! // labels, relevance bitsets, and a rewrite cache — once.
+//! // labels and relevance bitsets — once.
 //! let doc = Document::generate(&source, &DocGenConfig::small(), 7);
 //! let engine = QueryEngine::build(mappings, doc, &BlockTreeConfig::default());
 //!
 //! // Ask typed queries through the one entry point; the planner picks
-//! // the evaluation strategy from engine statistics.
+//! // the evaluation strategy from the query kind.
 //! let q = TwigPattern::parse("PO//ContactName").unwrap();
 //! let answers = engine.run(&Query::ptq(q.clone())).unwrap();
 //! for ans in &answers.answers {

@@ -2,8 +2,8 @@
 //! however warm its caches are — same answers, same order, same floats —
 //! across the Table II datasets and the paper's query workload. The
 //! reference is a cold session: a fresh engine over the same data. The
-//! suite pins (a) warm shared-session runs ≡ cold-session runs, including all
-//! cache interactions between evaluators, (b) repeated runs ≡ first
+//! suite pins (a) warm shared-session runs ≡ cold-session runs, including
+//! program-cache replays, (b) repeated runs ≡ first
 //! runs, and (c) the mapping ids the engine evaluates ≡ the string-based
 //! `filter_mappings` / `topk_mappings` references.
 //!
@@ -13,6 +13,7 @@
 //! the guarantee that lets the planner treat evaluator choice as a pure
 //! performance decision.
 
+use uxm::core::aggregate::AggFunc;
 use uxm::core::api::{Answer, EvaluatorHint, Granularity, Query};
 use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm::core::engine::QueryEngine;
@@ -250,7 +251,8 @@ fn run_is_plan_invariant_across_all_datasets() {
 
 /// The response must name the evaluator it actually ran: pinned hints
 /// are honored verbatim (plan *and* backend), and the auto plan always
-/// picks one of the three.
+/// picks one of the three. Every backend must also report the same
+/// relevant-mapping count: `|M_q|`, or `min(k, |M_q|)` for top-k.
 #[test]
 fn run_reports_the_pinned_evaluator() {
     use uxm::core::planner::{Evaluator, PlanReason};
@@ -275,6 +277,41 @@ fn run_reports_the_pinned_evaluator() {
     assert_ne!(auto.stats.plan.reason, PlanReason::Pinned);
     assert_eq!(auto.stats.backend, auto.stats.plan.evaluator);
     assert_eq!(auto.stats.relevant, engine.relevant_mappings(q).len());
+
+    const K: usize = 5;
+    let hints = [
+        EvaluatorHint::Auto,
+        EvaluatorHint::Naive,
+        EvaluatorHint::BlockTree,
+        EvaluatorHint::Compiled,
+    ];
+    for id in DatasetId::all() {
+        let engine = session(id, 20, 400);
+        for qi in [2usize, 7, 10] {
+            let q = &paper_queries()[qi - 1];
+            let relevant = engine.relevant_mappings(q).len();
+            for (kind, query, want) in [
+                ("ptq", Query::ptq(q.clone()), relevant),
+                ("ptq_nodes", Query::ptq_nodes(q.clone()), relevant),
+                ("topk", Query::topk(q.clone(), K), relevant.min(K)),
+                (
+                    "count",
+                    Query::aggregate(q.clone(), AggFunc::Count),
+                    relevant,
+                ),
+            ] {
+                for hint in hints {
+                    let got = engine.run(&query.clone().with_evaluator(hint)).unwrap();
+                    assert_eq!(
+                        got.stats.relevant,
+                        want,
+                        "{} Q{qi} {kind} {hint:?}",
+                        id.name()
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Replaying a query shape through the compiled backend hits the

@@ -122,8 +122,8 @@ proptest! {
     }
 
     /// Warm-cache runs (same engine, repeated query) agree with the
-    /// first run regardless of plan — replaying a cached program or
-    /// memoized rewrites must be invisible in the answers.
+    /// first run regardless of plan — replaying a cached program must be
+    /// invisible in the answers.
     #[test]
     fn repeated_runs_are_stable(
         spec in proptest::collection::vec((0u8..16, 0u8..8, proptest::prop::bool::ANY), 1..4),

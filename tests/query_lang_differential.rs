@@ -2,7 +2,7 @@
 //! re-implemented from the documented semantics
 //! (`docs/query-language.md`) using only public `Document` / `Schema` /
 //! `PossibleMappings` accessors — deliberately slow, never touching the
-//! engine's evaluators, rewrite caches, or the twig matchers — checked
+//! engine's evaluators, session state, or the twig matchers — checked
 //! against all three backends (naive, block-tree, compiled) for every
 //! new syntax form: value predicates (`=`, `contains`, numeric ranges,
 //! `@attr` targets), descendant axes, wildcards, and aggregates, across

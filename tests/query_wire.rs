@@ -599,8 +599,8 @@ fn served_writer_bytes_equal_the_tree_form() {
         }),
         stats: ExecStats {
             elapsed_us: u64::MAX,
-            rewrite_hits: 1 << 53,
-            rewrite_misses: (1 << 53) + 1,
+            program_cache_hits: 1 << 53,
+            program_cache_misses: (1 << 53) + 1,
             ..stats
         },
     };
@@ -769,8 +769,6 @@ proptest! {
             relevant: counters.2,
             program_cache_hits: counters.1 % 2,
             program_cache_misses: 1 - counters.1 % 2,
-            rewrite_hits: counters.1,
-            rewrite_misses: counters.1 / 3,
             elapsed_us: counters.0,
         };
         let response = QueryResponse { answers: answers.clone(), aggregate: aggregate.clone(), stats };
