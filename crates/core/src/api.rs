@@ -65,6 +65,7 @@ use crate::mapping::MappingId;
 use crate::planner::{Evaluator, Plan};
 use crate::ptq::PtqAnswer;
 use std::fmt;
+use std::sync::Arc;
 use uxm_twig::{TwigMatch, TwigPattern};
 use uxm_xml::DocNodeId;
 
@@ -623,8 +624,10 @@ pub struct Answer {
     /// singleton under [`Granularity::Mapping`]).
     pub mappings: Vec<MappingId>,
     /// The matches of the rewritten query on the document. Keyword
-    /// answers encode each SLCA node as a single-node match.
-    pub matches: Vec<TwigMatch>,
+    /// answers encode each SLCA node as a single-node match. Answers
+    /// with one match set share one allocation where the evaluator
+    /// found it once.
+    pub matches: Arc<[TwigMatch]>,
 }
 
 /// How a query was executed — returned with every response.
@@ -706,7 +709,7 @@ impl QueryResponse {
     pub fn match_probabilities(&self) -> Vec<(TwigMatch, f64)> {
         let mut agg: Vec<(TwigMatch, f64)> = Vec::new();
         for answer in &self.answers {
-            for m in &answer.matches {
+            for m in answer.matches.iter() {
                 match agg.iter_mut().find(|(x, _)| x == m) {
                     Some((_, p)) => *p += answer.probability,
                     None => agg.push((m.clone(), answer.probability)),
@@ -859,16 +862,18 @@ impl QueryResponse {
 }
 
 /// Writes the `"mappings"` and `"matches"` members of an answer: the
-/// contributing mapping ids, then each match as its node ids.
-pub(crate) fn write_provenance(w: &mut Writer<'_>, mappings: &[MappingId], matches: &[TwigMatch]) {
+/// contributing mapping ids, then each match as its node ids. A match
+/// set shared with earlier answers of the body is rendered once and
+/// copied ([`Writer::match_set`]).
+pub(crate) fn write_provenance(
+    w: &mut Writer<'_>,
+    mappings: &[MappingId],
+    matches: &Arc<[TwigMatch]>,
+) {
     w.key("mappings");
     w.uints(mappings.iter().map(|m| u64::from(m.0)));
     w.key("matches");
-    w.begin_arr();
-    for m in matches {
-        w.uints(m.nodes.iter().map(|n| u64::from(n.0)));
-    }
-    w.end_arr();
+    w.match_set(matches);
 }
 
 // ---------------------------------------------------------------------
@@ -910,7 +915,11 @@ fn shape(per_mapping: Vec<Answer>, options: &QueryOptions) -> Vec<Answer> {
         Granularity::Distinct => {
             let mut groups: Vec<Answer> = Vec::new();
             for a in per_mapping {
-                match groups.iter_mut().find(|g| g.matches == a.matches) {
+                // Answers of one shape group share an allocation; two
+                // groups may still find equal sets (empty ones, say).
+                let same =
+                    |g: &&mut Answer| Arc::ptr_eq(&g.matches, &a.matches) || g.matches == a.matches;
+                match groups.iter_mut().find(same) {
                     Some(g) => {
                         g.probability += a.probability;
                         g.mappings.extend(a.mappings);
@@ -1104,7 +1113,8 @@ mod tests {
                 mappings: vec![MappingId(0), MappingId(3)],
                 matches: vec![TwigMatch {
                     nodes: vec![DocNodeId(1), DocNodeId(4)],
-                }],
+                }]
+                .into(),
             }],
             aggregate: None,
             stats: ExecStats {

@@ -419,7 +419,7 @@ fn eval_basic_over(
             Some(PtqAnswer {
                 mapping: id,
                 probability: pm.mapping(id).prob,
-                matches,
+                matches: matches.into(),
             })
         })
         .collect();
@@ -442,7 +442,7 @@ fn eval_tree_over(
         .map(|(&id, matches)| PtqAnswer {
             mapping: id,
             probability: pm.mapping(id).prob,
-            matches,
+            matches: matches.into(),
         })
         .collect();
     PtqResult { answers }
@@ -771,7 +771,7 @@ fn eval_basic_nodes(
             PtqAnswer {
                 mapping: id,
                 probability: pm.mapping(id).prob,
-                matches: node_sets_to_matches(q, &sets, pm, doc, index),
+                matches: node_sets_to_matches(q, &sets, pm, doc, index).into(),
             }
         })
         .collect();
@@ -838,7 +838,7 @@ fn eval_tree_nodes(
         .map(|(&id, matches)| PtqAnswer {
             mapping: id,
             probability: pm.mapping(id).prob,
-            matches: matches.expect("all slots filled"),
+            matches: matches.expect("all slots filled").into(),
         })
         .collect();
     PtqResult { answers }
@@ -1185,7 +1185,7 @@ impl QueryEngine {
     ) -> (RunOutput, Option<bool>) {
         let ids = match evaluator {
             Evaluator::Compiled => {
-                let key = ProgramCache::key(mode, k, agg, &pattern.to_string());
+                let key = ProgramCache::key(mode, k, agg, pattern);
                 let (program, hit) = self
                     .exec_cache
                     .get_or_compile(&key, || exec::compile(pattern, mode, k, agg, &self.state));

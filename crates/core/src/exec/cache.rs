@@ -11,9 +11,10 @@
 use super::program::{Program, SetMode};
 use crate::aggregate::AggFunc;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
+use uxm_twig::TwigPattern;
 
 /// Lock shards per cache. Keys hash to a shard, so concurrent readers
 /// (and writers) of *different* keys never contend on a lock; readers of
@@ -35,10 +36,26 @@ impl<V> Sharded<V> {
         }
     }
 
+    /// `key`'s shard, picked by an unkeyed multiply-rotate hash over
+    /// the key's 8-byte words. The shard only spreads lock traffic; the
+    /// map inside keeps its keyed SipHash, because keys come from
+    /// clients.
     fn shard(&self, key: &str) -> &RwLock<HashMap<String, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize % CACHE_SHARDS]
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+        let mut words = key.as_bytes().chunks_exact(8);
+        let mut h = 0u64;
+        for word in &mut words {
+            h = step(
+                h,
+                u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+            );
+        }
+        for &b in words.remainder() {
+            h = step(h, u64::from(b));
+        }
+        // The high half: the product's low bits see only the input's.
+        &self.shards[(h >> 32) as usize % CACHE_SHARDS]
     }
 
     /// Applies `f` to `key`'s entry under the shard's read lock.
@@ -100,15 +117,28 @@ impl ProgramCache {
     /// textual variants of one twig share a program, while an aggregate
     /// program — which ends in `agg-fold` — never aliases a plain PTQ
     /// over the same pattern). Predicates and wildcards need no extra
-    /// key component: the canonical rendering spells them out.
-    pub(crate) fn key(mode: SetMode, k: Option<usize>, agg: Option<AggFunc>, qstr: &str) -> String {
-        let tag = match mode {
-            SetMode::Symbols => "L",
-            SetMode::SchemaNodes => "N",
-        };
-        let k = k.map_or("-".to_string(), |k| k.to_string());
-        let agg = agg.map_or("-", AggFunc::wire_name);
-        format!("{tag}:{k}:{agg}:{qstr}")
+    /// key component: the canonical rendering spells them out. The key
+    /// is written into one `String`, the pattern rendered straight in.
+    pub(crate) fn key(
+        mode: SetMode,
+        k: Option<usize>,
+        agg: Option<AggFunc>,
+        pattern: &TwigPattern,
+    ) -> String {
+        let mut key = String::with_capacity(64);
+        key.push_str(match mode {
+            SetMode::Symbols => "L:",
+            SetMode::SchemaNodes => "N:",
+        });
+        match k {
+            Some(k) => write!(key, "{k}").expect("writing to a String cannot fail"),
+            None => key.push('-'),
+        }
+        key.push(':');
+        key.push_str(agg.map_or("-", AggFunc::wire_name));
+        key.push(':');
+        write!(key, "{pattern}").expect("writing to a String cannot fail");
+        key
     }
 
     /// Returns the cached program for `key`, or compiles, caches, and

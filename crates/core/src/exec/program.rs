@@ -109,20 +109,24 @@ pub enum Op {
     /// distinct row is matched once and shared.
     GroupShapes,
     /// Run the twig matcher once per distinct shape group (label sets
-    /// via the document's label column, node sets via the path index).
+    /// via the document's label column, node sets via the path index),
+    /// keeping each group's match set as one shared allocation.
     MatchShapes {
         /// What the shape rows contain.
         mode: SetMode,
     },
     /// Zip each live mapping's probability (from the probability column)
-    /// with its group's matches into one raw answer per mapping.
+    /// with its group's match set into one raw answer per mapping. The
+    /// answer references the group's shared set (an `Arc` clone); no
+    /// match is copied.
     FoldProb {
         /// The emission order this program commits to.
         mode: FoldMode,
     },
-    /// Fold each answer's match set into one aggregate row (the shared
-    /// `crate::aggregate::row_value` semantics over the pattern's
-    /// spine leaf), in answer order.
+    /// Fold each shape group's match set into one aggregate value (the
+    /// shared `crate::aggregate::row_value` semantics over the pattern's
+    /// spine leaf), once per group, and fan it out to one row per live
+    /// mapping, in answer order.
     AggFold {
         /// The aggregate function folded per mapping.
         func: AggFunc,

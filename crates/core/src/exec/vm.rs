@@ -14,8 +14,11 @@
 //!   node-major, with a flat offset table beside it. No per-mapping or
 //!   per-op allocation: both buffers grow once and are sliced.
 //!
-//! The loop allocates output only where the recursive evaluators do
-//! (match vectors and answers); everything else is reused flat storage.
+//! The loop allocates output only for the answer (and row) vectors and
+//! once per shape group: `match-shapes` builds each group's match set
+//! as one shared `Arc<[TwigMatch]>`, `fold-prob` hands every member of
+//! the group a reference to it, and `agg-fold` folds it once. Everything
+//! else is reused flat storage.
 
 use super::program::{FoldMode, Op, Program, SetMode};
 use crate::aggregate::{self, AggRow};
@@ -23,6 +26,7 @@ use crate::engine::{node_sets_to_matches, SessionState};
 use crate::mapping::{MappingId, PossibleMappings};
 use crate::ptq::{PtqAnswer, PtqResult};
 use std::cmp::Ordering;
+use std::sync::Arc;
 use uxm_twig::{match_twig, ResolvedPattern, TwigMatch};
 use uxm_xml::{Document, LabelId, PathIndex, SchemaNodeId};
 
@@ -72,7 +76,7 @@ impl Program {
         // Grouping state produced by `group-shapes`, consumed downstream.
         let mut reps: Vec<u32> = Vec::new();
         let mut group_of: Vec<u32> = Vec::new();
-        let mut group_matches: Vec<Vec<TwigMatch>> = Vec::new();
+        let mut group_matches: Vec<Arc<[TwigMatch]>> = Vec::new();
         let mut answers: Vec<PtqAnswer> = Vec::new();
         let mut agg_rows: Option<Vec<AggRow>> = None;
 
@@ -228,7 +232,7 @@ impl Program {
                                 let base = j * n_slots + slot;
                                 &arena[offsets[base] as usize..offsets[base + 1] as usize]
                             };
-                            match mode {
+                            let matches = match mode {
                                 SetMode::Symbols => {
                                     let label_sets: Vec<Vec<LabelId>> = (0..n_nodes)
                                         .map(|j| {
@@ -259,7 +263,8 @@ impl Program {
                                             .expect("node-granularity programs carry an index"),
                                     )
                                 }
-                            }
+                            };
+                            Arc::from(matches)
                         })
                         .collect();
                 }
@@ -271,7 +276,7 @@ impl Program {
                         .map(|(i, &id)| PtqAnswer {
                             mapping: id,
                             probability: ctx.pm.mapping(id).prob,
-                            matches: group_matches[group_of[i] as usize].clone(),
+                            matches: Arc::clone(&group_matches[group_of[i] as usize]),
                         })
                         .collect();
                     debug_assert!(
@@ -289,13 +294,18 @@ impl Program {
                 }
                 Op::AggFold { func } => {
                     let subject = self.pattern.spine_leaf();
+                    let values: Vec<Option<f64>> = group_matches
+                        .iter()
+                        .map(|m| aggregate::row_value(*func, m, subject, ctx.doc))
+                        .collect();
                     agg_rows = Some(
-                        answers
-                            .iter()
-                            .map(|a| AggRow {
-                                mapping: a.mapping,
-                                probability: a.probability,
-                                value: aggregate::row_value(*func, &a.matches, subject, ctx.doc),
+                        ids.iter()
+                            .enumerate()
+                            .filter(|&(_, &id)| alive(&bits, id))
+                            .map(|(i, &id)| AggRow {
+                                mapping: id,
+                                probability: ctx.pm.mapping(id).prob,
+                                value: values[group_of[i] as usize],
                             })
                             .collect(),
                     );

@@ -23,6 +23,9 @@
 //! serializes, which `uxm batch` files and the round-trip tests rely on.
 
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
+use uxm_twig::TwigMatch;
 
 /// The deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level, so without a cap a request body of nested
@@ -175,12 +178,21 @@ pub struct Writer<'a> {
     out: &'a mut String,
     /// The next key or value follows a sibling, so a `,` goes first.
     comma: bool,
+    /// Shared match sets already rendered into `out`, with the byte
+    /// range of each rendering (see [`Writer::match_set`]). Holding a
+    /// clone keeps each allocation, and so its address, alive while the
+    /// writer lives.
+    shared: Vec<(Arc<[TwigMatch]>, Range<usize>)>,
 }
 
 impl<'a> Writer<'a> {
     /// A writer appending to `out`.
     pub fn new(out: &'a mut String) -> Writer<'a> {
-        Writer { out, comma: false }
+        Writer {
+            out,
+            comma: false,
+            shared: Vec::new(),
+        }
     }
 
     fn separate(&mut self) {
@@ -276,6 +288,48 @@ impl<'a> Writer<'a> {
         self.begin_arr();
         for n in items {
             self.uint(n);
+        }
+        self.end_arr();
+    }
+
+    /// Writes a match set as an array of node-id arrays.
+    ///
+    /// A set whose allocation has other owners renders once per writer:
+    /// the first occurrence records where its bytes landed, and every
+    /// later occurrence of the same allocation copies those bytes. An
+    /// unshared set (`Arc::strong_count == 1`) renders directly, with no
+    /// memo work. Either way the bytes are those of rendering the set.
+    pub(crate) fn match_set(&mut self, matches: &Arc<[TwigMatch]>) {
+        if Arc::strong_count(matches) == 1 {
+            self.matches(matches);
+        } else {
+            self.shared_match_set(matches);
+        }
+    }
+
+    /// [`Writer::match_set`] for a set with other owners: copies an
+    /// earlier rendering of the same allocation, or renders this one and
+    /// records where its bytes landed.
+    #[inline(never)]
+    fn shared_match_set(&mut self, matches: &Arc<[TwigMatch]>) {
+        self.separate();
+        if let Some((_, range)) = self.shared.iter().find(|(m, _)| Arc::ptr_eq(m, matches)) {
+            let range = range.clone();
+            self.out.extend_from_within(range);
+            self.comma = true;
+            return;
+        }
+        self.comma = false;
+        let start = self.out.len();
+        self.matches(matches);
+        self.shared
+            .push((Arc::clone(matches), start..self.out.len()));
+    }
+
+    fn matches(&mut self, matches: &[TwigMatch]) {
+        self.begin_arr();
+        for m in matches {
+            self.uints(m.nodes.iter().map(|n| u64::from(n.0)));
         }
         self.end_arr();
     }

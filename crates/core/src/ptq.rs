@@ -9,6 +9,7 @@
 //! [`EvaluatorHint::Naive`](crate::api::EvaluatorHint::Naive).
 
 use crate::mapping::MappingId;
+use std::sync::Arc;
 use uxm_twig::TwigMatch;
 
 /// One `(R_i, pr(R_i))` tuple of a PTQ result.
@@ -21,7 +22,9 @@ pub struct PtqAnswer {
     pub probability: f64,
     /// The matches of the rewritten query on the document (may be empty:
     /// the mapping is relevant but the document has no occurrence).
-    pub matches: Vec<TwigMatch>,
+    /// Shared: the compiled backend hands every mapping of one shape
+    /// group the same allocation.
+    pub matches: Arc<[TwigMatch]>,
 }
 
 /// A full PTQ result: one answer per relevant mapping, in mapping order.
@@ -59,9 +62,9 @@ impl PtqResult {
     pub fn aggregate(&self) -> Vec<(Vec<TwigMatch>, f64)> {
         let mut groups: Vec<(Vec<TwigMatch>, f64)> = Vec::new();
         for a in &self.answers {
-            match groups.iter_mut().find(|(m, _)| *m == a.matches) {
+            match groups.iter_mut().find(|(m, _)| m[..] == a.matches[..]) {
                 Some((_, p)) => *p += a.probability,
-                None => groups.push((a.matches.clone(), a.probability)),
+                None => groups.push((a.matches.to_vec(), a.probability)),
             }
         }
         groups.sort_by(|a, b| b.1.total_cmp(&a.1));

@@ -169,8 +169,9 @@ pub struct TopKAnswer {
     pub probability: f64,
     /// The contributing mappings, ascending.
     pub mappings: Vec<MappingId>,
-    /// The matches of the rewritten query on the document.
-    pub matches: Vec<TwigMatch>,
+    /// The matches of the rewritten query on the document, shared with
+    /// the engine's [`crate::api::Answer`].
+    pub matches: Arc<[TwigMatch]>,
 }
 
 impl TopKAnswer {
@@ -864,7 +865,7 @@ mod tests {
             engine: engine.into(),
             probability: p,
             mappings: vec![MappingId(mapping)],
-            matches: vec![],
+            matches: vec![].into(),
         };
         let merged = merge_topk(
             vec![
@@ -901,7 +902,7 @@ mod tests {
             engine: engine.into(),
             probability: p,
             mappings: vec![MappingId(m)],
-            matches: vec![],
+            matches: vec![].into(),
         };
         let left = vec![mk("a", 0.9, 0), mk("a", 0.4, 1), mk("a", 0.2, 2)];
         let right = vec![mk("b", 0.8, 0), mk("b", 0.4, 1), mk("b", 0.1, 2)];
@@ -923,7 +924,8 @@ mod tests {
             mappings: vec![MappingId(0), MappingId(3)],
             matches: vec![TwigMatch {
                 nodes: vec![uxm_xml::DocNodeId(1), uxm_xml::DocNodeId(5)],
-            }],
+            }]
+            .into(),
         };
         assert_eq!(
             a.to_json().to_string(),

@@ -22,7 +22,7 @@ use uxm_twig::TwigMatch;
 pub fn match_probabilities(result: &PtqResult) -> Vec<(TwigMatch, f64)> {
     let mut agg: Vec<(TwigMatch, f64)> = Vec::new();
     for answer in result.iter() {
-        for m in &answer.matches {
+        for m in answer.matches.iter() {
             match agg.iter_mut().find(|(x, _)| x == m) {
                 Some((_, p)) => *p += answer.probability,
                 None => agg.push((m.clone(), answer.probability)),

@@ -77,7 +77,7 @@ fn main() {
     let doc = engine.document();
     println!("PTQ answers (one per relevant mapping):");
     for a in &response.answers {
-        for m in &a.matches {
+        for m in a.matches.iter() {
             let name = doc.text(m.nodes[1]).unwrap_or("?");
             println!("  ({name:?}, {:.1})", a.probability);
         }

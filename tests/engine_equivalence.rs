@@ -379,3 +379,52 @@ fn engine_equals_legacy_node_granularity_and_keyword() {
         );
     }
 }
+
+/// The compiled backend matches each shape group once and hands every
+/// mapping of the group the same match-set allocation. On D7 at
+/// |M| = 100 over the `Order.xml`-sized document, every paper query's
+/// relevant mappings form one group, so each response holds exactly one
+/// match-set allocation. A backend that copies the set per mapping
+/// again gives equal answers but fails the pointer check. The naive
+/// pin is the by-value reference.
+#[test]
+fn compiled_answers_share_one_match_set_per_group() {
+    use std::sync::Arc;
+    let d = Dataset::load(DatasetId::D7);
+    let pm = PossibleMappings::top_h(&d.matching, 100);
+    let doc = Document::generate(&d.matching.source, &DocGenConfig::order_xml(), 0x0D0C);
+    let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+    for (qi, q) in paper_queries().iter().enumerate() {
+        let label = format!("D7 Q{}", qi + 1);
+        for (kind, query) in [
+            ("ptq", Query::ptq(q.clone())),
+            ("topk", Query::topk(q.clone(), 3)),
+            ("count", Query::aggregate(q.clone(), AggFunc::Count)),
+        ] {
+            let got = engine.run(&query).unwrap();
+            let naive = engine
+                .run(&query.clone().with_evaluator(EvaluatorHint::Naive))
+                .unwrap();
+            assert_eq!(got.answers, naive.answers, "{label} {kind}: answers");
+            assert_eq!(got.aggregate, naive.aggregate, "{label} {kind}: rows");
+            if kind == "count" {
+                let rows = &got.aggregate.as_ref().unwrap().rows;
+                assert!(rows.len() > 1, "{label}: {} rows", rows.len());
+                continue;
+            }
+            assert!(
+                got.answers.len() > 1,
+                "{label} {kind}: {} answers",
+                got.answers.len()
+            );
+            let first = &got.answers[0].matches;
+            for a in &got.answers {
+                assert!(
+                    Arc::ptr_eq(&a.matches, first),
+                    "{label} {kind}: mapping {:?} holds its own copy",
+                    a.mappings
+                );
+            }
+        }
+    }
+}

@@ -245,7 +245,8 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
 }
 
-fn sorted(mut matches: Vec<TwigMatch>) -> Vec<TwigMatch> {
+fn sorted(matches: impl AsRef<[TwigMatch]>) -> Vec<TwigMatch> {
+    let mut matches = matches.as_ref().to_vec();
     matches.sort();
     matches
 }

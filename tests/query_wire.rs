@@ -12,6 +12,7 @@
 //! response kind and every body the server renders.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use uxm::core::aggregate::{merge_marginals, AggFunc, AggRow, AggregateResult};
 use uxm::core::api::{Answer, EvaluatorHint, ExecStats, Granularity, Query, QueryResponse};
 use uxm::core::block_tree::BlockTreeConfig;
@@ -568,12 +569,13 @@ fn served_writer_bytes_equal_the_tree_form() {
                     TwigMatch {
                         nodes: vec![DocNodeId(0), DocNodeId(u32::MAX)],
                     },
-                ],
+                ]
+                .into(),
             },
             Answer {
                 probability: f64::INFINITY,
                 mappings: vec![],
-                matches: vec![],
+                matches: vec![].into(),
             },
         ],
         aggregate: Some(AggregateResult {
@@ -815,6 +817,92 @@ proptest! {
                 aggregate_tree(aggregate.func, &entries)
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Proptest arm: answers draw their match sets from a small pool of
+    /// shared allocations in a random interleaving (A B A C B …). The
+    /// pool holds empty sets and two allocations equal in content. The
+    /// writer renders a repeated allocation once per body and copies its
+    /// bytes after that; `/query` (with and without `explain`),
+    /// `/batch` and `/topk` bodies must still print the tree form's
+    /// bytes. Dropping the pool first leaves sets picked once unshared,
+    /// so the direct path runs in the same bodies.
+    #[test]
+    fn shared_match_sets_writer_eq_tree(
+        sets in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(0u32..100_000, 0..4), 0..3),
+            1..5,
+        ),
+        picks in proptest::collection::vec((0usize..64, 0u32..5000, (0u8..12, 0.0f64..1.0)), 0..12),
+        twin in 0usize..8,
+        keep_pool in proptest::prop::bool::ANY,
+        k in 0usize..14,
+    ) {
+        let mut pool: Vec<Arc<[TwigMatch]>> = sets
+            .iter()
+            .map(|set| {
+                set.iter()
+                    .map(|nodes| TwigMatch { nodes: nodes.iter().map(|&n| DocNodeId(n)).collect() })
+                    .collect()
+            })
+            .collect();
+        let twin: Vec<TwigMatch> = pool[twin % pool.len()].to_vec();
+        pool.push(twin.into());
+        pool.push(Vec::new().into());
+        pool.push(Vec::new().into());
+        let answers: Vec<Answer> = picks
+            .iter()
+            .map(|&(i, m, p)| Answer {
+                probability: number(p),
+                mappings: vec![MappingId(m)],
+                matches: Arc::clone(&pool[i % pool.len()]),
+            })
+            .collect();
+        if !keep_pool {
+            drop(pool);
+        }
+        let plan = Plan { evaluator: Evaluator::Compiled, reason: PlanReason::KindDefault };
+        let stats = ExecStats {
+            plan,
+            backend: Evaluator::Compiled,
+            relevant: answers.len(),
+            program_cache_hits: 1,
+            program_cache_misses: 0,
+            elapsed_us: 42,
+        };
+        let response = QueryResponse { answers: answers.clone(), aggregate: None, stats };
+        let explain = Explain { plan, program: None };
+        let tree = response.to_json().to_string();
+        prop_assert_eq!(query_body(&response, None), tree.clone());
+        prop_assert_eq!(query_body(&response, Some(&explain)), query_tree(&response, Some(&explain)));
+
+        // A batch repeats the response (one allocation set across items)
+        // and adds one whose answers run in reverse.
+        let mut reversed = response.clone();
+        reversed.answers.reverse();
+        let results: Vec<Result<QueryResponse, UxmError>> = vec![
+            Ok(response.clone()),
+            Err(UxmError::Internal("between".into())),
+            Ok(reversed),
+            Ok(response),
+        ];
+        prop_assert_eq!(batch_body(&results), batch_tree(&results));
+
+        let topk: Vec<TopKAnswer> = answers
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| TopKAnswer {
+                engine: ["a", "b"][i % 2].into(),
+                probability: a.probability,
+                mappings: a.mappings,
+                matches: a.matches,
+            })
+            .collect();
+        prop_assert_eq!(topk_body(&topk, k), topk_tree(&topk, k));
     }
 }
 
