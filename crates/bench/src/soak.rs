@@ -245,8 +245,6 @@ impl Backend {
     }
 }
 
-/// Builds the corpus engines, snapshots them into `dir`, and returns
-/// `(names, total engine bytes)`.
 /// One large corpus engine: the soak schema family over a single
 /// `nodes`-node Zipf document. Shared with `figures::bench_layout`,
 /// which uses it as the "bigger than any Table II dataset" row.
@@ -259,6 +257,8 @@ pub(crate) fn corpus_engine(nodes: usize) -> QueryEngine {
     QueryEngine::build(mappings, doc, &BlockTreeConfig::default())
 }
 
+/// Builds the corpus engines, snapshots them into `dir`, and returns
+/// `(names, total engine bytes)`.
 pub(crate) fn build_corpus(cfg: &SoakConfig, dir: &std::path::Path) -> (Vec<String>, usize) {
     let source = Schema::parse_outline(SOURCE_OUTLINE).expect("source outline");
     let target = Schema::parse_outline(TARGET_OUTLINE).expect("target outline");

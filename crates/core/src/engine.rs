@@ -128,6 +128,91 @@ impl RelevanceIndex {
     }
 }
 
+/// The distinct correspondences of the mapping set, CSR over target
+/// schema nodes: per target, the sources that some mapping assigns to
+/// it, each with the bitset of mappings holding that `(target, source)`
+/// pair. Possible mappings share most of their correspondences (the
+/// observation behind the paper's c-blocks), so this is far smaller than
+/// the mappings' own rows: on D7 (|M| = 100) 14,700 pairs collapse to
+/// 157 entries.
+struct CorrespondenceIndex {
+    /// Target `t`'s entries are `offsets[t]..offsets[t + 1]`.
+    offsets: Vec<u32>,
+    /// Per entry: the source node.
+    sources: Vec<SchemaNodeId>,
+    /// Per entry: `words` words of mapping bits.
+    bits: Vec<u64>,
+    words: usize,
+}
+
+impl CorrespondenceIndex {
+    /// Builds the index in O(total pairs): bucket the pairs by target
+    /// (a counting sort), then group each bucket's few sources with a
+    /// per-source stamp. A mapping contributes only the first of several
+    /// pairs sharing a target, the one a merge walk of its
+    /// target-sorted row meets first.
+    fn build(pm: &PossibleMappings) -> CorrespondenceIndex {
+        let n_targets = pm.target.len();
+        let words = pm.len().div_ceil(64);
+        // Every `(source, target, mapping)`, first pair per target only.
+        let pairs = || {
+            pm.iter().flat_map(|(mid, m)| {
+                m.pairs
+                    .iter()
+                    .enumerate()
+                    .filter(move |&(i, &(_, t))| i == 0 || m.pairs[i - 1].1 != t)
+                    .map(move |(_, &(s, t))| (s, t, mid.0))
+            })
+        };
+        let mut starts = vec![0u32; n_targets + 1];
+        for (_, t, _) in pairs() {
+            starts[t.idx() + 1] += 1;
+        }
+        for t in 0..n_targets {
+            starts[t + 1] += starts[t];
+        }
+        let mut fill = starts.clone();
+        let mut bucket = vec![(SchemaNodeId(0), 0u32); starts[n_targets] as usize];
+        for (s, t, m) in pairs() {
+            bucket[fill[t.idx()] as usize] = (s, m);
+            fill[t.idx()] += 1;
+        }
+
+        let mut offsets = Vec::with_capacity(n_targets + 1);
+        offsets.push(0u32);
+        let (mut sources, mut bits) = (Vec::new(), Vec::new());
+        // `stamp[s]` is the last target whose bucket met source `s`, and
+        // `entry[s]` the entry it got there.
+        let mut stamp = vec![u32::MAX; pm.source.len()];
+        let mut entry = vec![0usize; pm.source.len()];
+        for t in 0..n_targets {
+            for &(s, m) in &bucket[starts[t] as usize..starts[t + 1] as usize] {
+                if stamp[s.idx()] != t as u32 {
+                    stamp[s.idx()] = t as u32;
+                    entry[s.idx()] = sources.len();
+                    sources.push(s);
+                    bits.resize(bits.len() + words, 0);
+                }
+                bits[entry[s.idx()] * words + m as usize / 64] |= 1 << (m % 64);
+            }
+            offsets.push(sources.len() as u32);
+        }
+        CorrespondenceIndex {
+            offsets,
+            sources,
+            bits,
+            words,
+        }
+    }
+
+    fn arena_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.offsets.len() * size_of::<u32>()
+            + self.sources.len() * size_of::<SchemaNodeId>()
+            + self.bits.len() * size_of::<u64>()
+    }
+}
+
 // ---------------------------------------------------------------------
 // session state
 
@@ -175,6 +260,8 @@ pub(crate) struct SessionState {
     sym_doc_label: Vec<Option<LabelId>>,
     /// Per symbol: mappings covering ≥1 target node with that label.
     relevance: RelevanceIndex,
+    /// Per target node: its distinct sources and their mapping bitsets.
+    correspondences: CorrespondenceIndex,
     n_mappings: usize,
 }
 
@@ -219,15 +306,18 @@ impl SessionState {
             target_nodes_by_sym,
             sym_doc_label,
             relevance,
+            correspondences: CorrespondenceIndex::build(pm),
             n_mappings,
         }
     }
 
     /// Resident heap bytes of the precomputed session state: the
-    /// relevance bitsets, per-symbol indexes, and symbol-table strings.
+    /// relevance bitsets, the correspondence index, per-symbol indexes,
+    /// and symbol-table strings.
     fn arena_bytes(&self) -> usize {
         use std::mem::size_of;
         self.relevance.words.len() * size_of::<u64>()
+            + self.correspondences.arena_bytes()
             + self.source_syms.len() * size_of::<Symbol>()
             + self
                 .target_nodes_by_sym
@@ -282,14 +372,33 @@ impl SessionState {
         self.relevance.of(sym)
     }
 
+    /// The correspondence-index entries of target node `t`: one per
+    /// distinct source some mapping assigns to `t`.
+    pub(crate) fn correspondences(&self, t: SchemaNodeId) -> std::ops::Range<usize> {
+        let offsets = &self.correspondences.offsets;
+        offsets[t.idx()] as usize..offsets[t.idx() + 1] as usize
+    }
+
+    /// The source node of correspondence-index entry `e`.
+    pub(crate) fn correspondence_source(&self, e: usize) -> SchemaNodeId {
+        self.correspondences.sources[e]
+    }
+
+    /// The bitset words (`⌈|M|/64⌉`) of the mappings holding
+    /// correspondence-index entry `e`.
+    pub(crate) fn correspondence_bits(&self, e: usize) -> &[u64] {
+        let words = self.correspondences.words;
+        &self.correspondences.bits[e * words..(e + 1) * words]
+    }
+
     /// The source-label symbol of a source schema node (the compiled
     /// label-granularity projection).
     pub(crate) fn source_sym(&self, s: SchemaNodeId) -> Symbol {
         self.source_syms[s.idx()]
     }
 
-    /// The document label for a raw symbol id — the VM's shape arena
-    /// stores symbols as raw `u32`s.
+    /// The document label for a raw symbol id — the VM's shape-class
+    /// rows store symbols as raw `u32`s.
     pub(crate) fn doc_label_raw(&self, raw: u32) -> Option<LabelId> {
         self.sym_doc_label[raw as usize]
     }
@@ -1720,6 +1829,205 @@ mod tests {
                 "//Addr/Town",
             ],
         );
+    }
+
+    /// A mapping set where the mappings disagree, for the VM's shape
+    /// classes: `Q` is carried by two target nodes, two source `Name`
+    /// nodes share a label, the classes of `Tgt[./U/V]//Q` split at `U`,
+    /// `V` and (for source nodes) `Q`, and `m6`/`m7` are irrelevant to
+    /// the `Q` and `Tgt` queries.
+    fn partition_engine() -> QueryEngine {
+        let source = Schema::parse_outline("Src(A(Name) B(Name) C(Item) D(Item Code) E)").unwrap();
+        let target = Schema::parse_outline("Tgt(P(Q) R(Q) U(V))").unwrap();
+        let s = |l: &str, i: usize| source.nodes_with_label(l)[i];
+        let t = |l: &str, i: usize| target.nodes_with_label(l)[i];
+        let root = (s("Src", 0), t("Tgt", 0));
+        let (name_a, name_b) = (s("Name", 0), s("Name", 1));
+        let (q_p, q_r) = (t("Q", 0), t("Q", 1));
+        let (cu, du) = ((s("C", 0), t("U", 0)), (s("D", 0), t("U", 0)));
+        let (item_v, code_v) = ((s("Item", 0), t("V", 0)), (s("Code", 0), t("V", 0)));
+        let pm = PossibleMappings::from_pairs(
+            source.clone(),
+            target.clone(),
+            vec![
+                (
+                    vec![root, (s("A", 0), t("P", 0)), (name_a, q_p), cu, item_v],
+                    8.0,
+                ),
+                (
+                    vec![root, (s("B", 0), t("P", 0)), (name_b, q_p), cu, item_v],
+                    7.0,
+                ),
+                (
+                    vec![root, (s("A", 0), t("P", 0)), (name_a, q_p), du, code_v],
+                    6.0,
+                ),
+                (
+                    vec![root, (s("A", 0), t("R", 0)), (name_a, q_r), cu, item_v],
+                    5.0,
+                ),
+                (
+                    vec![root, (s("A", 0), t("P", 0)), (name_a, q_p), cu, code_v],
+                    4.0,
+                ),
+                (
+                    vec![
+                        root,
+                        (s("A", 0), t("P", 0)),
+                        (name_a, q_p),
+                        (s("B", 0), t("R", 0)),
+                        (name_b, q_r),
+                        cu,
+                        item_v,
+                    ],
+                    3.0,
+                ),
+                (vec![root, cu, (s("Item", 1), t("V", 0))], 2.0),
+                (vec![(s("E", 0), t("U", 0)), item_v], 1.0),
+            ],
+        );
+        let doc = parse_document(
+            "<Src><A><Name>a</Name></A><B><Name>b</Name></B><C><Item>1</Item></C>\
+             <D><Item>2</Item></D><E>e</E></Src>",
+        )
+        .unwrap();
+        QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    }
+
+    /// Runs the compiled program for one query shape directly, optionally
+    /// without its `and-relevance` ops (so irrelevant mappings reach the
+    /// rewrite and must be killed there).
+    fn run_program(
+        e: &QueryEngine,
+        q: &TwigPattern,
+        (mode, k, agg): (SetMode, Option<usize>, Option<AggFunc>),
+        strip_relevance: bool,
+    ) -> RunOutput {
+        let mut program = exec::compile(q, mode, k, agg, &e.state);
+        if strip_relevance {
+            program
+                .ops
+                .retain(|op| !matches!(op, exec::Op::AndRelevance { .. }));
+        }
+        program.run(&exec::EngineCtx {
+            pm: &e.pm,
+            doc: &e.doc,
+            state: &e.state,
+            index: matches!(mode, SetMode::SchemaNodes).then(|| e.path_index()),
+        })
+    }
+
+    #[test]
+    fn shape_classes_are_the_distinct_rewrite_rows() {
+        let e = partition_engine();
+        let all: Vec<MappingId> = (0..e.pm.len() as u32).map(MappingId).collect();
+        let mut split = 0;
+        for qs in [
+            "Tgt[./U/V]//Q",
+            "//Q",
+            "Tgt/*/Q",
+            "*//V",
+            "//U/V",
+            "Tgt[./*/V]//Q",
+        ] {
+            let q = TwigPattern::parse(qs).unwrap();
+            let qsyms = e.state.query_syms(&q);
+            for mode in [SetMode::Symbols, SetMode::SchemaNodes] {
+                // Distinct rewrite rows over the mappings `ids` keeps
+                // live, by the oracle's rewrite.
+                let rows = |ids: &[MappingId]| {
+                    let mut rows: Vec<Vec<u32>> = Vec::new();
+                    for &id in ids {
+                        let pairs = e.pm.mapping(id).pairs;
+                        let row = match mode {
+                            SetMode::Symbols => e.state.rewrite(&qsyms, pairs).map(|sets| {
+                                sets.iter()
+                                    .flat_map(|r| r.iter().map(|s| s.0).chain([u32::MAX]))
+                                    .collect()
+                            }),
+                            SetMode::SchemaNodes => {
+                                e.state.rewrite_nodes(&qsyms, pairs).map(|sets| {
+                                    sets.iter()
+                                        .flat_map(|r| r.iter().map(|s| s.0).chain([u32::MAX]))
+                                        .collect()
+                                })
+                            }
+                        };
+                        rows.extend(row.filter(|r| !rows.contains(r)));
+                    }
+                    rows.len()
+                };
+                let naive = |ids: &[MappingId]| match mode {
+                    SetMode::Symbols => eval_basic_over(&q, &e.pm, &e.doc, &e.state, ids),
+                    SetMode::SchemaNodes => {
+                        eval_basic_nodes(&q, &e.pm, &e.doc, e.path_index(), &e.state, ids)
+                    }
+                };
+                let arcs = |out: &RunOutput| {
+                    let mut seen: Vec<*const u8> = Vec::new();
+                    for a in &out.result.answers {
+                        let p = Arc::as_ptr(&a.matches).cast::<u8>();
+                        if !seen.contains(&p) {
+                            seen.push(p);
+                        }
+                    }
+                    seen.len()
+                };
+                let relevant = e.state.relevant(&q);
+                let mut shapes = vec![(None, None, relevant.clone())];
+                for k in [1, 2, 3] {
+                    shapes.push((Some(k), None, e.topk_ids(&q, k)));
+                }
+                if mode == SetMode::Symbols {
+                    shapes.push((None, Some(AggFunc::Count), relevant.clone()));
+                }
+                for (k, agg, ids) in shapes {
+                    let what = format!("{qs} {mode:?} k={k:?} agg={agg:?}");
+                    let out = run_program(&e, &q, (mode, k, agg), false);
+                    assert_eq!(out.result, naive(&ids), "{what}");
+                    assert_eq!(arcs(&out), rows(&ids), "{what}");
+                    split += usize::from(rows(&ids) > 1);
+                    if let Some(func) = agg {
+                        let naive_rows = crate::aggregate::rows_of(
+                            func,
+                            &crate::api::shape_ptq_answers(
+                                naive(&ids).answers,
+                                &crate::api::QueryOptions::default(),
+                            ),
+                            &q,
+                            &e.doc,
+                        );
+                        assert_eq!(out.agg_rows, Some(naive_rows), "{what}");
+                    }
+                    if k.is_none() {
+                        // Without the relevance ANDs every mapping reaches
+                        // the rewrite; the irrelevant ones are killed there.
+                        let stripped = run_program(&e, &q, (mode, k, agg), true);
+                        assert_eq!(stripped.result, naive(&relevant), "{what} stripped");
+                        assert_eq!(arcs(&stripped), rows(&all), "{what} stripped");
+                    }
+                }
+            }
+        }
+        assert!(split > 10, "the fixture must split classes: {split}");
+        // The served path agrees with the naive pin for every kind.
+        for qs in ["Tgt[./U/V]//Q", "//Q", "Tgt/*/Q"] {
+            let q = TwigPattern::parse(qs).unwrap();
+            for query in [
+                Query::ptq(q.clone()),
+                Query::ptq_nodes(q.clone()),
+                Query::topk(q.clone(), 2),
+                Query::aggregate(q.clone(), AggFunc::Count),
+            ] {
+                let auto = e.run(&query).unwrap();
+                let naive = e
+                    .run(&query.clone().with_evaluator(EvaluatorHint::Naive))
+                    .unwrap();
+                assert_eq!(auto.stats.backend, Evaluator::Compiled, "{query}");
+                assert_eq!(auto.answers, naive.answers, "{query}");
+                assert_eq!(auto.aggregate, naive.aggregate, "{query}");
+            }
+        }
     }
 
     #[test]

@@ -81,9 +81,9 @@ pub(crate) fn compile(
     }
 
     // Phase 2 — per-node rewrites: inline each node's target-candidate
-    // list into one flat arena, sorted so the VM can merge-intersect it
-    // against the mappings' target-sorted CSR rows. Wildcards have no
-    // candidates to intersect: they push empty-but-satisfiable rows.
+    // list into one flat arena; the VM looks each candidate up in the
+    // session's correspondence index. Wildcards have no candidates:
+    // they give every shape class an empty-but-satisfiable row.
     let mut targets = Vec::new();
     for (node, qs) in qsyms.iter().enumerate() {
         if qs.wild {
@@ -92,7 +92,6 @@ pub(crate) fn compile(
         }
         let start = targets.len() as u32;
         targets.extend_from_slice(state.target_nodes(qs.sym));
-        targets[start as usize..].sort_unstable();
         ops.push(Op::IntersectCsr {
             node: node as u32,
             targets: start..targets.len() as u32,

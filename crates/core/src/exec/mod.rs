@@ -22,8 +22,10 @@
 //!   predicates travel with the pattern and are interpreted by the
 //!   shared matcher at `match-shapes`);
 //! * **VM** (`Program::run`, crate-internal) — one match-on-opcode loop
-//!   over a mapping bitset, an id register, and a flat node-major shape
-//!   arena; no per-op allocation on the warm path;
+//!   over a mapping bitset, an id register, and the shape classes (a
+//!   partition of the live mappings by rewrite row, refined node by node
+//!   through the session's correspondence index); no per-class
+//!   allocation on the warm path;
 //! * **program cache** — sharded, keyed by canonical query shape
 //!   (granularity tag + top-k bound + canonical pattern rendering),
 //!   with hit/miss/compile counters surfaced through

@@ -54,7 +54,7 @@ impl FoldMode {
 /// One instruction of a compiled [`Program`].
 ///
 /// Ops read and write the VM's registers (the mapping bitset, the id
-/// list, and the shape arena — see `docs/execution.md`); every operand
+/// list, and the shape classes — see `docs/execution.md`); every operand
 /// was resolved at compile time, so the interpreter loop never consults
 /// the symbol table or the schemas.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,48 +84,52 @@ pub enum Op {
         /// How many mappings survive.
         k: usize,
     },
-    /// For query node `node`: merge-intersect every live mapping's CSR
-    /// correspondence row against the compiled target-candidate range
-    /// (a slice of the program's target arena), project the hits
-    /// (source symbols or source schema nodes per [`SetMode`]), and
-    /// append the sorted, deduplicated set to the shape arena. A mapping
-    /// whose set comes up empty is killed: it can never produce an
-    /// answer (Algorithm 3 drops it at rewrite time).
+    /// For query node `node`: refine the shape classes by the session's
+    /// correspondence index. Each candidate target of the compiled range
+    /// (a slice of the program's target arena) contributes its distinct
+    /// `(target, source)` entries; entries are merged per key (source
+    /// symbol or source schema node per [`SetMode`]), and every class
+    /// splits by each key's mapping bitset, so each part's row is its
+    /// sorted key set. A part whose set comes up empty is killed: its
+    /// mappings can never produce an answer (Algorithm 3 drops them at
+    /// rewrite time). At node 0 the classes start as one: the live
+    /// mappings of the id register.
     IntersectCsr {
         /// The query-node index this op rewrites.
         node: u32,
         /// The target-candidate slice of the program's target arena.
         targets: Range<u32>,
     },
-    /// For wildcard query node `node`: push one **empty** shape-arena
-    /// row per live mapping. A wildcard imposes no label constraint, so
+    /// For wildcard query node `node`: give every shape class one
+    /// **empty** row. A wildcard imposes no label constraint, so
     /// its rewrite set is empty-but-satisfiable — the matcher treats the
     /// empty set as "any document node" — and no mapping is killed.
     WildcardSet {
         /// The query-node index this op covers.
         node: u32,
     },
-    /// Group live mappings whose shape-arena rows are identical: each
-    /// distinct row is matched once and shared.
+    /// Map each live mapping to its shape class. The classes are exactly
+    /// the groups of identical rewrite rows: each is matched once and
+    /// shared.
     GroupShapes,
-    /// Run the twig matcher once per distinct shape group (label sets
-    /// via the document's label column, node sets via the path index),
-    /// keeping each group's match set as one shared allocation.
+    /// Run the twig matcher once per shape class (label sets via the
+    /// document's label column, node sets via the path index), keeping
+    /// each class's match set as one shared allocation.
     MatchShapes {
         /// What the shape rows contain.
         mode: SetMode,
     },
     /// Zip each live mapping's probability (from the probability column)
-    /// with its group's match set into one raw answer per mapping. The
-    /// answer references the group's shared set (an `Arc` clone); no
+    /// with its shape class's match set into one raw answer per mapping.
+    /// The answer references the class's shared set (an `Arc` clone); no
     /// match is copied.
     FoldProb {
         /// The emission order this program commits to.
         mode: FoldMode,
     },
-    /// Fold each shape group's match set into one aggregate value (the
+    /// Fold each shape class's match set into one aggregate value (the
     /// shared `crate::aggregate::row_value` semantics over the pattern's
-    /// spine leaf), once per group, and fan it out to one row per live
+    /// spine leaf), once per class, and fan it out to one row per live
     /// mapping, in answer order.
     AggFold {
         /// The aggregate function folded per mapping.
@@ -176,10 +180,9 @@ pub struct Program {
     /// The instruction stream, executed front to back exactly once.
     pub(crate) ops: Vec<Op>,
     /// Flat arena of per-query-node target-schema candidates;
-    /// [`Op::IntersectCsr`] ops slice it by range. Each slice is sorted
-    /// by node id.
+    /// [`Op::IntersectCsr`] ops slice it by range.
     pub(crate) targets: Vec<SchemaNodeId>,
-    /// Number of query nodes (rows per slot in the shape arena).
+    /// Number of query nodes (rows per shape class).
     pub(crate) n_nodes: usize,
     /// Mapping-set width the bitset register is sized to.
     pub(crate) n_mappings: usize,

@@ -620,16 +620,21 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point (input is a &str, so
-                    // boundaries are valid).
+                    // Copy the whole run up to the next quote, backslash
+                    // or control byte in one piece. All three are ASCII,
+                    // which never occurs inside a multibyte sequence, so
+                    // the run of a `&str` input ends on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    if run == 0 {
                         return Err(self.err("raw control character in string"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let s = std::str::from_utf8(&rest[..run]).map_err(|_| self.err("bad UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -866,6 +871,55 @@ mod tests {
         assert!(out.contains("\"n\":[0,0,-7,0.1,"), "{out}");
         assert!(out.contains(",9007199254740992,-9007199254740992,18014398509481984,null,null]"));
         assert_eq!(Json::parse(&out).unwrap().to_string(), out);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        use std::time::{Duration, Instant};
+        // One 1 MiB string, then 1 MiB of short strings. A scan that
+        // revisits the rest of the input per character takes minutes
+        // here; a linear one takes milliseconds even in debug builds.
+        let long = format!("\"{}\"", "a".repeat(1 << 20));
+        let start = Instant::now();
+        let Json::Str(s) = Json::parse(&long).unwrap() else {
+            panic!("not a string")
+        };
+        assert_eq!(s.len(), 1 << 20);
+        let short = format!("[{}\"abcdefgh\"]", "\"abcdefgh\",".repeat((1 << 20) / 11));
+        let Json::Arr(items) = Json::parse(&short).unwrap() else {
+            panic!("not an array")
+        };
+        assert_eq!(items.len(), (1 << 20) / 11 + 1);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn string_runs_keep_multibyte_characters_and_error_offsets() {
+        let run = "é✓😀".repeat(1000);
+        assert_eq!(
+            Json::parse(&format!("\"x{run}\\n{run}y\"")).unwrap(),
+            Json::Str(format!("x{run}\n{run}y"))
+        );
+        // A raw control byte after a long run fails at that byte.
+        let bad = format!("[\"{}\u{1}\"]", "é".repeat(500));
+        assert_eq!(
+            Json::parse(&bad),
+            Err(JsonError {
+                offset: 2 + 1000,
+                message: "raw control character in string",
+            })
+        );
+        assert_eq!(
+            Json::parse("\"abc").unwrap_err(),
+            JsonError {
+                offset: 4,
+                message: "unterminated string",
+            }
+        );
     }
 
     #[test]
