@@ -547,6 +547,34 @@ fn served_writer_bytes_equal_the_tree_form() {
         assert_response_writer_eq_tree(&response, &explain);
         responses.push(response);
     }
+    // The exact `explain` bytes of every query above, plus three
+    // listings the compiler shapes specially: a repeated label (its
+    // second relevance AND is compiled out), an unknown label
+    // (`clear-bits`) and a wildcard (`wildcard-set`).
+    let special = [
+        Query::ptq(pattern("//Line[./Qty]//Qty")),
+        Query::ptq(pattern("PO//Nope")),
+        Query::ptq(pattern("//Line/*")),
+    ];
+    let goldens = [
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance Line (sym 14)","  2  and-relevance Qty (sym 16)","  3  materialize-ids","  4  intersect-csr node=0 targets[0..1]","  5  intersect-csr node=1 targets[1..2]","  6  group-shapes","  7  match-shapes symbols","  8  fold-prob per-mapping","  9  emit-answers"]}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance PO (sym 9)","  2  and-relevance PEMail (sym 13)","  3  materialize-ids","  4  intersect-csr node=0 targets[0..1]","  5  intersect-csr node=1 targets[1..2]","  6  group-shapes","  7  match-shapes symbols","  8  fold-prob per-mapping","  9  emit-answers"]}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance Line (sym 14)","  2  and-relevance No (sym 15)","  3  and-relevance Qty (sym 16)","  4  materialize-ids","  5  intersect-csr node=0 targets[0..1]","  6  intersect-csr node=1 targets[1..2]","  7  intersect-csr node=2 targets[2..3]","  8  group-shapes","  9  match-shapes schema-nodes"," 10  fold-prob per-mapping"," 11  emit-answers"]}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance Qty (sym 16)","  2  materialize-ids","  3  topk-heap k=3","  4  intersect-csr node=0 targets[0..1]","  5  group-shapes","  6  match-shapes symbols","  7  fold-prob top-order","  8  emit-answers"]}"#,
+        r#"{"evaluator":"naive","plan_reason":"kind-default","program":null}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance Line (sym 14)","  2  and-relevance Qty (sym 16)","  3  materialize-ids","  4  intersect-csr node=0 targets[0..1]","  5  intersect-csr node=1 targets[1..2]","  6  group-shapes","  7  match-shapes symbols","  8  fold-prob per-mapping","  9  agg-fold count"," 10  emit-answers"]}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance Qty (sym 16)","  2  materialize-ids","  3  intersect-csr node=0 targets[0..1]","  4  group-shapes","  5  match-shapes symbols","  6  fold-prob per-mapping","  7  agg-fold sum","  8  emit-answers"]}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance PEMail (sym 13)","  2  materialize-ids","  3  intersect-csr node=0 targets[0..1]","  4  group-shapes","  5  match-shapes symbols","  6  fold-prob per-mapping","  7  agg-fold min","  8  emit-answers"]}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance Qty (sym 16)","  2  materialize-ids","  3  intersect-csr node=0 targets[0..1]","  4  group-shapes","  5  match-shapes symbols","  6  fold-prob per-mapping","  7  agg-fold max","  8  emit-answers"]}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance Line (sym 14)","  2  and-relevance Qty (sym 16)","  3  materialize-ids","  4  intersect-csr node=0 targets[0..1]","  5  intersect-csr node=1 targets[1..2]","  6  intersect-csr node=2 targets[2..3]","  7  group-shapes","  8  match-shapes symbols","  9  fold-prob per-mapping"," 10  emit-answers"]}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance PO (sym 9)","  2  clear-bits Nope (unknown label)","  3  materialize-ids","  4  intersect-csr node=0 targets[0..1]","  5  intersect-csr node=1 targets[1..1]","  6  group-shapes","  7  match-shapes symbols","  8  fold-prob per-mapping","  9  emit-answers"]}"#,
+        r#"{"evaluator":"compiled","plan_reason":"kind-default","program":["  0  init-bits","  1  and-relevance Line (sym 14)","  2  materialize-ids","  3  intersect-csr node=0 targets[0..1]","  4  wildcard-set node=1 (unconstrained)","  5  group-shapes","  6  match-shapes symbols","  7  fold-prob per-mapping","  8  emit-answers"]}"#,
+    ];
+    assert_eq!(queries.len() + special.len(), goldens.len());
+    for (query, golden) in queries.iter().chain(&special).zip(goldens) {
+        let explain = engine.explain(query).unwrap();
+        assert_eq!(explain.to_json().to_string(), golden, "{query}");
+    }
     assert!(responses.iter().any(|r| !r.answers.is_empty()));
     assert!(responses
         .iter()
