@@ -11,8 +11,8 @@ use uxm_datagen::queries::paper_queries;
 
 fn bench_query(c: &mut Criterion) {
     let w = d7_workload(100, &default_config());
-    // One shared session for every engine benchmark: caches are keyed by
-    // query string, so sharing changes nothing except setup cost.
+    // One shared session for every engine benchmark: the engine keeps no
+    // per-query state, so sharing changes nothing except setup cost.
     let engine = w.engine();
     let tree_queries: Vec<Query> = paper_queries()
         .into_iter()
@@ -28,8 +28,8 @@ fn bench_query(c: &mut Criterion) {
     for qi in [2usize, 7, 10] {
         let q = &tree_queries[qi - 1];
         // Engine, warm session: the repeated-query workload. The call in
-        // the setup warms the caches; every timed iteration is then a
-        // cache-served evaluation.
+        // the setup touches the session's data first, so no timed
+        // iteration pays first-touch page faults.
         std::hint::black_box(run(q));
         g.bench_with_input(
             BenchmarkId::new("engine_warm", format!("Q{qi}")),

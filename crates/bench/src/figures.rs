@@ -211,8 +211,8 @@ fn time_query(runs: usize, engine: &QueryEngine, query: &Query) -> f64 {
 }
 
 /// Fig 9(f) / Fig 10(a): per-query time, basic vs block-tree, plus the
-/// served plan on a warm `QueryEngine` (the auto plan, replaying its
-/// compiled program — the reproduction's service-layer extension).
+/// served plan on a warm `QueryEngine` (the auto plan, which compiles
+/// and runs its program — the reproduction's service-layer extension).
 pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
     let w = d7_workload(m, &default_config());
     let engine = w.engine();
@@ -230,7 +230,7 @@ pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
         let served = Query::ptq(q.clone());
         let tb = time_query(cfg.runs, &engine, &basic_query);
         let tt = time_query(cfg.runs, &engine, &tree_query);
-        // Compile the served plan's program once, then time replays.
+        // One untimed run first, so no timed run pays first-touch faults.
         std::hint::black_box(engine.run(&served).expect("valid query").len());
         let te = time_query(cfg.runs, &engine, &served);
         total_basic += tb;
@@ -605,12 +605,10 @@ fn rebuild_document_s(doc: &Document, runs: usize) -> f64 {
 /// picks for the kind runs, so auto's cell is that backend's cell, and
 /// a row's `auto_over_best` — auto's latency over the fastest
 /// backend's, per kind — measures the plan table, not the noise between
-/// two timings of one program. An **amortization curve** on D7
-/// follows: cumulative workload latency over repeated runs for compiled
-/// (cold compile on run 1, program-cache replays after) against the
-/// naive recursive evaluator, showing where compile cost breaks even.
-/// Writes `BENCH_exec.json` (canonical JSON, see `uxm_core::json`) into
-/// the current directory and returns a printable summary.
+/// two timings of one program. A compiled cell includes compiling the
+/// program, which every compiled run does. Writes `BENCH_exec.json`
+/// (canonical JSON, see `uxm_core::json`) into the current directory
+/// and returns a printable summary.
 pub fn bench_exec(cfg: &ReproConfig) -> String {
     /// The `corpus` row's workload: target-schema twigs of the soak
     /// schema family.
@@ -682,9 +680,7 @@ pub fn bench_exec(cfg: &ReproConfig) -> String {
                 })
                 .collect();
             // Warm every backend before timing any of them, so each cell
-            // runs against equally hot data: compiled cells measure
-            // program-cache replays, recursive cells (which memoize
-            // nothing) recompute every run, and no backend pays
+            // runs against equally hot data and no backend pays
             // first-touch page faults inside its timing.
             for (_, qs) in &pinned {
                 for q in qs {
@@ -743,18 +739,10 @@ pub fn bench_exec(cfg: &ReproConfig) -> String {
         }
         latency.sort_by(|a, b| a.0.cmp(&b.0));
         ratios.sort_by(|a, b| a.0.cmp(&b.0));
-        let cache = engine.exec_cache_stats();
         rows.push(Json::Obj(vec![
             ("auto_over_best".into(), Json::Obj(ratios)),
             ("id".into(), Json::str(&name)),
             ("latency_s".into(), Json::Obj(latency)),
-            (
-                "program_cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::uint(cache.hits)),
-                    ("misses".into(), Json::uint(cache.misses)),
-                ]),
-            ),
             ("queries".into(), Json::uint(queries.len() as u64)),
         ]));
     }
@@ -769,67 +757,7 @@ pub fn bench_exec(cfg: &ReproConfig) -> String {
         },
     );
 
-    // Amortization: cumulative cost of run n on fresh engines — compiled
-    // pays the compile on run 1 and replays after; naive recomputes
-    // every run. Separate engines per backend so neither measurement
-    // inherits the other's first-touch page faults.
-    let checkpoints = [1usize, 2, 5, 10, 20, 50];
-    let amort_id = DatasetId::D7;
-    let queries = paper_queries();
-    let mut curves = Vec::new();
-    let mut curve_text = String::new();
-    for (name, hint) in [
-        ("compiled", EvaluatorHint::Compiled),
-        ("naive", EvaluatorHint::Naive),
-    ] {
-        let w = workload_for(amort_id, cfg.m, &default_config());
-        let engine = w.engine();
-        let pinned: Vec<Query> = queries
-            .iter()
-            .map(|q| Query::ptq(q.clone()).with_evaluator(hint))
-            .collect();
-        let mut cumulative = 0.0f64;
-        let mut points = Vec::new();
-        let mut done = 0usize;
-        for &n in &checkpoints {
-            let start = std::time::Instant::now();
-            for _ in done..n {
-                for q in &pinned {
-                    std::hint::black_box(engine.run(q).expect("valid query").len());
-                }
-            }
-            cumulative += start.elapsed().as_secs_f64();
-            done = n;
-            points.push(Json::Num(cumulative));
-        }
-        let _ = write!(curve_text, "  {name:<9}");
-        for (i, p) in points.iter().enumerate() {
-            if let Json::Num(t) = p {
-                let _ = write!(curve_text, " n={:<3} {:>8.4}", checkpoints[i], t);
-            }
-        }
-        curve_text.push('\n');
-        curves.push((name.to_string(), Json::Arr(points)));
-    }
-    let _ = writeln!(
-        out,
-        "  amortization on {} (cumulative s, cold engines):\n{}",
-        amort_id.name(),
-        curve_text.trim_end(),
-    );
-
     let report = Json::Obj(vec![
-        (
-            "amortization".into(),
-            Json::Obj(vec![
-                (
-                    "checkpoints".into(),
-                    Json::Arr(checkpoints.iter().map(|&n| Json::uint(n as u64)).collect()),
-                ),
-                ("cumulative_s".into(), Json::Obj(curves)),
-                ("dataset".into(), Json::str(amort_id.name())),
-            ]),
-        ),
         ("datasets".into(), Json::Arr(rows)),
         ("m".into(), Json::uint(cfg.m as u64)),
         ("runs".into(), Json::uint(cfg.runs as u64)),

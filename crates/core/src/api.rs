@@ -11,8 +11,8 @@
 //!   `docs/query-language.md`);
 //! * a uniform [`QueryResponse`]: [`Answer`]s with per-answer
 //!   provenance (contributing [`MappingId`]s and the summed
-//!   probability) plus an [`ExecStats`] block (plan chosen, cache hits,
-//!   elapsed time);
+//!   probability) plus an [`ExecStats`] block (plan chosen, relevant
+//!   mappings, elapsed time);
 //! * a canonical JSON wire format (see [`crate::json`]) — the same
 //!   bytes whether they come from `uxm query --json`, a `uxm batch`
 //!   file, or a registry batch. Serialization is *byte-stable*:
@@ -633,8 +633,7 @@ pub struct Answer {
 /// How a query was executed — returned with every response.
 ///
 /// Every field is exact per-query accounting, also on an engine serving
-/// concurrent queries. Session totals of the program-cache counters live
-/// in [`ProgramCacheStats`](crate::exec::ProgramCacheStats).
+/// concurrent queries.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecStats {
     /// The plan the [`crate::planner`] chose (and why).
@@ -642,20 +641,34 @@ pub struct ExecStats {
     /// The backend that ran: always `plan.evaluator`, because every
     /// plan runs as chosen (a keyword query's plan is always naive, its
     /// only evaluator, and no plan falls back to another backend). It
-    /// is the wire's `"backend"` member and feeds the `GET /stats`
-    /// backend counters.
+    /// is the wire's `"backend"` member.
     pub backend: Evaluator,
     /// `|M_q|` — mappings the evaluator actually ran (after filtering,
     /// and for top-k after pruning).
     pub relevant: usize,
-    /// Program-cache hits for this query: `1` when a compiled program
-    /// was replayed from the engine's cache, `0` otherwise.
+    /// Always `0`, and not on the wire: the engine keeps no program
+    /// cache (every compiled run compiles its program). Kept only
+    /// because the `uxmbench` benchmark still reads it.
     pub program_cache_hits: u64,
-    /// Program-cache misses for this query: `1` when the compiled
-    /// backend ran and had to compile, `0` otherwise.
+    /// Always `0`, and not on the wire, like the field above.
     pub program_cache_misses: u64,
     /// Wall-clock evaluation time, in microseconds.
     pub elapsed_us: u64,
+}
+
+impl ExecStats {
+    /// The stats of a query that ran `plan`: the backend is the plan's
+    /// evaluator, because every plan runs as chosen.
+    pub fn new(plan: Plan, relevant: usize, elapsed_us: u64) -> ExecStats {
+        ExecStats {
+            plan,
+            backend: plan.evaluator,
+            relevant,
+            program_cache_hits: 0,
+            program_cache_misses: 0,
+            elapsed_us,
+        }
+    }
 }
 
 /// The uniform response every query kind returns.
@@ -759,14 +772,6 @@ impl QueryResponse {
                 "plan_reason".into(),
                 Json::str(self.stats.plan.reason.wire_name()),
             ),
-            (
-                "program_cache_hits".into(),
-                Json::uint(self.stats.program_cache_hits),
-            ),
-            (
-                "program_cache_misses".into(),
-                Json::uint(self.stats.program_cache_misses),
-            ),
             ("relevant".into(), Json::uint(self.stats.relevant as u64)),
         ]);
         let mut members = Vec::with_capacity(3);
@@ -833,10 +838,6 @@ impl QueryResponse {
         w.str(stats.plan.evaluator.wire_name());
         w.key("plan_reason");
         w.str(stats.plan.reason.wire_name());
-        w.key("program_cache_hits");
-        w.uint(stats.program_cache_hits);
-        w.key("program_cache_misses");
-        w.uint(stats.program_cache_misses);
         w.key("relevant");
         w.uint(stats.relevant as u64);
         w.end_obj();
@@ -1117,17 +1118,14 @@ mod tests {
                 .into(),
             }],
             aggregate: None,
-            stats: ExecStats {
-                plan: Plan {
+            stats: ExecStats::new(
+                Plan {
                     evaluator: Evaluator::BlockTree,
                     reason: PlanReason::KindDefault,
                 },
-                backend: Evaluator::BlockTree,
-                relevant: 7,
-                program_cache_hits: 0,
-                program_cache_misses: 0,
-                elapsed_us: 123,
-            },
+                7,
+                123,
+            ),
         };
         let text = response.to_json_string();
         assert_eq!(
@@ -1135,7 +1133,7 @@ mod tests {
             "{\"answers\":[{\"mappings\":[0,3],\"matches\":[[1,4]],\"probability\":0.5}],\
              \"stats\":{\"backend\":\"block-tree\",\"elapsed_us\":123,\
              \"evaluator\":\"block-tree\",\"plan_reason\":\"kind-default\",\
-             \"program_cache_hits\":0,\"program_cache_misses\":0,\"relevant\":7}}"
+             \"relevant\":7}}"
         );
         // Emitted JSON is canonical: re-parsing and re-writing is stable.
         assert_eq!(Json::parse(&text).unwrap().to_string(), text);
@@ -1158,7 +1156,7 @@ mod tests {
              \"answers\":[],\
              \"stats\":{\"backend\":\"block-tree\",\"elapsed_us\":123,\
              \"evaluator\":\"block-tree\",\"plan_reason\":\"kind-default\",\
-             \"program_cache_hits\":0,\"program_cache_misses\":0,\"relevant\":7}}"
+             \"relevant\":7}}"
         );
         assert_eq!(Json::parse(&text).unwrap().to_string(), text);
     }

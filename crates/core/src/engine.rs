@@ -15,23 +15,24 @@
 //! * per-symbol *relevance bitsets* over the mapping set, turning the
 //!   paper's `filter_mappings` into a handful of bitwise ANDs.
 //!
-//! All of it is immutable after build. The one piece of shared mutable
-//! state is the compiled backend's program cache ([`crate::exec`]), so
-//! concurrent queries on one shared engine meet only there (and in the
-//! lazily built path index). Warm-cache answers are pinned to
-//! cold-session answers by `tests/engine_equivalence.rs`.
+//! All of it is immutable after build: a query is a pure function of the
+//! query and the session. The compiled backend compiles a fresh program
+//! per evaluation ([`crate::exec`]) and keeps nothing, so concurrent
+//! queries on one shared engine meet only in the lazily built path
+//! index. Answers on a long-lived engine are pinned to fresh-session
+//! answers by `tests/engine_equivalence.rs`.
 
 use crate::aggregate::{self, AggFunc, AggregateResult};
 use crate::api::{ExecStats, Query, QueryResponse};
 use crate::block_tree::{BlockTree, BlockTreeConfig};
 use crate::error::UxmError;
-use crate::exec::{self, Explain, ProgramCache, ProgramCacheStats, RunOutput, SetMode};
+use crate::exec::{self, Explain, RunOutput, SetMode};
 use crate::keyword::{KeywordAnswer, KeywordError};
 use crate::mapping::{MappingId, PossibleMappings};
 use crate::planner::{self, Evaluator};
 use crate::ptq::{PtqAnswer, PtqResult};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use uxm_twig::structural_join::structural_join;
 use uxm_twig::{match_twig, Axis, PatternNodeId, ResolvedPattern, TwigMatch, TwigPattern};
 use uxm_xml::{DocNodeId, Document, LabelId, PathIndex, Schema, SchemaNodeId, Symbol, SymbolTable};
@@ -1117,10 +1118,10 @@ fn schema_bytes(s: &Schema) -> usize {
 ///
 /// Build it once, then serve any number of typed [`Query`] requests
 /// through [`QueryEngine::run`] — the one query entry point; label
-/// interning, relevance bitsets, and compiled programs amortize across
-/// calls. Evaluation strategy (naive, block-tree or compiled) is chosen
-/// by the [`crate::planner`] unless the query pins it, and never affects
-/// the answers.
+/// interning, relevance bitsets and the correspondence index amortize
+/// across calls. Evaluation strategy (naive, block-tree or compiled) is
+/// chosen by the [`crate::planner`] unless the query pins it, and never
+/// affects the answers.
 ///
 /// ```
 /// use uxm_core::api::Query;
@@ -1150,15 +1151,11 @@ pub struct QueryEngine {
     tree: BlockTree,
     state: SessionState,
     path_index: OnceLock<PathIndex>,
-    /// Compiled programs keyed by canonical query shape (see
-    /// [`crate::exec`]); programs embed session symbols, so the cache
-    /// lives and dies with this engine.
-    exec_cache: ProgramCache,
 }
 
-// The registry shares one engine across many serving threads; the
-// session state is immutable and the program cache locks its shards, so
-// this holds by construction — enforce it at compile time.
+// The registry shares one engine across many serving threads; everything
+// but the once-built path index is immutable, so this holds by
+// construction — enforce it at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryEngine>();
@@ -1186,7 +1183,6 @@ impl QueryEngine {
             tree,
             state,
             path_index: OnceLock::new(),
-            exec_cache: ProgramCache::new(),
         }
     }
 
@@ -1226,17 +1222,10 @@ impl QueryEngine {
         self.path_index.get_or_init(|| PathIndex::new(&self.doc))
     }
 
-    /// Cumulative program-cache counters for the compiled backend
-    /// (hits, misses, programs compiled) — surfaced per engine through
-    /// `GET /stats`.
-    pub fn exec_cache_stats(&self) -> ProgramCacheStats {
-        self.exec_cache.stats()
-    }
-
     /// Per-component resident-size breakdown of this session, computed
     /// from the **real columnar arena sizes** (exact array and buffer
     /// lengths), not encode-time estimates. It covers everything the
-    /// engine holds except the bounded program cache.
+    /// engine holds.
     pub fn footprint(&self) -> EngineFootprint {
         EngineFootprint {
             document: self.doc.arena_bytes(),
@@ -1281,30 +1270,19 @@ impl QueryEngine {
     }
 
     /// Evaluates a PTQ-shaped query under `evaluator`. The compiled
-    /// backend fetches (or compiles) the program for the canonical query
-    /// shape and replays it over the session arenas; the recursive
-    /// evaluators run over the relevant (or top-k) mapping ids. Returns
-    /// the run's output — aggregate rows only from a compiled `agg-fold`
-    /// — and, when the compiled backend ran, whether its program came
-    /// from the cache.
-    fn eval_ptq(
-        &self,
-        (pattern, mode, k, agg): PtqShape<'_>,
-        evaluator: Evaluator,
-    ) -> (RunOutput, Option<bool>) {
+    /// backend compiles the query's program and runs it over the session
+    /// arenas; the recursive evaluators run over the relevant (or top-k)
+    /// mapping ids. Aggregate rows come only from a compiled `agg-fold`.
+    fn eval_ptq(&self, (pattern, mode, k, agg): PtqShape<'_>, evaluator: Evaluator) -> RunOutput {
         let ids = match evaluator {
             Evaluator::Compiled => {
-                let key = ProgramCache::key(mode, k, agg, pattern);
-                let (program, hit) = self
-                    .exec_cache
-                    .get_or_compile(&key, || exec::compile(pattern, mode, k, agg, &self.state));
                 let ctx = exec::EngineCtx {
                     pm: &self.pm,
                     doc: &self.doc,
                     state: &self.state,
                     index: matches!(mode, SetMode::SchemaNodes).then(|| self.path_index()),
                 };
-                return (program.run(&ctx), Some(hit));
+                return exec::compile(pattern, mode, k, agg, &self.state).run(&ctx);
             }
             _ => match k {
                 Some(k) => self.topk_ids(pattern, k),
@@ -1324,27 +1302,24 @@ impl QueryEngine {
                 eval_basic_nodes(pattern, pm, doc, self.path_index(), state, &ids)
             }
         };
-        let out = RunOutput {
+        RunOutput {
             result,
             agg_rows: None,
             relevant: ids.len(),
-        };
-        (out, None)
+        }
     }
 
     /// The observability hook behind `uxm explain` and the `/query`
     /// `explain: true` option: the plan [`Self::run`] executes for
     /// `query`, and the compiled program listing (always included for
-    /// PTQ-shaped queries, whatever the plan picks). The program is
-    /// compiled fresh, off the cache, leaving the program-cache counters
-    /// untouched.
-    pub fn explain(&self, query: &Query) -> Result<Explain, UxmError> {
+    /// PTQ-shaped queries, whatever the plan picks) — the same program
+    /// a compiled run of `query` compiles.
+    pub fn explain<'q>(&self, query: &'q Query) -> Result<Explain<'q>, UxmError> {
         query.validate()?;
         Ok(Explain {
             plan: planner::choose(query.options().evaluator, query.kind()),
-            program: ptq_shape(query).map(|(pattern, mode, k, agg)| {
-                Arc::new(exec::compile(pattern, mode, k, agg, &self.state))
-            }),
+            program: ptq_shape(query)
+                .map(|(pattern, mode, k, agg)| exec::compile(pattern, mode, k, agg, &self.state)),
         })
     }
 
@@ -1354,7 +1329,7 @@ impl QueryEngine {
     /// [`crate::planner::choose`]'s fixed table (the pinned hint, or
     /// the query kind's default). The returned [`QueryResponse`]
     /// carries the answers (with per-answer mapping provenance) and an
-    /// [`ExecStats`] block reporting the plan, the program-cache traffic,
+    /// [`ExecStats`] block reporting the plan, the relevant-mapping count
     /// and the elapsed time. Answers are independent of the chosen plan
     /// by construction — pinned by the planner differential suite in
     /// `tests/engine_equivalence.rs`.
@@ -1364,11 +1339,10 @@ impl QueryEngine {
         let options = *query.options();
         let plan = planner::choose(options.evaluator, query.kind());
         let mut aggregate = None;
-        // `program` is `Some(cache_hit)` when the compiled backend ran.
-        let (answers, relevant, program) = match ptq_shape(query) {
+        let (answers, relevant) = match ptq_shape(query) {
             Some(shape) => {
                 let (pattern, _, k, agg) = shape;
-                let (out, program) = self.eval_ptq(shape, plan.evaluator);
+                let out = self.eval_ptq(shape, plan.evaluator);
                 let mut answers = out.result.answers;
                 if let Some(func) = agg {
                     // Per-mapping rows are folded from the *unfiltered*
@@ -1387,7 +1361,7 @@ impl QueryEngine {
                         rows.retain(|r| r.probability >= options.min_probability);
                     }
                     aggregate = Some(AggregateResult::new(func, rows));
-                    (Vec::new(), out.relevant, program)
+                    (Vec::new(), out.relevant)
                 } else {
                     if k.is_some() {
                         answers.sort_by(|a, b| {
@@ -1399,7 +1373,6 @@ impl QueryEngine {
                     (
                         crate::api::shape_ptq_answers(answers, &options),
                         out.relevant,
-                        program,
                     )
                 }
             }
@@ -1410,24 +1383,13 @@ impl QueryEngine {
                 let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
                 let raw = eval_keyword(&refs, &self.pm, &self.doc, &self.state)?;
                 let relevant = raw.len();
-                (
-                    crate::api::shape_keyword_answers(raw, &options),
-                    relevant,
-                    None,
-                )
+                (crate::api::shape_keyword_answers(raw, &options), relevant)
             }
         };
         Ok(QueryResponse {
             answers,
             aggregate,
-            stats: ExecStats {
-                plan,
-                backend: plan.evaluator,
-                relevant,
-                program_cache_hits: u64::from(program == Some(true)),
-                program_cache_misses: u64::from(program == Some(false)),
-                elapsed_us: start.elapsed().as_micros() as u64,
-            },
+            stats: ExecStats::new(plan, relevant, start.elapsed().as_micros() as u64),
         })
     }
 }
@@ -1451,6 +1413,7 @@ fn ptq_shape(query: &Query) -> Option<PtqShape<'_>> {
 mod tests {
     use super::*;
     use crate::api::{Answer, EvaluatorHint, Granularity};
+    use std::sync::Arc;
     use uxm_matching::Matcher;
     use uxm_xml::{parse_document, DocGenConfig};
 
@@ -1594,24 +1557,15 @@ mod tests {
             Query::aggregate(q.clone(), AggFunc::Count),
         ];
         for query in &compiled {
-            // Cold: the program compiles; warm: it replays from the cache.
-            for (hits, misses) in [(0, 1), (1, 0)] {
-                let stats = e.run(query).unwrap().stats;
-                assert_eq!(stats.plan.evaluator, Evaluator::Compiled, "{query}");
-                assert_eq!(stats.plan.reason, PlanReason::KindDefault, "{query}");
-                assert_eq!(stats.backend, Evaluator::Compiled, "{query}");
-                assert_eq!(
-                    (stats.program_cache_hits, stats.program_cache_misses),
-                    (hits, misses),
-                    "{query}"
-                );
-            }
+            let stats = e.run(query).unwrap().stats;
+            assert_eq!(stats.plan.evaluator, Evaluator::Compiled, "{query}");
+            assert_eq!(stats.plan.reason, PlanReason::KindDefault, "{query}");
+            assert_eq!(stats.backend, Evaluator::Compiled, "{query}");
         }
         let keyword = e.run(&Query::keyword(vec!["No".into()])).unwrap().stats;
         assert_eq!(keyword.plan.evaluator, Evaluator::Naive);
         assert_eq!(keyword.plan.reason, PlanReason::KindDefault);
         assert_eq!(keyword.backend, Evaluator::Naive);
-        assert_eq!(keyword.program_cache_hits + keyword.program_cache_misses, 0);
     }
 
     #[test]

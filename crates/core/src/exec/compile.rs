@@ -37,43 +37,35 @@ use uxm_twig::TwigPattern;
 /// recursive evaluators do.
 ///
 /// Programs embed session symbols and schema node ids, so they are only
-/// valid against the engine whose [`SessionState`] compiled them — the
-/// per-engine program cache enforces that.
-pub(crate) fn compile(
-    pattern: &TwigPattern,
+/// valid against the engine whose [`SessionState`] compiled them; the
+/// engine compiles one per evaluation and drops it after the run.
+pub(crate) fn compile<'q>(
+    pattern: &'q TwigPattern,
     mode: SetMode,
     k: Option<usize>,
     agg: Option<AggFunc>,
     state: &SessionState,
-) -> Program {
+) -> Program<'q> {
     let qsyms = state.query_syms(pattern);
     let n_nodes = qsyms.len();
-    let mut ops: Vec<Op> = Vec::with_capacity(n_nodes * 2 + 6);
+    // Two ops per query node, plus at most eight fixed ones.
+    let mut ops: Vec<Op> = Vec::with_capacity(n_nodes * 2 + 8);
 
     // Phase 1 — the paper's filter_mappings as bitset ANDs, one op per
-    // distinct query label (ANDing a column twice is a no-op; compile it
-    // out). Wildcards match under every mapping and compile to nothing
-    // here.
+    // distinct query label, at the first node carrying it (ANDing a
+    // column twice is a no-op; compile it out). Wildcards match under
+    // every mapping and compile to nothing here.
     ops.push(Op::InitBits);
-    let mut seen_labels: Vec<&str> = Vec::with_capacity(n_nodes);
     for (id, qs) in pattern.ids().zip(&qsyms) {
-        if pattern.node(id).is_wildcard() {
+        let label = &pattern.node(id).label;
+        let first = pattern.ids().find(|&j| pattern.node(j).label == *label);
+        if qs.wild || first != Some(id) {
             continue;
         }
-        let label = pattern.node(id).label.as_str();
-        if seen_labels.contains(&label) {
-            continue;
-        }
-        seen_labels.push(label);
-        match qs.sym {
-            Some(s) => ops.push(Op::AndRelevance {
-                sym: s,
-                label: label.to_string(),
-            }),
-            None => ops.push(Op::ClearBits {
-                label: label.to_string(),
-            }),
-        }
+        ops.push(match qs.sym {
+            Some(sym) => Op::AndRelevance { sym, node: id.0 },
+            None => Op::ClearBits { node: id.0 },
+        });
     }
     ops.push(Op::MaterializeIds);
     if let Some(k) = k {
@@ -116,7 +108,7 @@ pub(crate) fn compile(
     ops.push(Op::EmitAnswers);
 
     Program {
-        pattern: pattern.clone(),
+        pattern,
         mode,
         ops,
         targets,

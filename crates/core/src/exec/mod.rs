@@ -5,14 +5,15 @@
 //! label and node granularity, plus top-k) re-interpret the query shape on
 //! every evaluation — per-node dispatch, per-mapping rewrite calls, and
 //! tree walks through branchy logic. This module lowers a
-//! planner-annotated query **once** into a flat [`Program`] — a
+//! planner-annotated query in one pass into a flat [`Program`] — a
 //! `Vec<Op>` over register slots, every symbol resolved and every
-//! constant inlined at compile time — and replays it from a sharded
-//! per-engine [`program cache`](ProgramCacheStats) on every repeated
-//! query (the compile-once/run-many shape of tree-sitter's query
-//! programs).
+//! constant inlined at compile time — and runs it once. Compiling is
+//! cheap (the program borrows the query's pattern and copies only the
+//! per-node target candidates), so every evaluation compiles afresh and
+//! nothing is kept beside the engine: one compiled object per query, as
+//! with tree-sitter's query objects.
 //!
-//! The three pieces:
+//! The two pieces:
 //!
 //! * **compiler** (`compile`, crate-internal) — lowers a twig pattern
 //!   into the fixed pipeline `init-bits → and-relevance* →
@@ -25,18 +26,13 @@
 //!   over a mapping bitset, an id register, and the shape classes (a
 //!   partition of the live mappings by rewrite row, refined node by node
 //!   through the session's correspondence index); no per-class
-//!   allocation on the warm path;
-//! * **program cache** — sharded, keyed by canonical query shape
-//!   (granularity tag + top-k bound + canonical pattern rendering),
-//!   with hit/miss/compile counters surfaced through
-//!   [`crate::api::ExecStats`] and `GET /stats`.
+//!   allocation.
 //!
 //! **Determinism contract:** a compiled program is answer-identical to
-//! the recursive evaluators at every epoch — same answers, same order,
+//! the recursive evaluators on every run — same answers, same order,
 //! same floats, same provenance — pinned by
-//! `tests/engine_equivalence.rs` and `tests/prop_exec.rs`, and a warm
-//! replay is identical to a cold compile. See `docs/execution.md` for
-//! the instruction set and register model.
+//! `tests/engine_equivalence.rs` and `tests/prop_exec.rs`. See
+//! `docs/execution.md` for the instruction set and register model.
 //!
 //! # Examples
 //!
@@ -71,22 +67,18 @@
 //! assert_eq!(response.stats.plan.evaluator, explain.plan.evaluator);
 //! ```
 
-mod cache;
 mod compile;
 mod program;
 mod vm;
 
-pub use cache::ProgramCacheStats;
 pub use program::{FoldMode, Op, Program, SetMode};
 
-pub(crate) use cache::ProgramCache;
 pub(crate) use compile::compile;
 pub(crate) use vm::{EngineCtx, RunOutput};
 
 use crate::json::Json;
 use crate::planner::Plan;
 use std::fmt;
-use std::sync::Arc;
 
 /// What `uxm explain` (and `explain: true` on `/query`) reports: the
 /// chosen plan and the compiled program listing.
@@ -97,17 +89,18 @@ use std::sync::Arc;
 /// picks a recursive evaluator, it is the program a
 /// [`EvaluatorHint::Compiled`](crate::api::EvaluatorHint::Compiled)
 /// pin would run. Keyword queries have a
-/// single evaluator and no compiled form.
+/// single evaluator and no compiled form. The program borrows the
+/// query's pattern, so an `Explain` lives no longer than its query.
 #[derive(Clone, Debug)]
-pub struct Explain {
+pub struct Explain<'q> {
     /// The plan [`QueryEngine::run`](crate::engine::QueryEngine::run)
     /// executes for this query.
     pub plan: Plan,
     /// The compiled program; `None` for keyword queries.
-    pub program: Option<Arc<Program>>,
+    pub program: Option<Program<'q>>,
 }
 
-impl Explain {
+impl Explain<'_> {
     /// The canonical JSON form (alphabetical keys), embedded in `/query`
     /// responses under `"explain"` when requested.
     pub fn to_json(&self) -> Json {
@@ -129,7 +122,7 @@ impl Explain {
     }
 }
 
-impl fmt::Display for Explain {
+impl fmt::Display for Explain<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "plan: {} ({})", self.plan.evaluator, self.plan.reason)?;
         match &self.program {

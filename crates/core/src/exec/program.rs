@@ -4,7 +4,7 @@
 use crate::aggregate::AggFunc;
 use std::fmt;
 use std::ops::Range;
-use uxm_twig::TwigPattern;
+use uxm_twig::{PatternNodeId, TwigPattern};
 use uxm_xml::{SchemaNodeId, Symbol};
 
 /// What a program's rewrite sets contain — the execution-time analogue
@@ -62,18 +62,20 @@ pub enum Op {
     /// `bits ← all mappings` — start from the full mapping set.
     InitBits,
     /// `bits &= relevance[sym]` — AND one query label's precomputed
-    /// relevance bitset column. The label is kept for listings only.
+    /// relevance bitset column. The node is kept for listings only.
     AndRelevance {
         /// The interned label symbol whose bitset column is ANDed.
         sym: Symbol,
-        /// The query label, for `explain` listings.
-        label: String,
+        /// The first query node carrying the label; the listing prints
+        /// its label.
+        node: u32,
     },
     /// `bits ← ∅` — a query label unknown to schemas and document; every
     /// answer is provably empty.
     ClearBits {
-        /// The unknown query label, for `explain` listings.
-        label: String,
+        /// The first query node carrying the unknown label; the listing
+        /// prints its label.
+        node: u32,
     },
     /// `ids ← bits` — materialize the surviving mapping ids, ascending.
     MaterializeIds,
@@ -139,14 +141,17 @@ pub enum Op {
     EmitAnswers,
 }
 
-impl fmt::Display for Op {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Op {
+    /// Writes this op's listing line; `pattern` supplies the query labels
+    /// the relevance ops name.
+    fn write(&self, f: &mut impl fmt::Write, pattern: &TwigPattern) -> fmt::Result {
+        let label = |node: u32| &pattern.node(PatternNodeId(node)).label;
         match self {
             Op::InitBits => write!(f, "init-bits"),
-            Op::AndRelevance { sym, label } => {
-                write!(f, "and-relevance {label} (sym {})", sym.0)
+            Op::AndRelevance { sym, node } => {
+                write!(f, "and-relevance {} (sym {})", label(*node), sym.0)
             }
-            Op::ClearBits { label } => write!(f, "clear-bits {label} (unknown label)"),
+            Op::ClearBits { node } => write!(f, "clear-bits {} (unknown label)", label(*node)),
             Op::MaterializeIds => write!(f, "materialize-ids"),
             Op::TopKHeap { k } => write!(f, "topk-heap k={k}"),
             Op::IntersectCsr { node, targets } => write!(
@@ -167,14 +172,14 @@ impl fmt::Display for Op {
 }
 
 /// A compiled query: a flat `Vec<Op>` plus the inlined constants it runs
-/// over. Programs are immutable after compilation and shared via `Arc`
-/// from the engine's program cache; `Display` renders the numbered
-/// listing `uxm explain` prints.
+/// over. A program borrows the pattern of the query it was compiled for
+/// and lives as long as that one evaluation (or `explain` call);
+/// `Display` renders the numbered listing `uxm explain` prints.
 #[derive(Clone, Debug)]
-pub struct Program {
+pub struct Program<'q> {
     /// The twig pattern the program answers (structure and predicates
     /// are interpreted by the shared matcher at `MatchShapes`).
-    pub(crate) pattern: TwigPattern,
+    pub(crate) pattern: &'q TwigPattern,
     /// Rewrite-set granularity.
     pub(crate) mode: SetMode,
     /// The instruction stream, executed front to back exactly once.
@@ -188,7 +193,7 @@ pub struct Program {
     pub(crate) n_mappings: usize,
 }
 
-impl Program {
+impl Program<'_> {
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -212,12 +217,17 @@ impl Program {
         self.ops
             .iter()
             .enumerate()
-            .map(|(i, op)| format!("{i:>3}  {op}"))
+            .map(|(i, op)| {
+                let mut line = format!("{i:>3}  ");
+                op.write(&mut line, self.pattern)
+                    .expect("writing to a String cannot fail");
+                line
+            })
             .collect()
     }
 }
 
-impl fmt::Display for Program {
+impl fmt::Display for Program<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,

@@ -62,7 +62,7 @@ pub(crate) struct RunOutput {
     pub relevant: usize,
 }
 
-impl Program {
+impl Program<'_> {
     /// Executes the program against one engine session.
     pub(crate) fn run(&self, ctx: &EngineCtx<'_>) -> RunOutput {
         let n_words = self.n_mappings.div_ceil(64);
@@ -177,7 +177,7 @@ impl Program {
                                                 .collect()
                                         })
                                         .collect();
-                                    match ResolvedPattern::with_label_ids(&self.pattern, label_sets)
+                                    match ResolvedPattern::with_label_ids(self.pattern, label_sets)
                                     {
                                         Some(resolved) => match_twig(ctx.doc, &resolved),
                                         None => Vec::new(),
@@ -194,7 +194,7 @@ impl Program {
                                         })
                                         .collect();
                                     node_sets_to_matches(
-                                        &self.pattern,
+                                        self.pattern,
                                         &sets,
                                         ctx.pm,
                                         ctx.doc,

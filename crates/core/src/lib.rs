@@ -19,7 +19,7 @@
 //!   evaluates through, home of PTQ evaluation with and without the
 //!   block tree (Algorithms 3 and 4): interned labels and precomputed
 //!   relevance bitsets, immutable after build (the engine is
-//!   `Send + Sync`; its one mutable part is the program cache),
+//!   `Send + Sync` and holds no per-query state),
 //! * [`api`] — the unified query surface: the typed [`api::Query`] AST
 //!   (PTQ, top-k, keyword, and aggregate forms; twig patterns carry
 //!   value predicates, wildcards, and descendant axes), the uniform
@@ -32,10 +32,9 @@
 //!   naive, block-tree, and compiled evaluation (compiled for PTQs,
 //!   top-k and aggregates, block-tree for node granularity) unless a
 //!   query pins it,
-//! * [`exec`] — compiled query execution: flat bytecode programs
-//!   lowered once per query shape, interpreted by a register VM over
-//!   the engine's columnar arenas, and replayed from a sharded
-//!   per-engine program cache,
+//! * [`exec`] — compiled query execution: a flat bytecode program
+//!   lowered in one pass per query and interpreted by a register VM
+//!   over the engine's columnar arenas,
 //! * [`error`] — the crate-wide [`error::UxmError`] every layer fails
 //!   with,
 //! * [`json`] — the minimal canonical-JSON support under the wire

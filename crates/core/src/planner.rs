@@ -4,8 +4,8 @@
 //! The paper has two PTQ evaluation strategies — naive per-mapping
 //! rewriting (Algorithm 3) and block-tree sharing (Algorithm 4). The
 //! engine adds a third: the [`crate::exec`] backend, which lowers the
-//! query into a flat compiled [`Program`](crate::exec::Program) replayed
-//! from a per-engine cache. The planner picks one of the three from a
+//! query into a flat compiled [`Program`](crate::exec::Program) and
+//! runs it. The planner picks one of the three from a
 //! fixed table keyed on the query's [`EvaluatorHint`] and its
 //! [`QueryKind`]:
 //!
@@ -18,8 +18,8 @@
 //! The defaults come from `BENCH_exec.json` (see `docs/benchmarks.md`):
 //! the compiled VM is within 10 % of the fastest backend for every
 //! PTQ-shaped kind on D7 and on the 200k-node corpus document. The
-//! engine holds no memo cache, so the recursive evaluators recompute
-//! every rewrite on every run; they remain as pinned plans and test
+//! engine holds no cache, so every backend does all its work on every
+//! run; the recursive evaluators remain as pinned plans and test
 //! oracles. Keyword queries have a single strategy, so their hint is
 //! ignored.
 //!
@@ -71,8 +71,8 @@ pub enum Evaluator {
     /// Algorithm 4: share work through the block tree.
     BlockTree,
     /// The [`crate::exec`] backend: the query is lowered to a flat
-    /// [`Program`](crate::exec::Program) over the columnar arenas and
-    /// replayed from the engine's program cache. Answer-identical to
+    /// [`Program`](crate::exec::Program) over the columnar arenas,
+    /// compiled afresh for each run. Answer-identical to
     /// [`Evaluator::Naive`] by construction.
     Compiled,
 }

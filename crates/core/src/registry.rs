@@ -6,9 +6,8 @@
 //! of threads can query them concurrently (the engine is `Send + Sync`),
 //! answers whole request batches in one call, and keeps resident memory
 //! under a configurable budget by evicting the least-recently-used
-//! engines. Because engines are shared, so are their program caches:
-//! every client benefits from every other client's compiled programs
-//! ([`crate::exec`]).
+//! engines. An engine holds no per-query state, so a shared engine
+//! answers every client exactly as a private one would.
 //!
 //! The registry speaks the unified query surface of [`crate::api`]: a
 //! batch item is an engine name plus a typed [`Query`] ([`BatchQuery`]),

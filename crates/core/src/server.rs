@@ -8,9 +8,8 @@
 //! the wire is the canonical JSON of [`crate::json`] — the exact bytes
 //! [`crate::api::Query::to_json_string`] and
 //! [`crate::api::QueryResponse::to_json_string`] produce. Because the
-//! registry and its engines are `Send + Sync`, all workers share one
-//! warm program cache per engine: a query repeated by any client
-//! replays the program compiled for every other client.
+//! registry and its engines are `Send + Sync` and immutable, all
+//! workers share each engine without locking it.
 //!
 //! # Routes
 //!
@@ -21,7 +20,7 @@
 //! | `POST /topk`           | `{"engines":[…],"query":…}` (top-k query; `engines` optional) | `{"answers":[…],"k":…}` — the best *k* answers across the named (default: all known) engines in the pinned cross-engine order (see [`crate::router`]) |
 //! | `POST /aggregate`      | `{"engines":[…],"query":…}` (aggregate query; `engines` optional) | `{"engines":[…],"func":…,"value":…}` — per-engine rows + marginals in name-ascending order, and the fleet value folded by [`crate::aggregate::merge_marginals`] |
 //! | `GET /engines`         | —                            | registry listing with `approx_bytes`, eviction count, on-disk snapshots |
-//! | `GET /stats`           | —                            | per-engine request/plan/program-cache aggregates + latency percentiles |
+//! | `GET /stats`           | —                            | per-engine request/error/plan counters + latency percentiles |
 //! | `GET /healthz`         | —                            | `{"status":"ok"}` |
 //!
 //! The same serving shell (accept loop, worker pool, admission control,
@@ -277,12 +276,9 @@ struct EngineCounters {
     requests: AtomicU64,
     errors: AtomicU64,
     /// Plans chosen per [`Evaluator`], indexed by `evaluator as usize`.
+    /// Every plan runs as chosen, so these also count the backends
+    /// that executed.
     plans: [AtomicU64; 3],
-    /// The backend that actually executed (`ExecStats::backend`),
-    /// indexed likewise.
-    backends: [AtomicU64; 3],
-    program_cache_hits: AtomicU64,
-    program_cache_misses: AtomicU64,
     /// Engine evaluation time per request ([`crate::api::ExecStats`]'
     /// `elapsed_us`), so the histogram measures serving work, not
     /// socket weather.
@@ -295,35 +291,18 @@ impl EngineCounters {
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             plans: Default::default(),
-            backends: Default::default(),
-            program_cache_hits: AtomicU64::new(0),
-            program_cache_misses: AtomicU64::new(0),
             latency: Latency::new(),
         }
     }
 
     fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("backends".into(), per_evaluator_json(&self.backends)),
             (
                 "errors".into(),
                 Json::uint(self.errors.load(Ordering::Relaxed)),
             ),
             ("latency_us".into(), self.latency.to_json()),
             ("plans".into(), per_evaluator_json(&self.plans)),
-            (
-                "program_cache".into(),
-                Json::Obj(vec![
-                    (
-                        "hits".into(),
-                        Json::uint(self.program_cache_hits.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "misses".into(),
-                        Json::uint(self.program_cache_misses.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
             (
                 "requests".into(),
                 Json::uint(self.requests.load(Ordering::Relaxed)),
@@ -388,11 +367,6 @@ impl ServerStats {
         match outcome {
             Ok(response) => {
                 c.plans[response.stats.plan.evaluator as usize].fetch_add(1, Ordering::Relaxed);
-                c.backends[response.stats.backend as usize].fetch_add(1, Ordering::Relaxed);
-                c.program_cache_hits
-                    .fetch_add(response.stats.program_cache_hits, Ordering::Relaxed);
-                c.program_cache_misses
-                    .fetch_add(response.stats.program_cache_misses, Ordering::Relaxed);
                 c.latency.record(response.stats.elapsed_us);
             }
             Err(_) => {

@@ -79,9 +79,8 @@ fn main() {
         );
     }
 
-    let stats = engine.exec_cache_stats();
-    println!(
-        "\nprogram cache: {} hits / {} misses after serving the workload",
-        stats.hits, stats.misses
-    );
+    // Every compiled run lowers its query into a fresh program; this is
+    // the one Q10 runs.
+    let full_query = Query::ptq(q.clone());
+    println!("\n{}", engine.explain(&full_query).unwrap());
 }

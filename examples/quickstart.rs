@@ -39,8 +39,8 @@ fn main() {
 
     // 4. Generate a source document and build the session engine: block
     //    tree plus derived state (interned labels, relevance bitsets) —
-    //    built once, immutable afterwards apart from the compiled-program
-    //    cache, and shared freely, since the engine is `Send + Sync`.
+    //    built once, immutable afterwards, and shared freely, since the
+    //    engine is `Send + Sync`.
     let doc = Document::generate(&source, &DocGenConfig::small(), 42);
     let engine = QueryEngine::build(mappings, doc, &BlockTreeConfig::default());
     println!(

@@ -3,9 +3,8 @@
 //! ptq / top-k / node / keyword workload, and every single answer must be
 //! identical to the single-threaded evaluation of the same request. This
 //! is the contract the `EngineRegistry` serving layer builds on — the
-//! session state is immutable, the program cache may race on *compiling*
-//! an entry but never on its value, and a cold or warm program cache
-//! never changes answers. Each query's own `ExecStats` relevance count
+//! session state is immutable and every compiled run compiles its own
+//! program, so nothing one query does can change another's answers. Each query's own `ExecStats` relevance count
 //! must stay exact while other queries share the engine.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -88,13 +87,13 @@ fn hammered_engine_matches_single_threaded_evaluation() {
         .map(|i| request(&queries, &terms, i))
         .collect();
 
-    // Single-threaded ground truth from a FRESH engine (cold caches), one
+    // Single-threaded ground truth from a FRESH engine, one
     // answer per request index.
     let fresh = engine(DatasetId::D7, 20, 400);
     let expected: Vec<Vec<Answer>> = requests.iter().map(|q| run_request(&fresh, q)).collect();
 
     // Hammer the shared engine: threads pull request indices off a shared
-    // counter, so interleavings (and hence cache fill order) vary freely.
+    // counter, so interleavings vary freely.
     let next = AtomicUsize::new(0);
     let mismatches: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
@@ -129,9 +128,8 @@ fn hammered_engine_matches_single_threaded_evaluation() {
 
 #[test]
 fn warm_and_cold_answers_agree_across_threads() {
-    // A second shape of the race: every thread runs the SAME query; the
-    // first to finish populates the caches (and the program cache)
-    // while the rest are mid-flight.
+    // A second shape of the race: every thread runs the SAME query on
+    // one shared engine at once.
     let shared = Arc::new(engine(DatasetId::D7, 12, 250));
     let query = Query::ptq(paper_queries()[1].clone());
     let expected = run_request(&engine(DatasetId::D7, 12, 250), &query);
@@ -163,7 +161,7 @@ fn per_query_relevant_counts_are_exact_under_concurrency() {
     // backend runs it: the compiled VM reads it off its id register, the
     // recursive evaluators off the relevance filter. So every count must
     // equal the same query's count run alone, whatever the other threads
-    // are doing to the shared program cache.
+    // are doing on the shared engine.
     let queries = paper_queries();
     let requests: Vec<Query> = (0..REQUESTS / 2)
         .map(|i| {

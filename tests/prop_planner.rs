@@ -121,9 +121,9 @@ proptest! {
         }
     }
 
-    /// Warm-cache runs (same engine, repeated query) agree with the
-    /// first run regardless of plan — replaying a cached program must be
-    /// invisible in the answers.
+    /// Repeated runs (same engine, repeated query) agree with the first
+    /// run regardless of plan — a shared engine keeps no state that could
+    /// show in the answers.
     #[test]
     fn repeated_runs_are_stable(
         spec in proptest::collection::vec((0u8..16, 0u8..8, proptest::prop::bool::ANY), 1..4),

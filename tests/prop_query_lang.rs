@@ -5,7 +5,7 @@
 //! (a) return identical answers under the naive, block-tree, and
 //! compiled evaluators and the auto plan, (b) serialize → parse →
 //! serialize byte-stably both as pattern strings and as wire JSON, and
-//! (c) replay identically once the program cache is warm.
+//! (c) answer identically when run again on the same engine.
 //!
 //! This is `tests/prop_exec.rs` extended over the new shape space; the
 //! exhaustive per-form oracle differential lives in
@@ -129,7 +129,8 @@ proptest! {
     /// The full-grammar differential: for random patterns with
     /// predicates, wildcards, and mixed axes, every query kind returns
     /// identical answers (and aggregate blocks) under every evaluator
-    /// hint, and a warm replay is indistinguishable from the cold run.
+    /// hint, and running a query again is indistinguishable from its
+    /// first run.
     #[test]
     fn all_backends_agree_on_the_grown_grammar(
         spec in proptest::collection::vec(

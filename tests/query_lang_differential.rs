@@ -264,7 +264,7 @@ fn assert_ptq_differential(engine: &QueryEngine, q: &TwigPattern, label: &str) -
             .unwrap()
             .answers;
         assert_eq!(got, reference, "{label}: {hint:?} diverges from auto");
-        // Warm replay (every cache hot now) must change nothing.
+        // Running the query again must change nothing.
         let warm = engine
             .run(&Query::ptq(q.clone()).with_evaluator(*hint))
             .unwrap()

@@ -79,8 +79,7 @@ fn start(registry: Arc<EngineRegistry>, workers: usize) -> ServerHandle {
 
 /// The deterministic slice of a served response: the full `answers`
 /// subtree (byte-exact) plus the plan fields. `stats.elapsed_us` is
-/// wall time and the cache counters depend on warmth, so whole-body
-/// comparison is impossible by design.
+/// wall time, so whole-body comparison is impossible by design.
 fn deterministic_parts(body: &str) -> (String, String, String, String) {
     let v = Json::parse(body).expect("valid response JSON");
     let stats = v.get("stats").expect("stats present");
@@ -425,25 +424,16 @@ fn engines_and_stats_endpoints_report_traffic() {
         3,
         "every request chose a plan: {body}"
     );
-    let backends = po.get("backends").unwrap();
+    // Every plan runs as chosen, so `plans` is also the backend count,
+    // and the engine keeps no program cache: nothing else is reported.
+    let Json::Obj(members) = po else {
+        panic!("an engine's stats are an object: {body}")
+    };
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(
-        backends.get("naive").unwrap().as_usize().unwrap()
-            + backends.get("block-tree").unwrap().as_usize().unwrap()
-            + backends.get("compiled").unwrap().as_usize().unwrap(),
-        3,
-        "every request ran a backend: {body}"
-    );
-    let prog = po.get("program_cache").unwrap();
-    let (hits, misses) = (
-        prog.get("hits").unwrap().as_usize().unwrap(),
-        prog.get("misses").unwrap().as_usize().unwrap(),
-    );
-    // One query shape repeated: compiled at most once, replayed after.
-    assert!(misses <= 1, "one shape compiles at most once: {body}");
-    assert_eq!(
-        hits + misses,
-        backends.get("compiled").unwrap().as_usize().unwrap(),
-        "every compiled run is a cache hit or miss: {body}"
+        keys,
+        ["errors", "latency_us", "plans", "requests"],
+        "{body}"
     );
     let latency = po.get("latency_us").unwrap();
     assert_eq!(latency.get("count").unwrap().as_usize(), Some(3));
