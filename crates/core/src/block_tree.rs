@@ -162,57 +162,6 @@ impl BlockTree {
         }
     }
 
-    /// Reassembles a block tree from flat CSR columns — the snapshot v3
-    /// decode path. `anchors[i]` is block `i`'s anchor;
-    /// `corrs[corr_offsets[i]..corr_offsets[i+1]]` its correspondences;
-    /// `map_ids[map_offsets[i]..map_offsets[i+1]]` its supporting
-    /// mapping ids. Returns `None` on any CSR shape violation or
-    /// out-of-range id (`n_source` bounds correspondence sources,
-    /// `n_mappings` the mapping ids). Block counts are small (capped by
-    /// [`BlockTreeConfig::max_blocks`]), so the per-node index and path
-    /// hash are rebuilt as in [`BlockTree::from_blocks`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_columns(
-        target: &Schema,
-        anchors: &[u32],
-        corr_offsets: &[u32],
-        corrs: &[(SchemaNodeId, SchemaNodeId)],
-        map_offsets: &[u32],
-        map_ids: &[u32],
-        n_source: usize,
-        n_mappings: usize,
-        min_support: usize,
-    ) -> Option<BlockTree> {
-        let b = anchors.len();
-        let csr_ok = |offsets: &[u32], len: usize| {
-            offsets.len() == b + 1
-                && offsets[0] == 0
-                && offsets.windows(2).all(|w| w[0] <= w[1])
-                && *offsets.last().expect("b + 1 entries") as usize == len
-        };
-        if !csr_ok(corr_offsets, corrs.len()) || !csr_ok(map_offsets, map_ids.len()) {
-            return None;
-        }
-        let (ns, nt) = (n_source as u32, target.len() as u32);
-        if anchors.iter().any(|&a| a >= nt)
-            || corrs.iter().any(|&(s, t)| s.0 >= ns || t.0 >= nt)
-            || map_ids.iter().any(|&m| m as usize >= n_mappings)
-        {
-            return None;
-        }
-        let blocks = (0..b)
-            .map(|i| Block {
-                anchor: SchemaNodeId(anchors[i]),
-                corrs: corrs[corr_offsets[i] as usize..corr_offsets[i + 1] as usize].to_vec(),
-                mappings: map_ids[map_offsets[i] as usize..map_offsets[i + 1] as usize]
-                    .iter()
-                    .map(|&m| MappingId(m))
-                    .collect(),
-            })
-            .collect();
-        Some(BlockTree::from_blocks(target, blocks, min_support))
-    }
-
     /// All blocks in creation order.
     pub fn blocks(&self) -> &[Block] {
         &self.blocks

@@ -5,8 +5,8 @@
 //! (block-tree PTQ), top-k, node granularity ([`crate::path_ptq`]) and
 //! keyword queries ([`crate::keyword`]) all live here. A [`QueryEngine`]
 //! owns one session's data — `(source schema, target schema,
-//! PossibleMappings, BlockTree, Document)` — plus derived state built once
-//! per session instead of once per query:
+//! PossibleMappings, Document)` — plus derived state built once per
+//! session instead of once per query:
 //!
 //! * a [`SymbolTable`] interning every label of both schemas and the
 //!   document, so rewriting and filtering compare dense `u32` symbols,
@@ -18,9 +18,12 @@
 //! All of it is immutable after build: a query is a pure function of the
 //! query and the session. The compiled backend compiles a fresh program
 //! per evaluation ([`crate::exec`]) and keeps nothing, so concurrent
-//! queries on one shared engine meet only in the lazily built path
-//! index. Answers on a long-lived engine are pinned to fresh-session
-//! answers by `tests/engine_equivalence.rs`.
+//! queries on one shared engine meet only in the two lazily built
+//! indexes: the path index (node granularity) and the block tree, which
+//! only a pinned `block-tree` plan reads. An engine hydrated from a
+//! snapshot builds its tree on that first pinned run, with
+//! [`BlockTreeConfig::default`]. Answers on a long-lived engine are
+//! pinned to fresh-session answers by `tests/engine_equivalence.rs`.
 
 use crate::aggregate::{self, AggFunc, AggregateResult};
 use crate::api::{ExecStats, Query, QueryResponse};
@@ -1083,7 +1086,10 @@ pub struct EngineFootprint {
     /// The columnar mapping store: score/probability columns and the flat
     /// correspondence CSR.
     pub mappings: usize,
-    /// The block tree: block arrays, CSR per-node block lists, path hash.
+    /// The lazily built block tree (block arrays, CSR per-node block
+    /// lists, path hash); 0 until a pinned `block-tree` query or
+    /// [`QueryEngine::tree`] builds it. [`QueryEngine::new`] and
+    /// [`QueryEngine::build`] start with it built.
     pub block_tree: usize,
     /// Both schemas (node tables and label strings).
     pub schemas: usize,
@@ -1114,7 +1120,7 @@ fn schema_bytes(s: &Schema) -> usize {
         + s.name.len()
 }
 
-/// A query session over one `(mappings, document, block tree)` triple.
+/// A query session over one `(mappings, document)` pair.
 ///
 /// Build it once, then serve any number of typed [`Query`] requests
 /// through [`QueryEngine::run`] — the one query entry point; label
@@ -1148,13 +1154,13 @@ fn schema_bytes(s: &Schema) -> usize {
 pub struct QueryEngine {
     pm: PossibleMappings,
     doc: Document,
-    tree: BlockTree,
+    tree: OnceLock<BlockTree>,
     state: SessionState,
     path_index: OnceLock<PathIndex>,
 }
 
 // The registry shares one engine across many serving threads; everything
-// but the once-built path index is immutable, so this holds by
+// but the once-built tree and path index is immutable, so this holds by
 // construction — enforce it at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -1168,19 +1174,28 @@ impl std::fmt::Debug for QueryEngine {
             .field("target", &self.pm.target.name)
             .field("mappings", &self.pm.len())
             .field("doc_nodes", &self.doc.len())
-            .field("blocks", &self.tree.block_count())
+            .field("blocks", &self.tree.get().map(BlockTree::block_count))
             .finish()
     }
 }
 
 impl QueryEngine {
-    /// Wraps an already-built block tree.
+    /// Wraps an already-built block tree, which a pinned `block-tree`
+    /// plan then reads.
     pub fn new(pm: PossibleMappings, doc: Document, tree: BlockTree) -> QueryEngine {
+        let engine = QueryEngine::hydrate(pm, doc);
+        let _ = engine.tree.set(tree);
+        engine
+    }
+
+    /// Builds the session state only; the block tree is built on first
+    /// use (the snapshot decoders' constructor).
+    pub(crate) fn hydrate(pm: PossibleMappings, doc: Document) -> QueryEngine {
         let state = SessionState::build(&pm, &doc);
         QueryEngine {
             pm,
             doc,
-            tree,
+            tree: OnceLock::new(),
             state,
             path_index: OnceLock::new(),
         }
@@ -1202,9 +1217,14 @@ impl QueryEngine {
         &self.doc
     }
 
-    /// The session's block tree.
+    /// The session's block tree: the one [`QueryEngine::new`] or
+    /// [`QueryEngine::build`] was given, else built here on first use
+    /// with [`BlockTreeConfig::default`] (the paper's τ = 0.2,
+    /// `MAX_B` = `MAX_F` = 500). Answers never depend on the tree.
     pub fn tree(&self) -> &BlockTree {
-        &self.tree
+        self.tree.get_or_init(|| {
+            BlockTree::build(&self.pm.target, &self.pm, &BlockTreeConfig::default())
+        })
     }
 
     /// The source schema.
@@ -1230,7 +1250,7 @@ impl QueryEngine {
         EngineFootprint {
             document: self.doc.arena_bytes(),
             mappings: self.pm.arena_bytes(),
-            block_tree: self.tree.arena_bytes(),
+            block_tree: self.tree.get().map_or(0, BlockTree::arena_bytes),
             schemas: schema_bytes(self.source()) + schema_bytes(self.target()),
             session: self.state.arena_bytes(),
             path_index: self.path_index.get().map_or(0, PathIndex::arena_bytes),
@@ -1292,12 +1312,18 @@ impl QueryEngine {
         let (pm, doc, state) = (&self.pm, &self.doc, &self.state);
         let result = match (mode, evaluator) {
             (SetMode::Symbols, Evaluator::BlockTree) => {
-                eval_tree_over(pattern, pm, doc, &self.tree, state, &ids)
+                eval_tree_over(pattern, pm, doc, self.tree(), state, &ids)
             }
             (SetMode::Symbols, _) => eval_basic_over(pattern, pm, doc, state, &ids),
-            (SetMode::SchemaNodes, Evaluator::BlockTree) => {
-                eval_tree_nodes(pattern, pm, doc, self.path_index(), &self.tree, state, &ids)
-            }
+            (SetMode::SchemaNodes, Evaluator::BlockTree) => eval_tree_nodes(
+                pattern,
+                pm,
+                doc,
+                self.path_index(),
+                self.tree(),
+                state,
+                &ids,
+            ),
             (SetMode::SchemaNodes, _) => {
                 eval_basic_nodes(pattern, pm, doc, self.path_index(), state, &ids)
             }
@@ -1688,7 +1714,7 @@ mod tests {
 
     /// The anchor Algorithm 4 would use for `q`.
     fn anchor_of(e: &QueryEngine, q: &TwigPattern) -> Option<SchemaNodeId> {
-        anchor_for(q, &e.state.query_syms(q), &e.pm, &e.state, &e.tree)
+        anchor_for(q, &e.state.query_syms(q), &e.pm, &e.state, e.tree())
     }
 
     fn assert_block_tree_agrees(e: &QueryEngine, queries: &[&str]) {

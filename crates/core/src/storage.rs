@@ -10,10 +10,12 @@
 //!
 //! On top of the mapping codecs sits the **engine snapshot**
 //! ([`encode_engine_snapshot`] / [`decode_engine_snapshot`]): one
-//! versioned container holding everything a [`QueryEngine`] session owns —
-//! both schemas, the block-compressed mapping set, and the source
-//! document — so a [`crate::registry::EngineRegistry`] can hydrate a
-//! serving engine from a single file with no out-of-band state.
+//! versioned container holding what a [`QueryEngine`] session needs —
+//! both schemas, the mapping set, and the source document — so a
+//! [`crate::registry::EngineRegistry`] can hydrate a serving engine from
+//! a single file with no out-of-band state. The block tree is not
+//! stored: only a pinned `block-tree` plan reads it, and a hydrated
+//! engine builds it on that first run ([`QueryEngine::tree`]).
 //!
 //! # Snapshot format (version 3, current)
 //!
@@ -22,9 +24,12 @@
 //! section table up front, then every column of the engine — document
 //! label/parent/post/level columns, both CSR indexes, text/attr span
 //! tables and buffers, mapping score/prob columns and the flat CSR pair
-//! arena, block-tree CSR ranges — as a 64-byte-aligned, little-endian,
-//! fixed-width section with its own length and xxhash-style checksum
-//! (see `docs/wire-format.md` for the byte-level grammar):
+//! arena — as a 64-byte-aligned, little-endian, fixed-width section with
+//! its own length and xxhash-style checksum (see `docs/wire-format.md`
+//! for the byte-level grammar). Five block-tree sections (kinds 6–10)
+//! keep their slots in the table but are written empty; files from
+//! before the tree was dropped hold one there, which the decoder
+//! checksums and discards:
 //!
 //! ```text
 //! magic   "UXMS"; version byte 3; three zero pad bytes
@@ -38,10 +43,9 @@
 //! verifies the header, validates every section's bounds / alignment /
 //! count / checksum, then bulk-copies each column straight into
 //! [`Document::from_raw_columns`] /
-//! [`PossibleMappings::from_raw_columns`] /
-//! [`crate::block_tree::BlockTree::from_raw_columns`] — no per-element
-//! decoding, no derived-index recomputation. The registry reads a
-//! snapshot file with one `std::fs::read`.
+//! [`PossibleMappings::from_raw_columns`] — no per-element decoding, no
+//! derived-index recomputation. The registry reads a snapshot file with
+//! one `std::fs::read`.
 //!
 //! **Version history** (`SNAPSHOT_VERSION`):
 //!
@@ -59,14 +63,19 @@
 //!   Sections were first padded to 4096-byte boundaries; the writer
 //!   now pads to [`SECTION_ALIGN`] = 64 bytes, and the decoder accepts
 //!   any multiple of 64 past the section table, so both layouts load.
+//!   The five block-tree sections are now written empty and META's
+//!   `min_support` is written 0 and ignored; the layout is unchanged,
+//!   so no version bump was needed.
 //!   Decoders reject any other version with
 //!   [`DecodeError::UnsupportedVersion`], so stale snapshot files fail
 //!   loudly instead of misparsing.
 //!
 //! Versions 1–2 use LEB128 varints throughout; version 3 reserves
-//! varints for the small `META` section (schemas, label table,
-//! `min_support`) and stores every column fixed-width so hydration
-//! never branches per element.
+//! varints for the small `META` section (schemas, label table, the
+//! unused `min_support` slot) and stores every column fixed-width so
+//! hydration never branches per element. The v1/v2 decoders still
+//! rebuild the stored tree's blocks, because their mappings are stored
+//! as block pointers, then drop the tree.
 //!
 //! # Examples
 //!
@@ -90,7 +99,7 @@
 //! let doc = Document::generate(&source, &DocGenConfig::small(), 7);
 //! let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
 //!
-//! // One self-contained artifact: schemas + compressed mappings + document.
+//! // One self-contained artifact: schemas + mappings + document.
 //! let bytes = encode_engine_snapshot(&engine);
 //! let restored = decode_engine_snapshot(&bytes).unwrap();
 //!
@@ -295,14 +304,12 @@ pub fn measured_compression_ratio(pm: &PossibleMappings, tree: &BlockTree) -> f6
 /// The decoded parts of an engine snapshot, before session-state
 /// construction.
 ///
-/// [`decode_engine_snapshot`] wraps these in [`QueryEngine::new`];
+/// [`decode_engine_snapshot`] wraps these in a [`QueryEngine`];
 /// callers that only *inspect* a snapshot (e.g. `uxm registry list`) can
 /// stop here and skip building symbol tables and relevance bitsets.
 pub struct EngineSnapshot {
-    /// The mapping set, decompressed through its block tree.
+    /// The mapping set.
     pub mappings: PossibleMappings,
-    /// The reconstructed block tree.
-    pub tree: BlockTree,
     /// The source document.
     pub document: Document,
 }
@@ -327,38 +334,32 @@ pub fn decode_engine_snapshot_parts(bytes: &[u8]) -> Result<EngineSnapshot, Deco
             let target = r.schema()?;
             let payload_len = r.varint()? as usize;
             let payload = r.take(payload_len)?;
-            let (mappings, tree) = decode_compressed(payload, source, target)?;
+            let (mappings, _) = decode_compressed(payload, source, target)?;
             let document = r.document()?;
             r.finish()?;
-            Ok(EngineSnapshot {
-                mappings,
-                tree,
-                document,
-            })
+            Ok(EngineSnapshot { mappings, document })
         }
         2 => {
             let source = r.schema()?;
             let target = r.schema()?;
-            let (mappings, tree) = r.columnar_mappings(source, target)?;
+            let mappings = r.columnar_mappings(source, target)?;
             let document = r.document_columnar()?;
             r.finish()?;
-            Ok(EngineSnapshot {
-                mappings,
-                tree,
-                document,
-            })
+            Ok(EngineSnapshot { mappings, document })
         }
         3 => decode_engine_snapshot_v3(bytes),
         other => Err(DecodeError::UnsupportedVersion(other)),
     }
 }
 
-/// Deserializes an engine snapshot and rebuilds the full session state
-/// (symbol tables, relevance bitsets, caches) from it. The rehydrated
-/// engine answers every query identically to the one that was saved.
+/// Deserializes an engine snapshot and rebuilds the session state
+/// (symbol tables, relevance bitsets, the correspondence index) from it.
+/// The rehydrated engine holds no block tree until a pinned `block-tree`
+/// query builds one, and answers every query identically to the one
+/// that was saved.
 pub fn decode_engine_snapshot(bytes: &[u8]) -> Result<QueryEngine, DecodeError> {
     let parts = decode_engine_snapshot_parts(bytes)?;
-    Ok(QueryEngine::new(parts.mappings, parts.document, parts.tree))
+    Ok(QueryEngine::hydrate(parts.mappings, parts.document))
 }
 
 // ---------------------------------------------------------------------
@@ -697,43 +698,26 @@ impl V3Writer {
     }
 }
 
-/// Serializes a whole engine session — schemas, mapping set, block
-/// tree, and document — into one container in the version-3 layout, the
-/// only one written: every resident arena column becomes one aligned
-/// fixed-width section (see the module docs). Encoding is
-/// `extend_from_slice` per column — no varints, no per-element work
-/// outside the small `META` section.
+/// Serializes a whole engine session — schemas, mapping set and
+/// document — into one container in the version-3 layout, the only one
+/// written: every resident arena column becomes one aligned fixed-width
+/// section (see the module docs). Encoding is `extend_from_slice` per
+/// column — no varints, no per-element work outside the small `META`
+/// section. The block tree is neither stored nor built: its five
+/// sections are written empty.
 pub fn encode_engine_snapshot(engine: &QueryEngine) -> Vec<u8> {
     let pm = engine.mappings();
-    let tree = engine.tree();
     let cols = engine.document().raw_columns();
 
-    // META: schemas, min_support, and the document label table — the
-    // only varint-encoded bytes in a v3 file.
+    // META: schemas, the unused `min_support` slot (0), and the document
+    // label table — the only varint-encoded bytes in a v3 file.
     let mut meta = Vec::new();
     put_schema(&mut meta, engine.source());
     put_schema(&mut meta, engine.target());
-    put_varint(&mut meta, tree.min_support as u64);
+    put_varint(&mut meta, 0);
     put_varint(&mut meta, cols.label_names.len() as u64);
     for name in cols.label_names {
         put_str(&mut meta, name);
-    }
-
-    // Block-tree CSR columns, flattened from the resident block list.
-    let blocks = tree.blocks();
-    let mut anchors = Vec::with_capacity(blocks.len());
-    let mut corr_offsets = Vec::with_capacity(blocks.len() + 1);
-    let mut corrs: Vec<(SchemaNodeId, SchemaNodeId)> = Vec::new();
-    let mut map_offsets = Vec::with_capacity(blocks.len() + 1);
-    let mut map_ids: Vec<u32> = Vec::new();
-    corr_offsets.push(0u32);
-    map_offsets.push(0u32);
-    for b in blocks {
-        anchors.push(b.anchor.0);
-        corrs.extend_from_slice(&b.corrs);
-        corr_offsets.push(corrs.len() as u32);
-        map_ids.extend(b.mappings.iter().map(|m| m.0));
-        map_offsets.push(map_ids.len() as u32);
     }
 
     let mut w = V3Writer::new();
@@ -749,21 +733,10 @@ pub fn encode_engine_snapshot(engine: &QueryEngine) -> Vec<u8> {
     w.section(SEC_MAP_PAIRS, 8, pm.total_pairs() as u64, |o| {
         put_id_pairs(o, pm.pairs_flat())
     });
-    w.section(SEC_BLK_ANCHORS, 4, anchors.len() as u64, |o| {
-        put_u32s(o, &anchors)
-    });
-    w.section(SEC_BLK_CORR_OFFSETS, 4, corr_offsets.len() as u64, |o| {
-        put_u32s(o, &corr_offsets)
-    });
-    w.section(SEC_BLK_CORRS, 8, corrs.len() as u64, |o| {
-        put_id_pairs(o, &corrs)
-    });
-    w.section(SEC_BLK_MAP_OFFSETS, 4, map_offsets.len() as u64, |o| {
-        put_u32s(o, &map_offsets)
-    });
-    w.section(SEC_BLK_MAP_IDS, 4, map_ids.len() as u64, |o| {
-        put_u32s(o, &map_ids)
-    });
+    // The five block-tree slots (kinds 6–10) stay in the table, empty.
+    for &(kind, elem_size) in &V3_LAYOUT[5..10] {
+        w.section(kind, elem_size, 0, |_| {});
+    }
     let n = cols.labels.len() as u64;
     w.section(SEC_DOC_LABELS, 4, n, |o| put_u32s(o, cols.labels));
     w.section(SEC_DOC_PARENTS, 4, n, |o| put_u32s(o, cols.parents));
@@ -990,11 +963,12 @@ fn decode_engine_snapshot_v3(bytes: &[u8]) -> Result<EngineSnapshot, DecodeError
         meta
     };
 
-    // META: schemas, min_support, label table (varint-packed).
+    // META: schemas, the ignored `min_support` slot, label table
+    // (varint-packed).
     let mut r = Reader::new(meta);
     let source = r.schema()?;
     let target = r.schema()?;
-    let min_support = r.varint()? as usize;
+    r.varint()?;
     let n_labels = r.varint()? as usize;
     let mut label_names = Vec::with_capacity(n_labels.min(4096));
     for _ in 0..n_labels {
@@ -1024,39 +998,14 @@ fn decode_engine_snapshot_v3(bytes: &[u8]) -> Result<EngineSnapshot, DecodeError
         read_id_pairs(sec, sum)?
     };
 
-    // Block-tree CSR columns.
-    let anchors = {
-        let (sec, sum) = sec(SEC_BLK_ANCHORS);
-        read_u32s(sec, sum)?
-    };
-    let corr_offsets = {
-        let (sec, sum) = sec(SEC_BLK_CORR_OFFSETS);
-        read_u32s(sec, sum)?
-    };
-    let corrs = {
-        let (sec, sum) = sec(SEC_BLK_CORRS);
-        read_id_pairs(sec, sum)?
-    };
-    let map_offsets = {
-        let (sec, sum) = sec(SEC_BLK_MAP_OFFSETS);
-        read_u32s(sec, sum)?
-    };
-    let map_ids = {
-        let (sec, sum) = sec(SEC_BLK_MAP_IDS);
-        read_u32s(sec, sum)?
-    };
-    let tree = BlockTree::from_raw_columns(
-        &target,
-        &anchors,
-        &corr_offsets,
-        &corrs,
-        &map_offsets,
-        &map_ids,
-        source.len(),
-        scores.len(),
-        min_support,
-    )
-    .ok_or(DecodeError::Malformed)?;
+    // Block-tree sections: empty in files written now; an older file's
+    // tree is checksummed like every other section, then discarded.
+    for kind in SEC_BLK_ANCHORS..=SEC_BLK_MAP_IDS {
+        let (sec, sum) = sec(kind);
+        if xxh64(sec, 0) != sum {
+            return Err(DecodeError::BadChecksum);
+        }
+    }
     let mappings =
         PossibleMappings::from_raw_columns(source, target, scores, probs, pair_offsets, pairs)
             .ok_or(DecodeError::Malformed)?;
@@ -1132,11 +1081,7 @@ fn decode_engine_snapshot_v3(bytes: &[u8]) -> Result<EngineSnapshot, DecodeError
     };
     let document = Document::from_raw_columns(cols).map_err(column_error)?;
 
-    Ok(EngineSnapshot {
-        mappings,
-        tree,
-        document,
-    })
+    Ok(EngineSnapshot { mappings, document })
 }
 
 /// Shared `ColumnError` → `DecodeError` mapping for the columnar
@@ -1378,28 +1323,21 @@ impl<'a> Reader<'a> {
         &mut self,
         source: Schema,
         target: Schema,
-    ) -> Result<(PossibleMappings, BlockTree), DecodeError> {
-        let min_support = self.varint()? as usize;
+    ) -> Result<PossibleMappings, DecodeError> {
+        // Only each block's correspondences are kept, to expand the
+        // mappings' block pointers; the tree itself is not rebuilt.
+        self.varint()?; // min_support
         let n_blocks = self.varint()? as usize;
-        let mut blocks = Vec::with_capacity(n_blocks.min(4096));
+        let mut block_corrs = Vec::with_capacity(n_blocks.min(4096));
         for _ in 0..n_blocks {
-            let anchor = self.varint_u32()?;
-            if anchor as usize >= target.len() {
-                return Err(DecodeError::IdOutOfRange);
+            if self.varint_u32()? as usize >= target.len() {
+                return Err(DecodeError::IdOutOfRange); // anchor
             }
-            let corrs = self.pairs(source.len(), target.len())?;
-            let n_m = self.varint()? as usize;
-            let mut mappings = Vec::with_capacity(n_m.min(4096));
-            for _ in 0..n_m {
-                mappings.push(MappingId(self.varint_u32()?));
+            block_corrs.push(self.pairs(source.len(), target.len())?);
+            for _ in 0..self.varint()? {
+                self.varint_u32()?; // supporting mapping id
             }
-            blocks.push(Block {
-                anchor: SchemaNodeId(anchor),
-                corrs,
-                mappings,
-            });
         }
-        let tree = BlockTree::from_blocks(&target, blocks, min_support);
 
         let n = self.varint()? as usize;
         let mut scores = Vec::with_capacity(n.min(65536));
@@ -1419,8 +1357,8 @@ impl<'a> Reader<'a> {
             let n_b = self.varint()? as usize;
             for _ in 0..n_b {
                 let b = self.varint()? as usize;
-                let block = tree.blocks().get(b).ok_or(DecodeError::IdOutOfRange)?;
-                row.extend_from_slice(&block.corrs);
+                let corrs = block_corrs.get(b).ok_or(DecodeError::IdOutOfRange)?;
+                row.extend_from_slice(corrs);
             }
             row.extend(self.pairs(source.len(), target.len())?);
             row.sort_by_key(|&(s, t)| (t, s));
@@ -1429,9 +1367,8 @@ impl<'a> Reader<'a> {
             let end = u32::try_from(pairs.len()).map_err(|_| DecodeError::Malformed)?;
             pair_offsets.push(end);
         }
-        let pm = PossibleMappings::from_columns(source, target, scores, probs, pair_offsets, pairs)
-            .ok_or(DecodeError::Malformed)?;
-        Ok((pm, tree))
+        PossibleMappings::from_columns(source, target, scores, probs, pair_offsets, pairs)
+            .ok_or(DecodeError::Malformed)
     }
 
     /// The v2 columnar document section, decoded straight into
@@ -1844,7 +1781,7 @@ mod tests {
         // Canonical re-encode is byte-identical: every column is stored
         // verbatim, so decode → encode must be a fixed point.
         let parts = decode_engine_snapshot_parts(&bytes).unwrap();
-        let engine = QueryEngine::new(parts.mappings, parts.document, parts.tree);
+        let engine = QueryEngine::hydrate(parts.mappings, parts.document);
         assert_eq!(encode_engine_snapshot(&engine), bytes);
     }
 

@@ -149,12 +149,6 @@ fn post_order(pattern: &crate::pattern::TwigPattern) -> Vec<PatternNodeId> {
     out
 }
 
-/// Counts matches without materializing them (used by size estimations in
-/// benches; currently enumerates internally).
-pub fn count_matches(doc: &Document, resolved: &ResolvedPattern) -> usize {
-    match_twig(doc, resolved).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

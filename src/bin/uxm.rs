@@ -9,10 +9,10 @@
 //!               [--mode label|node] [--hint auto|naive|block-tree|compiled]
 //!               [--min-p X] [--granularity mapping|distinct] [--json]
 //! uxm explain   <source.outline> <target.outline> <doc.xml> <twig>
-//!               [--h N] [--k N] [--tau X] [--mode label|node]
+//!               [--h N] [--k N] [--mode label|node]
 //!               [--hint auto|naive|block-tree|compiled] [--json]
-//! uxm keyword   <source.outline> <target.outline> <doc.xml> <term...> [--h N] [--tau X] [--json]
-//! uxm registry  save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N] [--tau X]
+//! uxm keyword   <source.outline> <target.outline> <doc.xml> <term...> [--h N] [--json]
+//! uxm registry  save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N]
 //! uxm registry  list --dir D
 //! uxm stats     <engine> --dir D
 //! uxm batch     <requests.txt> --dir D [--budget BYTES] [--json]
@@ -102,10 +102,10 @@ fn usage() {
          uxm query    <source.outline> <target.outline> <doc.xml> <twig> [--h N] [--k N] [--tau X]\n               \
          [--agg count|sum|min|max] [--mode label|node] [--hint auto|naive|block-tree|compiled]\n               \
          [--min-p X] [--granularity mapping|distinct] [--json]\n  \
-         uxm explain  <source.outline> <target.outline> <doc.xml> <twig> [--h N] [--k N] [--tau X]\n               \
+         uxm explain  <source.outline> <target.outline> <doc.xml> <twig> [--h N] [--k N]\n               \
          [--mode label|node] [--hint auto|naive|block-tree|compiled] [--json]\n  \
-         uxm keyword  <source.outline> <target.outline> <doc.xml> <term...> [--h N] [--tau X] [--json]\n  \
-         uxm registry save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N] [--tau X]\n  \
+         uxm keyword  <source.outline> <target.outline> <doc.xml> <term...> [--h N] [--json]\n  \
+         uxm registry save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N]\n  \
          uxm registry list --dir D\n  \
          uxm stats    <engine> --dir D\n  \
          uxm batch    <requests.txt> --dir D [--budget BYTES] [--json]\n  \
@@ -170,10 +170,11 @@ type Flags<'a> = Vec<(&'a str, &'a str)>;
 /// Flags that take no value.
 const BOOL_FLAGS: [&str; 1] = ["json"];
 
-/// The flags of `query` and `explain`.
+/// The flags of `query`. `explain` takes `QUERY_FLAGS[1..]`, all but
+/// `--tau`: a listing never reads the block tree.
 const QUERY_FLAGS: [&str; 11] = [
-    "h",
     "tau",
+    "h",
     "strategy",
     "threshold",
     "k",
@@ -185,17 +186,9 @@ const QUERY_FLAGS: [&str; 11] = [
     "json",
 ];
 
-/// The flags of `keyword`.
-const KEYWORD_FLAGS: [&str; 8] = [
-    "h",
-    "tau",
-    "strategy",
-    "threshold",
-    "hint",
-    "min-p",
-    "granularity",
-    "json",
-];
+/// The flags of `keyword`, which always runs naive and never reads the
+/// block tree.
+const KEYWORD_FLAGS: [&str; 6] = ["h", "strategy", "threshold", "min-p", "granularity", "json"];
 
 /// The flags of `serve`.
 const SERVE_FLAGS: [&str; 10] = [
@@ -356,7 +349,9 @@ fn cmd_mappings(args: &[String], out: &mut Out) -> Result<(), UxmError> {
     Ok(())
 }
 
-/// Builds the query-session engine shared by `query` and `keyword`.
+/// Builds the query-session engine shared by `query`, `explain`,
+/// `keyword` and `registry save`. Only `query` takes `--tau`, the
+/// threshold of the block tree a pinned `block-tree` plan reads.
 fn engine_from(
     flags: &[(&str, &str)],
     src: &str,
@@ -509,7 +504,7 @@ fn cmd_query(args: &[String], out: &mut Out) -> Result<(), UxmError> {
 /// `uxm explain` — print the plan and the compiled bytecode program for
 /// a query without running it (see `docs/execution.md`).
 fn cmd_explain(args: &[String], out: &mut Out) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args, &QUERY_FLAGS)?;
+    let (pos, flags) = parse_args(args, &QUERY_FLAGS[1..])?;
     let [src, tgt, doc_path, query_text] = pos.as_slice() else {
         return Err(UxmError::Usage(
             "explain needs <source.outline> <target.outline> <doc.xml> <twig>".into(),
@@ -566,7 +561,7 @@ fn cmd_keyword(args: &[String], out: &mut Out) -> Result<(), UxmError> {
 
 /// `uxm registry save|list` — manage the on-disk engine-snapshot set.
 fn cmd_registry(args: &[String], out: &mut Out) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args, &["dir", "h", "tau", "strategy", "threshold"])?;
+    let (pos, flags) = parse_args(args, &["dir", "h", "strategy", "threshold"])?;
     let dir = flag(&flags, "dir")
         .ok_or_else(|| UxmError::Usage("registry needs --dir <snapshot-dir>".into()))?;
     match pos.as_slice() {
@@ -577,14 +572,13 @@ fn cmd_registry(args: &[String], out: &mut Out) -> Result<(), UxmError> {
             outln!(
                 out,
                 "saved {name:?} to {} (snapshot v{}, {} bytes on disk, ~{} KiB resident): \
-                 |M|={}, {} doc nodes, {} c-blocks",
+                 |M|={}, {} doc nodes",
                 path.display(),
                 uxm::core::storage::SNAPSHOT_VERSION,
                 std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
                 engine.approx_bytes() / 1024,
                 engine.mappings().len(),
                 engine.document().len(),
-                engine.tree().block_count(),
             );
             Ok(())
         }
@@ -605,11 +599,10 @@ fn cmd_registry(args: &[String], out: &mut Out) -> Result<(), UxmError> {
                 match decode_engine_snapshot_parts(&bytes) {
                     Ok(snap) => outln!(
                         out,
-                        "  {name:<24} {:>9} bytes  |M|={:<4} doc={:<6} blocks={:<4} {} -> {}",
+                        "  {name:<24} {:>9} bytes  |M|={:<4} doc={:<6} {} -> {}",
                         bytes.len(),
                         snap.mappings.len(),
                         snap.document.len(),
-                        snap.tree.block_count(),
                         snap.mappings.source.name,
                         snap.mappings.target.name,
                     ),
@@ -654,14 +647,13 @@ fn cmd_stats(args: &[String], out: &mut Out) -> Result<(), UxmError> {
     );
     outln!(
         out,
-        "  |M| = {} ({} pairs), {} doc nodes ({} labels, {} text bytes, {} attr bytes), {} c-blocks",
+        "  |M| = {} ({} pairs), {} doc nodes ({} labels, {} text bytes, {} attr bytes)",
         engine.mappings().len(),
         engine.mappings().total_pairs(),
         engine.document().len(),
         engine.document().label_count(),
         engine.document().text_bytes(),
         engine.document().attr_bytes(),
-        engine.tree().block_count(),
     );
     for (label, bytes) in [
         ("document", fp.document),

@@ -28,18 +28,23 @@ fn fixture(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs `uxm query s.outline t.outline doc.xml //Line/No` with `extra`
-/// flags appended.
-fn query(name: &str, extra: &[&str]) -> Output {
+/// Runs `uxm` with `args` in a fresh [`fixture`] directory.
+fn uxm(name: &str, args: &[&str]) -> Output {
     let dir = fixture(name);
     let output = Command::new(env!("CARGO_BIN_EXE_uxm"))
         .current_dir(&dir)
-        .args(["query", "s.outline", "t.outline", "doc.xml", "//Line/No"])
-        .args(extra)
+        .args(args)
         .output()
         .expect("run uxm");
     let _ = std::fs::remove_dir_all(&dir);
     output
+}
+
+/// Runs `uxm query s.outline t.outline doc.xml //Line/No` with `extra`
+/// flags appended.
+fn query(name: &str, extra: &[&str]) -> Output {
+    let args = ["query", "s.outline", "t.outline", "doc.xml", "//Line/No"];
+    uxm(name, &[&args[..], extra].concat())
 }
 
 /// Asserts a usage error: exit 2 and `message` on stderr.
@@ -61,11 +66,23 @@ fn the_commands_own_flags_are_accepted() {
 #[test]
 fn unknown_flag_is_a_usage_error() {
     assert_usage_error(&query("bogus", &["--bogus", "7"]), "unknown flag --bogus");
-}
-
-#[test]
-fn misspelt_flag_is_a_usage_error() {
-    assert_usage_error(&query("typo", &["--hnt", "naive"]), "unknown flag --hnt");
+    // Flags a command ignored are refused: `--tau` sets the block tree,
+    // which only `query --hint block-tree` reads (a snapshot stores no
+    // tree), and `keyword` always runs naive.
+    for (i, line) in [
+        "keyword s.outline t.outline doc.xml Qty --tau 0.3",
+        "keyword s.outline t.outline doc.xml Qty --hint naive",
+        "explain s.outline t.outline doc.xml //Line/No --tau 0.3",
+        "registry save po s.outline t.outline doc.xml --dir d --tau 0.3",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let flag = args[args.len() - 2];
+        let output = uxm(&format!("dropped-{i}"), &args);
+        assert_usage_error(&output, &format!("unknown flag {flag}"));
+    }
 }
 
 #[test]

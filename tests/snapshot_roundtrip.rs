@@ -48,6 +48,23 @@ fn snapshot_roundtrip_preserves_answers_on_every_dataset() {
         let back = decode_engine_snapshot(&bytes).expect("snapshot decodes");
         let name = id.name();
 
+        // A decoded engine holds no block tree; only a pinned block-tree
+        // run builds one.
+        let spot = &queries[1];
+        assert_eq!(back.footprint().block_tree, 0, "{name}: hydrated tree");
+        for hint in [
+            EvaluatorHint::Auto,
+            EvaluatorHint::Naive,
+            EvaluatorHint::Compiled,
+        ] {
+            back.run(&Query::ptq(spot.clone()).with_evaluator(hint))
+                .unwrap();
+            assert_eq!(back.footprint().block_tree, 0, "{name}: {hint:?} run");
+        }
+        back.run(&Query::ptq(spot.clone()).with_evaluator(EvaluatorHint::BlockTree))
+            .unwrap();
+        assert!(back.footprint().block_tree > 0, "{name}: block-tree run");
+
         assert_eq!(back.source(), original.source(), "{name}: source schema");
         assert_eq!(back.target(), original.target(), "{name}: target schema");
         assert_eq!(
@@ -92,6 +109,7 @@ fn snapshot_reencode_is_byte_identical() {
     let bytes = encode_engine_snapshot(&original);
     let back = decode_engine_snapshot(&bytes).unwrap();
     assert_eq!(encode_engine_snapshot(&back), bytes);
+    assert_eq!(back.footprint().block_tree, 0, "encoding builds no tree");
 }
 
 /// One valid snapshot, built once and shared by all property cases.

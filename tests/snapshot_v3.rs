@@ -298,8 +298,10 @@ fn v3_golden_fixture_decodes() {
 fn v1_v2_v3_decoders_agree() {
     let fresh = fixture_engine();
     let from = |path: &str| {
-        decode_engine_snapshot(&std::fs::read(path).expect("fixture committed"))
-            .expect("fixture decodes")
+        let e = decode_engine_snapshot(&std::fs::read(path).expect("fixture committed"))
+            .expect("fixture decodes");
+        assert_eq!(e.footprint().block_tree, 0, "{path}: decoded with a tree");
+        e
     };
     let (from_v1, from_v2, from_v3_fixture) =
         (from(V1_FIXTURE), from(V2_FIXTURE), from(V3_FIXTURE));
@@ -425,7 +427,9 @@ fn v3_overstated_count_cannot_allocate() {
 }
 
 /// A single flipped byte inside a column's payload trips that section's
-/// checksum (the table itself still verifies).
+/// checksum (the table itself still verifies). The same holds for the
+/// block-tree sections (kinds 6–10) of the 4096-aligned fixture, which
+/// the decoder discards unread: it still checksums them.
 #[test]
 fn v3_column_checksum_detects_content_flip() {
     let mut bytes = valid_v3_snapshot().to_vec();
@@ -437,6 +441,20 @@ fn v3_column_checksum_detects_content_flip() {
         decode_engine_snapshot(&bytes).unwrap_err(),
         DecodeError::BadChecksum
     );
+
+    let fixture = std::fs::read(V3_FIXTURE).expect("v3 fixture committed");
+    for i in 5..10 {
+        let offset = entry_field(&fixture, i, 1) as usize;
+        let len = entry_field(&fixture, i, 2) as usize;
+        assert!(len > 0, "fixture block-tree section {i} is not empty");
+        let mut bytes = fixture.clone();
+        bytes[offset + len / 2] ^= 0x80;
+        assert_eq!(
+            decode_engine_snapshot(&bytes).unwrap_err(),
+            DecodeError::BadChecksum,
+            "block-tree section {i}"
+        );
+    }
 }
 
 /// Truncating mid-section is caught by `file_len` before any section is
