@@ -86,6 +86,11 @@ fn unknown_flag_is_a_usage_error() {
 }
 
 #[test]
+fn misspelt_flag_is_a_usage_error() {
+    assert_usage_error(&query("typo", &["--hnt", "naive"]), "unknown flag --hnt");
+}
+
+#[test]
 fn repeated_flag_is_a_usage_error() {
     assert_usage_error(
         &query("twice", &["--h", "20", "--h", "30"]),
