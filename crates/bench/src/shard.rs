@@ -37,6 +37,7 @@ use uxm_core::router::{Ring, Router, RouterConfig};
 use uxm_core::server::{Client, ServerConfig};
 use uxm_twig::TwigPattern;
 
+use crate::percentile;
 use crate::soak::{build_corpus, SoakConfig};
 
 /// Shard counts each phase compares.
@@ -47,14 +48,6 @@ const THREADS: usize = 3;
 const TOPK_EVERY: usize = 16;
 /// Victim engines sampled from the non-hot shards in phase 2.
 const VICTIMS: usize = 4;
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((pct / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1]
-}
 
 /// One phase's wall-clock slice of the overall `--duration` budget
 /// (four timed runs total, floor 2 s so tiny test runs still drive

@@ -40,7 +40,6 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uxm_core::api::Query;
-use uxm_core::block_tree::BlockTreeConfig;
 use uxm_core::engine::QueryEngine;
 use uxm_core::error::UxmError;
 use uxm_core::json::Json;
@@ -52,6 +51,8 @@ use uxm_datagen::corpus::{corpus_document, CorpusConfig};
 use uxm_matching::Matcher;
 use uxm_twig::TwigPattern;
 use uxm_xml::Schema;
+
+use crate::percentile;
 
 /// Knobs for `repro soak` (all overridable from the command line).
 #[derive(Clone, Debug)]
@@ -188,14 +189,6 @@ fn rss_bytes() -> u64 {
     0
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((pct / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1]
-}
-
 /// The serving stack under soak: one registry behind a [`Server`], or
 /// `N` shard registries behind the [`Router`].
 enum Backend {
@@ -254,7 +247,7 @@ pub(crate) fn corpus_engine(nodes: usize) -> QueryEngine {
     let matching = Matcher::context().match_schemas(&source, &target);
     let mappings = PossibleMappings::top_h(&matching, 16);
     let doc = corpus_document(&source, nodes, ALPHA, 1);
-    QueryEngine::build(mappings, doc, &BlockTreeConfig::default())
+    QueryEngine::build(mappings, doc)
 }
 
 /// Builds the corpus engines, snapshots them into `dir`, and returns
@@ -276,7 +269,7 @@ pub(crate) fn build_corpus(cfg: &SoakConfig, dir: &std::path::Path) -> (Vec<Stri
     let mut total_bytes = 0usize;
     for (i, &nodes) in sizes.iter().enumerate() {
         let doc = corpus_document(&source, nodes, ALPHA, corpus.doc_seed(i));
-        let engine = QueryEngine::build(mappings.clone(), doc, &BlockTreeConfig::default());
+        let engine = QueryEngine::build(mappings.clone(), doc);
         total_bytes += engine.approx_bytes();
         let name = format!("e{i:04}");
         builder.insert(&name, engine);
@@ -1012,15 +1005,6 @@ mod tests {
         }
         assert!(counts[0] > counts[19] * 3, "head {counts:?}");
         assert_eq!(counts.iter().sum::<usize>(), 10_000);
-    }
-
-    #[test]
-    fn percentile_ranks() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50.0), 50);
-        assert_eq!(percentile(&v, 99.0), 99);
-        assert_eq!(percentile(&v, 99.9), 100);
-        assert_eq!(percentile(&[], 50.0), 0);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //!
 //! ```
 //! use uxm_core::api::{EvaluatorHint, Query};
-//! use uxm_core::block_tree::BlockTreeConfig;
 //! use uxm_core::engine::QueryEngine;
 //! use uxm_core::mapping::PossibleMappings;
 //! use uxm_matching::Matcher;
@@ -39,7 +38,7 @@
 //! let matching = Matcher::default().match_schemas(&source, &target);
 //! let pm = PossibleMappings::top_h(&matching, 8);
 //! let doc = Document::generate(&source, &DocGenConfig::small(), 7);
-//! let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+//! let engine = QueryEngine::build(pm, doc);
 //!
 //! let query = Query::ptq(TwigPattern::parse("PO//ContactName").unwrap());
 //! let response = engine.run(&query).unwrap();

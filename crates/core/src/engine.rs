@@ -20,10 +20,11 @@
 //! per evaluation ([`crate::exec`]) and keeps nothing, so concurrent
 //! queries on one shared engine meet only in the two lazily built
 //! indexes: the path index (node granularity) and the block tree, which
-//! only a pinned `block-tree` plan reads. An engine hydrated from a
-//! snapshot builds its tree on that first pinned run, with
-//! [`BlockTreeConfig::default`]. Answers on a long-lived engine are
-//! pinned to fresh-session answers by `tests/engine_equivalence.rs`.
+//! only a pinned `block-tree` plan reads. An engine from
+//! [`QueryEngine::build`] or a snapshot builds its tree on that first
+//! pinned run, with [`BlockTreeConfig::default`]. Answers on a
+//! long-lived engine are pinned to fresh-session answers by
+//! `tests/engine_equivalence.rs`.
 
 use crate::aggregate::{self, AggFunc, AggregateResult};
 use crate::api::{ExecStats, Query, QueryResponse};
@@ -1088,8 +1089,8 @@ pub struct EngineFootprint {
     pub mappings: usize,
     /// The lazily built block tree (block arrays, CSR per-node block
     /// lists, path hash); 0 until a pinned `block-tree` query or
-    /// [`QueryEngine::tree`] builds it. [`QueryEngine::new`] and
-    /// [`QueryEngine::build`] start with it built.
+    /// [`QueryEngine::tree`] builds it. Only [`QueryEngine::new`] starts
+    /// with it built.
     pub block_tree: usize,
     /// Both schemas (node tables and label strings).
     pub schemas: usize,
@@ -1132,7 +1133,6 @@ fn schema_bytes(s: &Schema) -> usize {
 /// ```
 /// use uxm_core::api::Query;
 /// use uxm_core::engine::QueryEngine;
-/// use uxm_core::block_tree::BlockTreeConfig;
 /// use uxm_core::mapping::PossibleMappings;
 /// use uxm_matching::Matcher;
 /// use uxm_twig::TwigPattern;
@@ -1144,7 +1144,7 @@ fn schema_bytes(s: &Schema) -> usize {
 /// let pm = PossibleMappings::top_h(&matching, 8);
 /// let doc = Document::generate(&source, &DocGenConfig::small(), 7);
 ///
-/// let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+/// let engine = QueryEngine::build(pm, doc);
 /// let q = TwigPattern::parse("PO//ContactName").unwrap();
 /// let response = engine.run(&Query::ptq(q)).unwrap();
 /// for answer in &response.answers {
@@ -1180,17 +1180,9 @@ impl std::fmt::Debug for QueryEngine {
 }
 
 impl QueryEngine {
-    /// Wraps an already-built block tree, which a pinned `block-tree`
-    /// plan then reads.
-    pub fn new(pm: PossibleMappings, doc: Document, tree: BlockTree) -> QueryEngine {
-        let engine = QueryEngine::hydrate(pm, doc);
-        let _ = engine.tree.set(tree);
-        engine
-    }
-
     /// Builds the session state only; the block tree is built on first
-    /// use (the snapshot decoders' constructor).
-    pub(crate) fn hydrate(pm: PossibleMappings, doc: Document) -> QueryEngine {
+    /// use (see [`QueryEngine::tree`]).
+    pub fn build(pm: PossibleMappings, doc: Document) -> QueryEngine {
         let state = SessionState::build(&pm, &doc);
         QueryEngine {
             pm,
@@ -1201,10 +1193,12 @@ impl QueryEngine {
         }
     }
 
-    /// Builds the block tree with `config`, then the session state.
-    pub fn build(pm: PossibleMappings, doc: Document, config: &BlockTreeConfig) -> QueryEngine {
-        let tree = BlockTree::build(&pm.target, &pm, config);
-        QueryEngine::new(pm, doc, tree)
+    /// Wraps an already-built block tree, which a pinned `block-tree`
+    /// plan then reads.
+    pub fn new(pm: PossibleMappings, doc: Document, tree: BlockTree) -> QueryEngine {
+        let engine = QueryEngine::build(pm, doc);
+        let _ = engine.tree.set(tree);
+        engine
     }
 
     /// The possible-mapping set this session serves.
@@ -1217,10 +1211,10 @@ impl QueryEngine {
         &self.doc
     }
 
-    /// The session's block tree: the one [`QueryEngine::new`] or
-    /// [`QueryEngine::build`] was given, else built here on first use
-    /// with [`BlockTreeConfig::default`] (the paper's τ = 0.2,
-    /// `MAX_B` = `MAX_F` = 500). Answers never depend on the tree.
+    /// The session's block tree: the one [`QueryEngine::new`] was
+    /// given, else built here on first use with
+    /// [`BlockTreeConfig::default`] (the paper's τ = 0.2, `MAX_B` =
+    /// `MAX_F` = 500). Answers never depend on the tree.
     pub fn tree(&self) -> &BlockTree {
         self.tree.get_or_init(|| {
             BlockTree::build(&self.pm.target, &self.pm, &BlockTreeConfig::default())
@@ -1457,7 +1451,7 @@ mod tests {
         let matching = Matcher::context().match_schemas(&source, &target);
         let pm = PossibleMappings::top_h(&matching, 16);
         let doc = Document::generate(&source, &DocGenConfig::small(), 11);
-        QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+        QueryEngine::build(pm, doc)
     }
 
     /// `q`'s label-granularity answers with the evaluator pinned.
@@ -1558,6 +1552,8 @@ mod tests {
     #[test]
     fn run_reports_plan_and_exec_stats() {
         let e = engine();
+        // `build` makes no block tree, and neither naive nor auto does.
+        assert_eq!(e.footprint().block_tree, 0);
         let q = TwigPattern::parse("//Line//No").unwrap();
         let pinned = e
             .run(&Query::ptq(q.clone()).with_evaluator(EvaluatorHint::Naive))
@@ -1569,6 +1565,7 @@ mod tests {
         let auto = e.run(&Query::ptq(q.clone())).unwrap();
         assert_eq!(auto.stats.relevant, pinned.stats.relevant);
         assert_eq!(auto.answers, pinned.answers);
+        assert_eq!(e.footprint().block_tree, 0);
     }
 
     #[test]
@@ -1709,7 +1706,8 @@ mod tests {
             tau: 0.4,
             ..BlockTreeConfig::default()
         };
-        QueryEngine::build(pm, doc, &cfg)
+        let tree = BlockTree::build(&pm.target, &pm, &cfg);
+        QueryEngine::new(pm, doc, tree)
     }
 
     /// The anchor Algorithm 4 would use for `q`.
@@ -1797,7 +1795,7 @@ mod tests {
             },
             5,
         );
-        let e = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let e = QueryEngine::build(pm, doc);
         assert_block_tree_agrees(
             &e,
             &[
@@ -1871,7 +1869,7 @@ mod tests {
              <D><Item>2</Item></D><E>e</E></Src>",
         )
         .unwrap();
-        QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+        QueryEngine::build(pm, doc)
     }
 
     /// Runs the compiled program for one query shape directly, optionally

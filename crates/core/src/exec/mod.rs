@@ -43,7 +43,6 @@
 //! ```
 //! use uxm_core::api::Query;
 //! use uxm_core::engine::QueryEngine;
-//! use uxm_core::block_tree::BlockTreeConfig;
 //! use uxm_core::mapping::PossibleMappings;
 //! use uxm_matching::Matcher;
 //! use uxm_twig::TwigPattern;
@@ -54,7 +53,7 @@
 //! let matching = Matcher::default().match_schemas(&source, &target);
 //! let pm = PossibleMappings::top_h(&matching, 8);
 //! let doc = Document::generate(&source, &DocGenConfig::small(), 7);
-//! let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+//! let engine = QueryEngine::build(pm, doc);
 //!
 //! let query = Query::ptq(TwigPattern::parse("PO//ContactName").unwrap());
 //! let explain = engine.explain(&query).unwrap();

@@ -84,7 +84,6 @@ impl KeywordError {
 mod tests {
     use super::*;
     use crate::api::Query;
-    use crate::block_tree::BlockTreeConfig;
     use crate::engine::{contains_word, QueryEngine};
     use crate::error::UxmError;
     use crate::mapping::PossibleMappings;
@@ -93,7 +92,7 @@ mod tests {
     /// Runs a keyword query on a fresh session over [`setup`]'s data.
     fn keyword_query(terms: &[&str]) -> Result<Vec<KeywordAnswer>, UxmError> {
         let (pm, doc) = setup();
-        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let engine = QueryEngine::build(pm, doc);
         let query = Query::keyword(terms.iter().map(|t| t.to_string()).collect());
         let answers = engine
             .run(&query)?

@@ -75,7 +75,6 @@
 //!
 //! ```
 //! use uxm_core::api::Query;
-//! use uxm_core::block_tree::BlockTreeConfig;
 //! use uxm_core::engine::QueryEngine;
 //! use uxm_core::mapping::PossibleMappings;
 //! use uxm_matching::Matcher;
@@ -88,7 +87,7 @@
 //! let pm = PossibleMappings::top_h(&matching, 8);
 //! let doc = Document::generate(&source, &DocGenConfig::small(), 7);
 //!
-//! let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+//! let engine = QueryEngine::build(pm, doc);
 //! let q = TwigPattern::parse("PO//ContactName").unwrap();
 //! let full = engine.run(&Query::ptq(q.clone())).unwrap();
 //! let top2 = engine.run(&Query::topk(q, 2)).unwrap();

@@ -412,18 +412,6 @@ impl PossibleMappings {
         &self.labels
     }
 
-    /// The interned label symbol of a source schema node.
-    #[inline]
-    pub fn source_label_sym(&self, s: SchemaNodeId) -> Symbol {
-        self.source_syms[s.idx()]
-    }
-
-    /// The interned label symbol of a target schema node.
-    #[inline]
-    pub fn target_label_sym(&self, t: SchemaNodeId) -> Symbol {
-        self.target_syms[t.idx()]
-    }
-
     /// The interned source-label symbols that target-label `label` can
     /// rewrite to under mapping `id` — the allocation-lean core of
     /// [`PossibleMappings::source_labels_for`]: for every target element

@@ -98,7 +98,7 @@ pub fn filter_mappings_nodes(q: &TwigPattern, pm: &PossibleMappings) -> Vec<Mapp
 mod tests {
     use super::*;
     use crate::api::{Answer, EvaluatorHint, Query};
-    use crate::block_tree::BlockTreeConfig;
+    use crate::block_tree::{BlockTree, BlockTreeConfig};
     use crate::engine::QueryEngine;
     use uxm_xml::{parse_document, Document};
 
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn node_mode_disambiguates_shared_labels() {
         let (pm, doc, _) = ambiguous_setup();
-        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let engine = QueryEngine::build(pm, doc);
         let res = run(&engine, "//IP//ICN", true, EvaluatorHint::Naive);
         assert_eq!(res.len(), 3);
         let names: Vec<&str> = res
@@ -164,7 +164,7 @@ mod tests {
         // The contrast: label-granularity returns all three contacts for
         // every mapping.
         let (pm, doc, _) = ambiguous_setup();
-        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let engine = QueryEngine::build(pm, doc);
         let res = run(&engine, "//IP//ICN", false, EvaluatorHint::Naive);
         assert!(res.iter().all(|a| a.matches.len() == 3));
     }
@@ -176,7 +176,8 @@ mod tests {
             tau: 0.4,
             ..BlockTreeConfig::default()
         };
-        let engine = QueryEngine::build(pm, doc, &config);
+        let tree = BlockTree::build(&pm.target, &pm, &config);
+        let engine = QueryEngine::new(pm, doc, tree);
         for qs in ["//IP//ICN", "//ICN", "ORDER//ICN", "ORDER"] {
             assert_eq!(
                 run(&engine, qs, true, EvaluatorHint::Naive),
@@ -202,7 +203,7 @@ mod tests {
             ],
         );
         let doc = parse_document("<Ord><A><X>1</X></A><B><Y>2</Y></B></Ord>").unwrap();
-        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let engine = QueryEngine::build(pm, doc);
         assert_eq!(
             run(&engine, "PO/P/Q", false, EvaluatorHint::Naive),
             run(&engine, "PO/P/Q", true, EvaluatorHint::Naive)

@@ -101,7 +101,6 @@ impl PtqResult {
 mod tests {
     use super::*;
     use crate::api::{EvaluatorHint, Query};
-    use crate::block_tree::BlockTreeConfig;
     use crate::engine::QueryEngine;
     use crate::mapping::PossibleMappings;
     use uxm_twig::TwigPattern;
@@ -136,7 +135,7 @@ mod tests {
 
     /// Algorithm 3 (`query_basic`) on a fresh session.
     fn basic(q: &TwigPattern, pm: PossibleMappings, doc: Document) -> PtqResult {
-        let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+        let engine = QueryEngine::build(pm, doc);
         let query = Query::ptq(q.clone()).with_evaluator(EvaluatorHint::Naive);
         PtqResult::from_response(engine.run(&query).unwrap())
     }

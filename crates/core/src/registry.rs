@@ -26,7 +26,6 @@
 //!
 //! ```
 //! use uxm_core::api::Query;
-//! use uxm_core::block_tree::BlockTreeConfig;
 //! use uxm_core::engine::QueryEngine;
 //! use uxm_core::mapping::PossibleMappings;
 //! use uxm_core::registry::{BatchQuery, EngineRegistry};
@@ -40,7 +39,7 @@
 //!     let matching = Matcher::context().match_schemas(&source, &target);
 //!     let pm = PossibleMappings::top_h(&matching, 8);
 //!     let doc = Document::generate(&source, &DocGenConfig::small(), seed);
-//!     QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+//!     QueryEngine::build(pm, doc)
 //! }
 //!
 //! let registry = EngineRegistry::new();
@@ -765,7 +764,6 @@ impl fmt::Debug for EngineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_tree::BlockTreeConfig;
     use crate::keyword::KeywordError;
     use crate::mapping::PossibleMappings;
     use uxm_matching::Matcher;
@@ -782,7 +780,7 @@ mod tests {
         let matching = Matcher::context().match_schemas(&source, &target);
         let pm = PossibleMappings::top_h(&matching, 12);
         let doc = Document::generate(&source, &DocGenConfig::small(), seed);
-        QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+        QueryEngine::build(pm, doc)
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {

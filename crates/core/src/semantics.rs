@@ -67,7 +67,6 @@ pub fn expected_count(result: &PtqResult) -> f64 {
 mod tests {
     use super::*;
     use crate::api::{EvaluatorHint, Query};
-    use crate::block_tree::BlockTreeConfig;
     use crate::engine::QueryEngine;
     use crate::mapping::PossibleMappings;
     use uxm_twig::TwigPattern;
@@ -75,7 +74,7 @@ mod tests {
 
     /// Algorithm 3 on a fresh session, as a per-mapping result.
     fn ptq_basic(q: &TwigPattern, pm: &PossibleMappings, doc: &Document) -> PtqResult {
-        let engine = QueryEngine::build(pm.clone(), doc.clone(), &BlockTreeConfig::default());
+        let engine = QueryEngine::build(pm.clone(), doc.clone());
         let query = Query::ptq(q.clone()).with_evaluator(EvaluatorHint::Naive);
         PtqResult::from_response(engine.run(&query).unwrap())
     }

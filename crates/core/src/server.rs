@@ -64,7 +64,6 @@
 //! ```
 //! use std::sync::Arc;
 //! use uxm_core::api::Query;
-//! use uxm_core::block_tree::BlockTreeConfig;
 //! use uxm_core::engine::QueryEngine;
 //! use uxm_core::mapping::PossibleMappings;
 //! use uxm_core::registry::EngineRegistry;
@@ -80,7 +79,7 @@
 //! let pm = PossibleMappings::top_h(&matching, 8);
 //! let doc = Document::generate(&source, &DocGenConfig::small(), 7);
 //! let registry = Arc::new(EngineRegistry::new());
-//! let engine = registry.insert("orders", QueryEngine::build(pm, doc, &BlockTreeConfig::default()));
+//! let engine = registry.insert("orders", QueryEngine::build(pm, doc));
 //!
 //! // ...served over a real socket by two workers.
 //! let server = Server::bind(

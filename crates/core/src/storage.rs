@@ -84,7 +84,6 @@
 //!
 //! ```
 //! use uxm_core::api::Query;
-//! use uxm_core::block_tree::BlockTreeConfig;
 //! use uxm_core::engine::QueryEngine;
 //! use uxm_core::mapping::PossibleMappings;
 //! use uxm_core::storage::{decode_engine_snapshot, encode_engine_snapshot};
@@ -97,7 +96,7 @@
 //! let matching = Matcher::default().match_schemas(&source, &target);
 //! let pm = PossibleMappings::top_h(&matching, 8);
 //! let doc = Document::generate(&source, &DocGenConfig::small(), 7);
-//! let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+//! let engine = QueryEngine::build(pm, doc);
 //!
 //! // One self-contained artifact: schemas + mappings + document.
 //! let bytes = encode_engine_snapshot(&engine);
@@ -359,7 +358,7 @@ pub fn decode_engine_snapshot_parts(bytes: &[u8]) -> Result<EngineSnapshot, Deco
 /// that was saved.
 pub fn decode_engine_snapshot(bytes: &[u8]) -> Result<QueryEngine, DecodeError> {
     let parts = decode_engine_snapshot_parts(bytes)?;
-    Ok(QueryEngine::hydrate(parts.mappings, parts.document))
+    Ok(QueryEngine::build(parts.mappings, parts.document))
 }
 
 // ---------------------------------------------------------------------
@@ -1781,7 +1780,7 @@ mod tests {
         // Canonical re-encode is byte-identical: every column is stored
         // verbatim, so decode → encode must be a fixed point.
         let parts = decode_engine_snapshot_parts(&bytes).unwrap();
-        let engine = QueryEngine::hydrate(parts.mappings, parts.document);
+        let engine = QueryEngine::build(parts.mappings, parts.document);
         assert_eq!(encode_engine_snapshot(&engine), bytes);
     }
 

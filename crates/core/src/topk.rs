@@ -30,7 +30,6 @@ pub fn topk_mappings(q: &TwigPattern, pm: &PossibleMappings, k: usize) -> Vec<Ma
 mod tests {
     use super::*;
     use crate::api::{Answer, EvaluatorHint, Query};
-    use crate::block_tree::BlockTreeConfig;
     use crate::engine::QueryEngine;
     use uxm_xml::{parse_document, Schema};
 
@@ -52,7 +51,7 @@ mod tests {
             "<Order><BP><BCN>Cathy</BCN><RCN>Bob</RCN><OCN>Alice</OCN></BP></Order>",
         )
         .unwrap();
-        QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+        QueryEngine::build(pm, doc)
     }
 
     /// A block-tree top-k PTQ of //IP//ICN.

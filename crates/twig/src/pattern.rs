@@ -172,12 +172,6 @@ impl TwigPattern {
         self.nodes.len()
     }
 
-    /// True iff the pattern is a single node.
-    #[inline]
-    pub fn is_leaf_only(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
     /// Never true — a pattern has at least its root.
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -229,22 +229,6 @@ impl ResolvedPattern {
                 .all(|p| p.accepts(n, doc))
     }
 
-    /// True iff `child_doc` stands in pattern node `child`'s axis relation
-    /// to `parent_doc`.
-    #[inline]
-    pub fn axis_ok(
-        &self,
-        child: PatternNodeId,
-        parent_doc: DocNodeId,
-        child_doc: DocNodeId,
-        doc: &Document,
-    ) -> bool {
-        match self.pattern.node(child).axis {
-            Axis::Child => doc.is_parent(parent_doc, child_doc),
-            Axis::Descendant => doc.is_ancestor(parent_doc, child_doc),
-        }
-    }
-
     /// True iff `n` is a valid position for the pattern *root* (which may
     /// be anchored at the document root for `Axis::Child`).
     #[inline]

@@ -9,7 +9,7 @@
 //! cargo run --release --example purchase_order
 //! ```
 
-use uxm::core::block_tree::BlockTreeConfig;
+use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm::core::engine::QueryEngine;
 use uxm::core::mapping::PossibleMappings;
 use uxm::prelude::*;
@@ -61,14 +61,15 @@ fn main() {
 
     // The introduction's query: Q = //IP//ICN, asked through the unified
     // entry point — one session, one typed query, one response shape.
-    let engine = QueryEngine::build(
-        mappings,
-        doc,
+    let tree = BlockTree::build(
+        &mappings.target,
+        &mappings,
         &BlockTreeConfig {
             tau: 0.4,
             ..BlockTreeConfig::default()
         },
     );
+    let engine = QueryEngine::new(mappings, doc, tree);
     let q = TwigPattern::parse("//INVOICE_PARTY//CONTACT_NAME").unwrap();
     let query = Query::ptq(q);
     println!("query: {query}\n");

@@ -42,7 +42,7 @@ fn main() {
     //    built once, immutable afterwards, and shared freely, since the
     //    engine is `Send + Sync`.
     let doc = Document::generate(&source, &DocGenConfig::small(), 42);
-    let engine = QueryEngine::build(mappings, doc, &BlockTreeConfig::default());
+    let engine = QueryEngine::build(mappings, doc);
     println!(
         "\nblock tree: {} c-blocks (min support {})",
         engine.tree().block_count(),

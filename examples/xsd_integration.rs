@@ -79,7 +79,7 @@ fn main() {
     // 3. A supplier-side document, served through one query session in
     //    the buyer's vocabulary.
     let doc = Document::generate(&source, &DocGenConfig::small(), 3);
-    let engine = QueryEngine::build(mappings, doc, &BlockTreeConfig::default());
+    let engine = QueryEngine::build(mappings, doc);
     println!(
         "\n{} possible mappings, {} c-blocks",
         engine.mappings().len(),

@@ -1,27 +1,8 @@
 //! `uxm` — command-line front end for the uncertain-schema-matching
 //! pipeline.
 //!
-//! ```text
-//! uxm match     <source.outline> <target.outline> [--strategy c|f] [--threshold X]
-//! uxm mappings  <source.outline> <target.outline> [--h N]
-//! uxm query     <source.outline> <target.outline> <doc.xml> <twig>
-//!               [--h N] [--k N] [--agg count|sum|min|max] [--tau X]
-//!               [--mode label|node] [--hint auto|naive|block-tree|compiled]
-//!               [--min-p X] [--granularity mapping|distinct] [--json]
-//! uxm explain   <source.outline> <target.outline> <doc.xml> <twig>
-//!               [--h N] [--k N] [--mode label|node]
-//!               [--hint auto|naive|block-tree|compiled] [--json]
-//! uxm keyword   <source.outline> <target.outline> <doc.xml> <term...> [--h N] [--json]
-//! uxm registry  save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N]
-//! uxm registry  list --dir D
-//! uxm stats     <engine> --dir D
-//! uxm batch     <requests.txt> --dir D [--budget BYTES] [--json]
-//! uxm serve     --dir D [--addr IP:PORT] [--workers N] [--budget BYTES] [--queue N]
-//!               [--per-client N] [--retry-after-ms MS] [--keep-alive-ms MS] [--thrash N]
-//!               [--shards N]
-//! uxm gen-doc   <schema.outline> [--nodes N] [--seed N]
-//! uxm dataset   <D1..D10>
-//! ```
+//! The commands and their flags are listed in `USAGE` below, which
+//! `uxm --help` prints.
 //!
 //! Schema files use the outline syntax (`Order(Buyer(Name) Item*(Price))`).
 //! Every query-serving command speaks the unified query surface of
@@ -40,7 +21,6 @@
 use std::io::{BufWriter, StdoutLock, Write};
 use std::process::ExitCode;
 use uxm::core::api::{EvaluatorHint, Granularity, Query};
-use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::error::UxmError;
 use uxm::core::mapping::PossibleMappings;
@@ -95,25 +75,32 @@ fn main() -> ExitCode {
     }
 }
 
+/// The `--help` text. Every flag a command's table accepts appears on
+/// that command's lines, and no other (checked by the unit test below).
+const USAGE: &str = "\
+usage:
+  uxm match    <source.outline> <target.outline> [--strategy c|f] [--threshold X]
+  uxm mappings <source.outline> <target.outline> [--h N] [--strategy c|f] [--threshold X]
+  uxm query    <source.outline> <target.outline> <doc.xml> <twig> [--h N] [--k N]
+               [--agg count|sum|min|max] [--mode label|node] [--hint auto|naive|block-tree|compiled]
+               [--min-p X] [--granularity mapping|distinct] [--strategy c|f] [--threshold X] [--json]
+  uxm explain  <source.outline> <target.outline> <doc.xml> <twig> [--h N] [--k N]
+               [--agg count|sum|min|max] [--mode label|node] [--hint auto|naive|block-tree|compiled]
+               [--min-p X] [--granularity mapping|distinct] [--strategy c|f] [--threshold X] [--json]
+  uxm keyword  <source.outline> <target.outline> <doc.xml> <term...> [--h N] [--min-p X]
+               [--granularity mapping|distinct] [--strategy c|f] [--threshold X] [--json]
+  uxm registry save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N]
+               [--strategy c|f] [--threshold X]
+  uxm registry list --dir D
+  uxm stats    <engine> --dir D
+  uxm batch    <requests.txt> --dir D [--budget BYTES] [--json]
+  uxm serve    --dir D [--addr IP:PORT] [--workers N] [--budget BYTES] [--queue N]
+               [--per-client N] [--retry-after-ms MS] [--keep-alive-ms MS] [--thrash N] [--shards N]
+  uxm gen-doc  <schema.outline> [--nodes N] [--seed N]
+  uxm dataset  <D1..D10>";
+
 fn usage() {
-    eprintln!(
-        "usage:\n  uxm match    <source.outline> <target.outline> [--strategy c|f] [--threshold X]\n  \
-         uxm mappings <source.outline> <target.outline> [--h N]\n  \
-         uxm query    <source.outline> <target.outline> <doc.xml> <twig> [--h N] [--k N] [--tau X]\n               \
-         [--agg count|sum|min|max] [--mode label|node] [--hint auto|naive|block-tree|compiled]\n               \
-         [--min-p X] [--granularity mapping|distinct] [--json]\n  \
-         uxm explain  <source.outline> <target.outline> <doc.xml> <twig> [--h N] [--k N]\n               \
-         [--mode label|node] [--hint auto|naive|block-tree|compiled] [--json]\n  \
-         uxm keyword  <source.outline> <target.outline> <doc.xml> <term...> [--h N] [--json]\n  \
-         uxm registry save <name> <source.outline> <target.outline> <doc.xml> --dir D [--h N]\n  \
-         uxm registry list --dir D\n  \
-         uxm stats    <engine> --dir D\n  \
-         uxm batch    <requests.txt> --dir D [--budget BYTES] [--json]\n  \
-         uxm serve    --dir D [--addr IP:PORT] [--workers N] [--budget BYTES] [--queue N]\n               \
-         [--per-client N] [--retry-after-ms MS] [--keep-alive-ms MS] [--thrash N] [--shards N]\n  \
-         uxm gen-doc  <schema.outline> [--nodes N] [--seed N]\n  \
-         uxm dataset  <D1..D10>"
-    );
+    eprintln!("{USAGE}");
 }
 
 /// The process's stdout, locked once and buffered. A write that fails
@@ -170,10 +157,14 @@ type Flags<'a> = Vec<(&'a str, &'a str)>;
 /// Flags that take no value.
 const BOOL_FLAGS: [&str; 1] = ["json"];
 
-/// The flags of `query`. `explain` takes `QUERY_FLAGS[1..]`, all but
-/// `--tau`: a listing never reads the block tree.
-const QUERY_FLAGS: [&str; 11] = [
-    "tau",
+/// The flags of `match`.
+const MATCH_FLAGS: [&str; 2] = ["strategy", "threshold"];
+
+/// The flags of `mappings`.
+const MAPPINGS_FLAGS: [&str; 3] = ["h", "strategy", "threshold"];
+
+/// The flags of `query` and `explain`.
+const QUERY_FLAGS: [&str; 10] = [
     "h",
     "strategy",
     "threshold",
@@ -186,9 +177,17 @@ const QUERY_FLAGS: [&str; 11] = [
     "json",
 ];
 
-/// The flags of `keyword`, which always runs naive and never reads the
-/// block tree.
+/// The flags of `keyword`.
 const KEYWORD_FLAGS: [&str; 6] = ["h", "strategy", "threshold", "min-p", "granularity", "json"];
+
+/// The flags of `registry save` and `registry list`.
+const REGISTRY_FLAGS: [&str; 4] = ["dir", "h", "strategy", "threshold"];
+
+/// The flags of `stats`.
+const STATS_FLAGS: [&str; 1] = ["dir"];
+
+/// The flags of `batch`.
+const BATCH_FLAGS: [&str; 3] = ["dir", "budget", "json"];
 
 /// The flags of `serve`.
 const SERVE_FLAGS: [&str; 10] = [
@@ -203,6 +202,9 @@ const SERVE_FLAGS: [&str; 10] = [
     "thrash",
     "shards",
 ];
+
+/// The flags of `gen-doc`.
+const GEN_DOC_FLAGS: [&str; 2] = ["nodes", "seed"];
 
 /// Splits positional arguments from `--flag value` options (boolean
 /// flags record `"true"` without consuming a value). A flag outside
@@ -286,7 +288,7 @@ fn matcher_from(flags: &[(&str, &str)]) -> Result<Matcher, UxmError> {
 }
 
 fn cmd_match(args: &[String], out: &mut Out) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args, &["strategy", "threshold"])?;
+    let (pos, flags) = parse_args(args, &MATCH_FLAGS)?;
     let [src, tgt] = pos.as_slice() else {
         return Err(UxmError::Usage(
             "match needs <source.outline> <target.outline>".into(),
@@ -317,7 +319,7 @@ fn cmd_match(args: &[String], out: &mut Out) -> Result<(), UxmError> {
 }
 
 fn cmd_mappings(args: &[String], out: &mut Out) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args, &["h", "strategy", "threshold"])?;
+    let (pos, flags) = parse_args(args, &MAPPINGS_FLAGS)?;
     let [src, tgt] = pos.as_slice() else {
         return Err(UxmError::Usage(
             "mappings needs <source.outline> <target.outline>".into(),
@@ -350,8 +352,7 @@ fn cmd_mappings(args: &[String], out: &mut Out) -> Result<(), UxmError> {
 }
 
 /// Builds the query-session engine shared by `query`, `explain`,
-/// `keyword` and `registry save`. Only `query` takes `--tau`, the
-/// threshold of the block tree a pinned `block-tree` plan reads.
+/// `keyword` and `registry save`.
 fn engine_from(
     flags: &[(&str, &str)],
     src: &str,
@@ -359,21 +360,13 @@ fn engine_from(
     doc_path: &str,
 ) -> Result<QueryEngine, UxmError> {
     let h: usize = parse_flag(flags, "h", 50)?;
-    let tau: f64 = parse_flag(flags, "tau", 0.2)?;
     let source = load_schema(src)?;
     let target = load_schema(tgt)?;
     let xml = std::fs::read_to_string(doc_path).map_err(|e| UxmError::io(doc_path, e))?;
     let doc = parse_document(&xml).map_err(|e| UxmError::Input(format!("{doc_path}: {e}")))?;
     let matching = matcher_from(flags)?.match_schemas(&source, &target);
     let pm = PossibleMappings::top_h(&matching, h);
-    Ok(QueryEngine::build(
-        pm,
-        doc,
-        &BlockTreeConfig {
-            tau,
-            ..BlockTreeConfig::default()
-        },
-    ))
+    Ok(QueryEngine::build(pm, doc))
 }
 
 /// The shared `--hint` / `--min-p` / `--granularity` option handling.
@@ -504,7 +497,7 @@ fn cmd_query(args: &[String], out: &mut Out) -> Result<(), UxmError> {
 /// `uxm explain` — print the plan and the compiled bytecode program for
 /// a query without running it (see `docs/execution.md`).
 fn cmd_explain(args: &[String], out: &mut Out) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args, &QUERY_FLAGS[1..])?;
+    let (pos, flags) = parse_args(args, &QUERY_FLAGS)?;
     let [src, tgt, doc_path, query_text] = pos.as_slice() else {
         return Err(UxmError::Usage(
             "explain needs <source.outline> <target.outline> <doc.xml> <twig>".into(),
@@ -561,7 +554,7 @@ fn cmd_keyword(args: &[String], out: &mut Out) -> Result<(), UxmError> {
 
 /// `uxm registry save|list` — manage the on-disk engine-snapshot set.
 fn cmd_registry(args: &[String], out: &mut Out) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args, &["dir", "h", "strategy", "threshold"])?;
+    let (pos, flags) = parse_args(args, &REGISTRY_FLAGS)?;
     let dir = flag(&flags, "dir")
         .ok_or_else(|| UxmError::Usage("registry needs --dir <snapshot-dir>".into()))?;
     match pos.as_slice() {
@@ -622,7 +615,7 @@ fn cmd_registry(args: &[String], out: &mut Out) -> Result<(), UxmError> {
 /// `uxm stats <engine> --dir D` — decode one snapshot and report the
 /// resident per-component footprint (the registry's LRU accounting).
 fn cmd_stats(args: &[String], out: &mut Out) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args, &["dir"])?;
+    let (pos, flags) = parse_args(args, &STATS_FLAGS)?;
     let [name] = pos.as_slice() else {
         return Err(UxmError::Usage("stats needs <engine> --dir D".into()));
     };
@@ -730,7 +723,7 @@ fn parse_request_line(line: &str, lineno: usize) -> Result<BatchQuery, UxmError>
 
 /// `uxm batch` — answer a request file against a snapshot directory.
 fn cmd_batch(args: &[String], out: &mut Out) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args, &["dir", "budget", "json"])?;
+    let (pos, flags) = parse_args(args, &BATCH_FLAGS)?;
     let [requests_path] = pos.as_slice() else {
         return Err(UxmError::Usage("batch needs <requests.txt> --dir D".into()));
     };
@@ -927,7 +920,7 @@ fn cmd_serve(args: &[String], out: &mut Out) -> Result<(), UxmError> {
 }
 
 fn cmd_gen_doc(args: &[String], out: &mut Out) -> Result<(), UxmError> {
-    let (pos, flags) = parse_args(args, &["nodes", "seed"])?;
+    let (pos, flags) = parse_args(args, &GEN_DOC_FLAGS)?;
     let [schema_path] = pos.as_slice() else {
         return Err(UxmError::Usage("gen-doc needs <schema.outline>".into()));
     };
@@ -968,4 +961,65 @@ fn cmd_dataset(args: &[String], out: &mut Out) -> Result<(), UxmError> {
         o_ratio(&pm)
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--name`s written on `command`'s lines of [`USAGE`]: the
+    /// lines that begin `uxm <command>` and the indented lines after
+    /// each of them.
+    fn usage_flags(command: &str) -> Vec<String> {
+        let mut flags = Vec::new();
+        let mut ours = false;
+        for line in USAGE.lines().skip(1) {
+            if let Some(rest) = line.trim_start().strip_prefix("uxm ") {
+                ours = rest.split_whitespace().next() == Some(command);
+            }
+            if !ours {
+                continue;
+            }
+            for piece in line.split("--").skip(1) {
+                let name: String = piece
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                flags.push(name);
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_accepts() {
+        let tables: [(&str, &[&str]); 11] = [
+            ("match", &MATCH_FLAGS),
+            ("mappings", &MAPPINGS_FLAGS),
+            ("query", &QUERY_FLAGS),
+            ("explain", &QUERY_FLAGS),
+            ("keyword", &KEYWORD_FLAGS),
+            ("registry", &REGISTRY_FLAGS),
+            ("stats", &STATS_FLAGS),
+            ("batch", &BATCH_FLAGS),
+            ("serve", &SERVE_FLAGS),
+            ("gen-doc", &GEN_DOC_FLAGS),
+            ("dataset", &[]),
+        ];
+        for (command, table) in tables {
+            let listed = usage_flags(command);
+            for name in table {
+                assert!(
+                    listed.iter().any(|l| l == name),
+                    "`uxm {command}` accepts --{name}, but its usage lines omit it"
+                );
+            }
+            for name in &listed {
+                assert!(
+                    table.contains(&name.as_str()),
+                    "`uxm {command}`'s usage lines list --{name}, which it refuses"
+                );
+            }
+        }
+    }
 }

@@ -28,10 +28,10 @@
 //! let matching = Matcher::default().match_schemas(&source, &target);
 //! let mappings = PossibleMappings::top_h(&matching, 8);
 //!
-//! // Open a query session: the engine builds the block tree plus interned
-//! // labels and relevance bitsets — once.
+//! // Open a query session: the engine builds its interned labels and
+//! // relevance bitsets — once.
 //! let doc = Document::generate(&source, &DocGenConfig::small(), 7);
-//! let engine = QueryEngine::build(mappings, doc, &BlockTreeConfig::default());
+//! let engine = QueryEngine::build(mappings, doc);
 //!
 //! // Ask typed queries through the one entry point; the planner picks
 //! // the evaluation strategy from the query kind.

@@ -35,7 +35,6 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::json::Json;
 use uxm::core::mapping::PossibleMappings;
@@ -55,7 +54,7 @@ fn small_engine(seed: u64) -> QueryEngine {
     let matching = Matcher::context().match_schemas(&source, &target);
     let pm = PossibleMappings::top_h(&matching, 12);
     let doc = Document::generate(&source, &DocGenConfig::small(), seed);
-    QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    QueryEngine::build(pm, doc)
 }
 
 fn start_with(config: ServerConfig) -> (Arc<EngineRegistry>, ServerHandle) {

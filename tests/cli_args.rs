@@ -66,10 +66,11 @@ fn the_commands_own_flags_are_accepted() {
 #[test]
 fn unknown_flag_is_a_usage_error() {
     assert_usage_error(&query("bogus", &["--bogus", "7"]), "unknown flag --bogus");
-    // Flags a command ignored are refused: `--tau` sets the block tree,
-    // which only `query --hint block-tree` reads (a snapshot stores no
-    // tree), and `keyword` always runs naive.
+    // Flags that would change no answer are refused: no command
+    // configures the block tree (a pinned block-tree plan builds the
+    // default one), and `keyword` always runs naive.
     for (i, line) in [
+        "query s.outline t.outline doc.xml //Line/No --tau 0.3",
         "keyword s.outline t.outline doc.xml Qty --tau 0.3",
         "keyword s.outline t.outline doc.xml Qty --hint naive",
         "explain s.outline t.outline doc.xml //Line/No --tau 0.3",

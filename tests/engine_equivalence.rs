@@ -360,7 +360,7 @@ fn compiled_answers_share_one_match_set_per_group() {
     let d = Dataset::load(DatasetId::D7);
     let pm = PossibleMappings::top_h(&d.matching, 100);
     let doc = Document::generate(&d.matching.source, &DocGenConfig::order_xml(), 0x0D0C);
-    let engine = QueryEngine::build(pm, doc, &BlockTreeConfig::default());
+    let engine = QueryEngine::build(pm, doc);
     for (qi, q) in paper_queries().iter().enumerate() {
         let label = format!("D7 Q{}", qi + 1);
         for (kind, query) in [

@@ -15,7 +15,6 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use uxm::core::aggregate::{merge_marginals, AggFunc, AggRow, AggregateResult};
 use uxm::core::api::{Answer, EvaluatorHint, ExecStats, Granularity, Query, QueryResponse};
-use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::error::UxmError;
 use uxm::core::exec::Explain;
@@ -520,7 +519,7 @@ fn po_engine() -> QueryEngine {
     let matching = Matcher::context().match_schemas(&source, &target);
     let pm = PossibleMappings::top_h(&matching, 12);
     let doc = Document::generate(&source, &DocGenConfig::small(), 7);
-    QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    QueryEngine::build(pm, doc)
 }
 
 /// Deterministic arm: real responses of every query kind on a fixture

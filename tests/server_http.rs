@@ -36,7 +36,7 @@ fn small_engine(seed: u64) -> QueryEngine {
     let matching = Matcher::context().match_schemas(&source, &target);
     let pm = PossibleMappings::top_h(&matching, 12);
     let doc = Document::generate(&source, &DocGenConfig::small(), seed);
-    QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    QueryEngine::build(pm, doc)
 }
 
 /// A Table II dataset session, sized for debug-build sweeps (the
@@ -645,7 +645,7 @@ fn tiny_counted_engine() -> QueryEngine {
     let qty = target.nodes_with_label("QTY")[0];
     let pm = PossibleMappings::from_pairs(source, target, vec![(vec![(v, qty)], 1.0)]);
     let doc = parse_document("<S><P><V>1</V><V>2</V><V>3</V></P></S>").unwrap();
-    QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    QueryEngine::build(pm, doc)
 }
 
 /// Golden `/aggregate` bodies: the endpoint's whole response is pinned

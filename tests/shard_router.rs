@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use uxm::core::api::Query;
-use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::json::Json;
 use uxm::core::mapping::PossibleMappings;
@@ -43,7 +42,7 @@ fn small_engine(seed: u64) -> QueryEngine {
     let matching = Matcher::context().match_schemas(&source, &target);
     let pm = PossibleMappings::top_h(&matching, 12);
     let doc = Document::generate(&source, &DocGenConfig::small(), seed);
-    QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    QueryEngine::build(pm, doc)
 }
 
 const QUERY_PATTERN: &str = "PO//Qty";

@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 use uxm::core::api::{EvaluatorHint, Query};
-use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::mapping::PossibleMappings;
 use uxm::core::storage::{
@@ -93,7 +92,7 @@ fn fixture_engine() -> QueryEngine {
         }
         b.finish()
     };
-    QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    QueryEngine::build(pm, doc)
 }
 
 fn fixture_queries() -> Vec<Query> {

@@ -7,7 +7,6 @@
 
 use proptest::prelude::*;
 use uxm::core::api::{EvaluatorHint, Query};
-use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::mapping::PossibleMappings;
 use uxm::core::storage::{
@@ -70,7 +69,7 @@ fn engine(id: DatasetId, m: usize, nodes: usize) -> QueryEngine {
         },
         0x5EED,
     );
-    QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    QueryEngine::build(pm, doc)
 }
 
 /// The fully deterministic engine behind the committed golden fixtures
@@ -147,7 +146,7 @@ fn fixture_engine() -> QueryEngine {
         }
         b.finish()
     };
-    QueryEngine::build(pm, doc, &BlockTreeConfig::default())
+    QueryEngine::build(pm, doc)
 }
 
 fn fixture_queries() -> Vec<Query> {
